@@ -8,6 +8,7 @@ The main expansion is proven for r = 1 and mu in {(n), (n-1,1), (n-2,1,1),
 exploring those cases is the point of having the formula in executable form.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from .schur import SchurExpansion, e_perp, restrict
 from .shapes import (
     Partition,
     check_partition,
+    conjugate_descent_stats,
     enumerate_SYT,
     is_hook,
     normalize_shape,
@@ -81,17 +83,21 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     if sum(mu) != n:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
     base = (r - 1) * binom2(n)
-    out = SchurExpansion.zero()
+    counts = Counter()  # (arm, leg) -> number of (tableau, path) pairs
     for tau in enumerate_SYT(mu):
-        conj = tau.conjugate()
-        majp = conj.maj()
-        for gamma in enumerate_T(n, conj.des()):
-            arm = base + gamma.area() + gamma.ht() - majp + 1
-            leg = n - 2 - gamma.ht()
-            out = out + SchurExpansion.term(
-                _hook_index(arm, leg, f"tau={tau}, gamma={gamma}")
-            )
-    return HookResult(n, r, mu, out, proven_inputs(n, r, mu))
+        desp, majp = conjugate_descent_stats(tau)
+        for gamma in enumerate_T(n, desp):
+            ht = gamma.ht()
+            counts[base + gamma.area() + ht - majp + 1, n - 2 - ht] += 1
+    expansion = _hook_expansion(counts, f"n={n}, r={r}, mu={mu}")
+    return HookResult(n, r, mu, expansion, proven_inputs(n, r, mu))
+
+
+def _hook_expansion(counts, context: str) -> SchurExpansion:
+    """The expansion sum of count * s_(arm, 1^leg) over an (arm, leg) tally."""
+    return SchurExpansion(
+        {_hook_index(arm, leg, context): c for (arm, leg), c in counts.items()}
+    )
 
 
 def alternant_formula(n: int, r: int) -> SchurExpansion:
@@ -99,12 +105,11 @@ def alternant_formula(n: int, r: int) -> SchurExpansion:
     if n < 2 or r < 1:
         raise ValueError("alternant_formula needs n >= 2 and r >= 1")
     base = (r - 1) * binom2(n)
-    out = SchurExpansion.zero()
+    counts = Counter()
     for gamma in enumerate_T(n, 0):
-        arm = base + gamma.area() + gamma.ht() + 1
-        leg = n - 2 - gamma.ht()
-        out = out + SchurExpansion.term(_hook_index(arm, leg, f"gamma={gamma}"))
-    return out
+        ht = gamma.ht()
+        counts[base + gamma.area() + ht + 1, n - 2 - ht] += 1
+    return _hook_expansion(counts, f"n={n}, r={r}")
 
 
 # -- two-row (GL2) formulas ------------------------------------------------------
@@ -116,26 +121,27 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     mu = check_partition(mu)
     if not is_hook(mu) or sum(mu) != n:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
-    out = SchurExpansion.zero()
+    counts = Counter()
     for tau in enumerate_SYT(mu):
-        m = r * binom2(n) - tau.conjugate().maj()
-        out = _add_shape(out, (m,))
+        _, majp = conjugate_descent_stats(tau)
+        m = r * binom2(n) - majp
+        _add_shape(counts, (m,))
         for i in range(2, tau.des() + 1):
-            out = _add_shape(out, (m - i, 1))
-    return out
+            _add_shape(counts, (m - i, 1))
+    return SchurExpansion(counts)
 
 
 def gl2_delta_en(n: int, k: int) -> SchurExpansion:
     """The elementary-pairing specialization, summed over SYT((n-k, 1^k))."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"k={k} outside 0..{n - 1}")
-    out = SchurExpansion.zero()
+    counts = Counter()
     for tau in enumerate_SYT((n - k,) + (1,) * k):
         m = tau.maj()
-        out = _add_shape(out, (m,))
+        _add_shape(counts, (m,))
         for i in range(2, k + 1):
-            out = _add_shape(out, (m - i, 1))
-    return out
+            _add_shape(counts, (m - i, 1))
+    return SchurExpansion(counts)
 
 
 def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
@@ -152,24 +158,23 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
         raise ValueError(f"k={k} outside 0..{n - 1}")
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
-    out = SchurExpansion.zero()
+    counts = Counter()
     for tau in enumerate_SYT(mu):
-        conj = tau.conjugate()
-        majp = conj.maj()
-        for gamma in enumerate_T(n, conj.des()):
+        desp, majp = conjugate_descent_stats(tau)
+        for gamma in enumerate_T(n, desp):
             h = gamma.ht()
             if h in two_row_heights:
-                out = _add_shape(out, (k - 1 + gamma.area() - majp, 1))
+                _add_shape(counts, (k - 1 + gamma.area() - majp, 1))
             if h in one_row_heights:
-                out = _add_shape(out, (k + gamma.area() - majp,))
-    return out
+                _add_shape(counts, (k + gamma.area() - majp,))
+    return SchurExpansion(counts)
 
 
-def _add_shape(expansion: SchurExpansion, raw) -> SchurExpansion:
+def _add_shape(counts: Counter, raw) -> None:
+    """Count one s_shape term; a raw shape off the diagram counts as 0."""
     shape = normalize_shape(raw)
-    if shape is None:
-        return expansion
-    return expansion + SchurExpansion.term(shape)
+    if shape is not None:
+        counts[shape] += 1
 
 
 def hrs_t0(n: int, k: int) -> SchurExpansion:
@@ -183,19 +188,22 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
         raise ValueError(f"hrs_t0 bound exceeded: n={n} > {HRS_SIZE_BOUND}")
     if k < 0:
         raise ValueError("hrs_t0 needs k >= 0")
-    out = SchurExpansion.zero()
+    terms = {}
     for mu in partitions_of(n):
-        coeff = ZERO
+        # tableaux with equal (des, exponent) contribute equal terms
+        stats = Counter()
         for tau in enumerate_SYT(mu):
-            binom_factor = gauss_binomial(tau.des(), k)
-            if binom_factor.is_zero():
+            des = tau.des()
+            if des < k:  # [des k]_q = 0
                 continue
-            conj = tau.conjugate()
-            expo = k * conj.des() + binom2(n - k) - conj.maj()
-            coeff = coeff + q_power(expo) * binom_factor
-        if not coeff.is_zero():
-            out = out + SchurExpansion.term(mu, coeff)
-    return out
+            desp, majp = conjugate_descent_stats(tau)
+            stats[des, k * desp + binom2(n - k) - majp] += 1
+        coeff = Counter()
+        for (des, expo), count in stats.items():
+            for (eq, et, ez), c in gauss_binomial(des, k).items():
+                coeff[eq + expo, et, ez] += count * c
+        terms[mu] = LaurentPoly(coeff)
+    return SchurExpansion(terms)
 
 
 # -- one-part data and the inclusion-exclusion lifts -----------------------------
@@ -359,7 +367,7 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     """
     if n < 2:
         raise ValueError("two_column_formula needs n >= 2")
-    out = SchurExpansion.zero()
+    counts = Counter()
     if form == "lifted":
         for k in range(1, n - 3):
             size = n - k - 1  # descent count of shape (k+1, 1^(n-k-1))
@@ -371,10 +379,8 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
                 for i in range(2, n - k - 1):
                     if set(range(1, i + 1)) | {n - 1} <= d:
                         continue
-                    out = out + SchurExpansion.term(
-                        check_partition((maj - i, 2) + (1,) * (k - 1))
-                    )
-        return out
+                    counts[check_partition((maj - i, 2) + (1,) * (k - 1))] += 1
+        return SchurExpansion(counts)
     if form == "path":
         for gamma in enumerate_T(n, 0):
             h = gamma.ht()
@@ -382,13 +388,10 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
                 continue
             starts_north = gamma.word.startswith("N")
             trailing = gamma.trailing_run("N")
+            area = gamma.area()
             for i in range(2, h + 1):
                 if starts_north and trailing >= i - 1:
                     continue
-                out = out + SchurExpansion.term(
-                    check_partition(
-                        (gamma.area() + h + 1 - i, 2) + (1,) * (n - 3 - h)
-                    )
-                )
-        return out
+                counts[check_partition((area + h + 1 - i, 2) + (1,) * (n - 3 - h))] += 1
+        return SchurExpansion(counts)
     raise ValueError(f"unknown form {form!r}")

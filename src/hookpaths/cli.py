@@ -223,7 +223,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as exc:
+    # RuntimeError: a fixture checksum mismatch; AssertionError: a map's
+    # internal consistency check
+    except (ValueError, KeyError, RuntimeError, AssertionError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ start heights past the staircase clamp to s = n-2 (leaving only the empty
 word), and n < 2 gives the empty family.
 """
 
+from collections import Counter
 from itertools import product
 
 from .qpoly import LaurentPoly, ZERO, gauss_binomial, q_power
@@ -45,6 +46,17 @@ class LatticePath:
         self.s = s
         self.word = word
 
+    @classmethod
+    def _trusted(cls, n: int, s: int, word: str) -> "LatticePath":
+        """Internal constructor that skips validation, for paths whose grid
+        and word the library built itself.  Public input goes through
+        __init__ or parse."""
+        path = cls.__new__(cls)
+        path.n = n
+        path.s = s
+        path.word = word
+        return path
+
     # -- statistics ---------------------------------------------------------
 
     def ht(self) -> int:
@@ -69,9 +81,6 @@ class LatticePath:
             else:
                 x += 1
         return total
-
-    def endpoint(self) -> tuple[int, int]:
-        return (self.word.count("E"), self.ht())
 
     def east_count(self) -> int:
         return self.word.count("E")
@@ -132,17 +141,14 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
         raise ValueError(f"start height must be nonnegative, got {s}")
     s = clamp_start(n, s)
     length = n - s - 2
-    return [
-        LatticePath(n, s, "".join(w)) for w in product("EN", repeat=length)
-    ]
+    trusted = LatticePath._trusted
+    return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
 
 def gf_T(n: int, s: int) -> LaurentPoly:
     """sum of q^area * z^ht over the family, by direct enumeration."""
-    out = ZERO
-    for path in enumerate_T(n, s):
-        out = out + LaurentPoly.term(1, eq=path.area(), ez=path.ht())
-    return out
+    counts = Counter((path.area(), 0, path.ht()) for path in enumerate_T(n, s))
+    return LaurentPoly(counts)
 
 
 def gf_closed(n: int, s: int) -> LaurentPoly:
@@ -171,14 +177,14 @@ def hat_gf(m: int, j: int) -> LaurentPoly:
     """
     if j < 0:
         raise ValueError(f"height threshold must be nonnegative, got {j}")
-    out = ZERO
+    counts = Counter()
     for path in enumerate_T(m, 0):
         h = path.ht()
         if h < j:
             continue
         sign = -1 if (j - h) % 2 else 1
-        out = out + LaurentPoly.term(sign, eq=path.area() + (j - h), ez=j)
-    return out
+        counts[path.area() + (j - h), 0, j] += sign
+    return LaurentPoly(counts)
 
 
 PREDICATES = (

@@ -2,11 +2,13 @@
 difference formula for the leftover set W, and the three statistic-preserving
 bijections between descent-constrained hook tableaux and staircase paths.
 
-Set elements are (tableau, path) pairs: every tableau of a fixed hook shape
-conjugates to the same descent count, but membership in the V/W splits
-depends on the actual descent set, so the tableau travels with the path.
+Set elements are (descent set, path) pairs: every tableau of a fixed hook
+shape conjugates to the same descent count, but membership in the V/W splits
+depends on the actual descent set, so the conjugate descent set -- which
+fixes the hook tableau -- travels with the path.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
@@ -19,16 +21,24 @@ from .shapes import StdTableau, hook_tableau_from_descents
 @dataclass(frozen=True)
 class TaggedPath:
     """A hook tableau of shape (k+1, 1^(n-k-1)) tagging a path in the family
-    whose start height is the conjugate's descent count."""
+    whose start height is the conjugate's descent count k.
 
-    tableau: StdTableau
+    The tableau is stored as its conjugate's descent set, a k-subset of
+    1..n-1, which fixes it.
+    """
+
+    descents: frozenset
     path: LatticePath
 
+    @property
+    def tableau(self) -> StdTableau:
+        return hook_tableau_from_descents(self.descents, self.path.n).conjugate()
+
     def conj_descents(self) -> frozenset:
-        return self.tableau.conjugate().descent_set()
+        return self.descents
 
     def conj_maj(self) -> int:
-        return sum(self.conj_descents())
+        return sum(self.descents)
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,12 @@ def path_stats(path: LatticePath) -> PathStats:
 
 
 def _tag(n: int, descents, word: str) -> TaggedPath:
-    """Build the (tableau, path) pair from a conjugate descent set."""
-    conj = hook_tableau_from_descents(descents, n)
-    s = clamp_start(n, len(frozenset(descents)))
-    return TaggedPath(conj.conjugate(), LatticePath(n, s, word))
+    """Pair a conjugate descent set with the path `word` in its family."""
+    descents = frozenset(descents)
+    if not descents <= frozenset(range(1, n)):
+        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
+    s = clamp_start(n, len(descents))
+    return TaggedPath(descents, LatticePath(n, s, word))
 
 
 def _drop_steps(word: str, easts: int, norths: int) -> str:
@@ -119,18 +131,16 @@ def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
     """The hook index attached to a tagged path:
     (area + ht - maj(conjugate) + 1, 1^(n-2-ht))."""
     path = tagged.path
-    arm = path.area() + path.ht() - tagged.conj_maj() + 1
-    leg = path.n - 2 - path.ht()
+    ht = path.ht()
+    arm = path.area() + ht - tagged.conj_maj() + 1
+    leg = path.n - 2 - ht
     if arm < 0 or (arm == 0 and leg > 0):
         raise ValueError(f"invalid hook arm {arm} for {tagged}")
     return (arm,) + (1,) * leg if arm else ()
 
 
 def hook_sum(tagged_paths) -> SchurExpansion:
-    out = SchurExpansion.zero()
-    for tp in tagged_paths:
-        out = out + SchurExpansion.term(hook_of(tp))
-    return out
+    return SchurExpansion(Counter(hook_of(tp) for tp in tagged_paths))
 
 
 @dataclass(frozen=True)
@@ -151,25 +161,30 @@ def build_sets(n: int, k: int) -> PieriSets:
     if not 0 <= k <= n - 2:
         raise ValueError(f"k={k} outside 0..{n - 2}")
     tplus, tminus, v = set(), set(), set()
+    family = [
+        (path, path.leading_run("N"), path.leading_run("E")) for path in enumerate_T(n, k)
+    ]
+    top = set(range(n - k + 1, n))
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
-        min_d = min(d) if d else inf
-        for path in enumerate_T(n, k):
-            tagged = _tag(n, d, path.word)
-            j = path.leading_run("N")
+        min_d = combo[0] if combo else inf
+        if 1 in d:
+            # V: leading north run >= n - k - min(d - {1}), any run if d = {1}
+            min_north = max(0, n - k - combo[1]) if k > 1 else 0
+            min_east = inf
+        elif top <= d:
+            # V needs a leading east run of at least min_d - 1
+            min_north, min_east = inf, min_d - 1
+        else:
+            min_north = min_east = inf
+        for path, j, r in family:
+            tagged = TaggedPath(d, path)
             if j >= n - k - min_d:
                 tplus.add(tagged)
             else:
                 tminus.add(tagged)
-            if 1 in d:
-                rest = d - {1}
-                threshold = (n - k - min(rest)) if rest else -inf
-                if j >= max(0, threshold):
-                    v.add(tagged)
-            elif set(range(n - k + 1, n)) <= d:
-                r = path.leading_run("E")
-                if r + 1 >= min_d:
-                    v.add(tagged)
+            if j >= min_north or r >= min_east:
+                v.add(tagged)
     return PieriSets(
         frozenset(tplus), frozenset(tminus), frozenset(v), frozenset(tminus - v)
     )
@@ -181,28 +196,29 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
     contribute nothing."""
     if not 0 <= k <= n - 2:
         raise ValueError(f"k={k} outside 0..{n - 2}")
-    out = SchurExpansion.zero()
+    counts = Counter()
     for path in enumerate_T(n, 0):
         if path.east_count() >= k:
-            out = out + SchurExpansion.term(hook_of(e_plus_map(k, path)))
+            counts[hook_of(e_plus_map(k, path))] += 1
         if (
             k >= 1
             and path.east_count() >= k - 1
             and path.north_count() > 0
         ):
-            out = out + SchurExpansion.term(hook_of(e_minus_map(k, path)))
-    return out
+            counts[hook_of(e_minus_map(k, path))] += 1
+    return SchurExpansion(counts)
 
 
 # -- the difference formula ----------------------------------------------------
 
 
-def _shape_term(n, gamma, majp, shift) -> SchurExpansion:
-    arm = gamma.area() + gamma.ht() + 1 - majp + shift
-    leg = n - 2 - gamma.ht()
+def _shape_index(n, gamma, majp, shift) -> tuple[int, ...]:
+    ht = gamma.ht()
+    arm = gamma.area() + ht + 1 - majp + shift
+    leg = n - 2 - ht
     if arm < 0 or (arm == 0 and leg > 0):
         raise ValueError(f"invalid reindexed hook arm {arm}")
-    return SchurExpansion.term((arm,) + (1,) * leg if arm else ())
+    return (arm,) + (1,) * leg if arm else ()
 
 
 def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate") -> SchurExpansion:
@@ -223,21 +239,21 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
     if form == "k1":
         if k != 1:
             raise ValueError("the k1 form is only defined for k = 1")
-        out = SchurExpansion.zero()
+        counts = Counter()
         for m in range(2, n - 1):
             for r in range(1, m - 1):
                 for gamma in enumerate_T(n - r, 2):
-                    out = out + _shape_term(n, gamma, m, r)
+                    counts[_shape_index(n, gamma, m, r)] += 1
             for j in range(1, n - 1 - m):
                 for gamma in enumerate_T(n - 1, j + 1):
-                    out = out + _shape_term(n, gamma, m, j + 1)
-        return out
+                    counts[_shape_index(n, gamma, m, j + 1)] += 1
+        return SchurExpansion(counts)
     if form != "reindexed":
         raise ValueError(f"unknown form {form!r}")
     if reading not in ("conjugate", "literal"):
         raise ValueError(f"unknown reading {reading!r}")
 
-    out = SchurExpansion.zero()
+    counts = Counter()
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
         majp = sum(d)
@@ -250,21 +266,21 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
             if min_d < n - k:
                 for r in range(1, min_d - 1):
                     for gamma in enumerate_T(n - r, k + 1):
-                        out = out + _shape_term(n, gamma, majp, k * r)
+                        counts[_shape_index(n, gamma, majp, k * r)] += 1
                 for j in range(1, n - k - min_d):
                     for gamma in enumerate_T(n - 1, j + k):
-                        out = out + _shape_term(n, gamma, majp, j + k)
+                        counts[_shape_index(n, gamma, majp, j + k)] += 1
             if not set(range(n - k + 1, n)) <= d:
                 for r in range(min_d - 1, n - k - 1):
                     for gamma in enumerate_T(n - r, k + 1):
-                        out = out + _shape_term(n, gamma, majp, k * r)
+                        counts[_shape_index(n, gamma, majp, k * r)] += 1
         else:
             rest = d - {1}
             if rest:
                 for j in range(0, n - k - min(rest)):
                     for gamma in enumerate_T(n - 1, k + j):
-                        out = out + _shape_term(n, gamma, majp, j + k)
-    return out
+                        counts[_shape_index(n, gamma, majp, j + k)] += 1
+    return SchurExpansion(counts)
 
 
 def compare_difference(n: int, k: int) -> dict:

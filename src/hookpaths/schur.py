@@ -93,12 +93,6 @@ class SchurExpansion:
     def is_schur_positive(self) -> bool:
         return not any(c.has_negative_coeff() for c in self._terms.values())
 
-    def map_at_zero(self, name: str) -> "SchurExpansion":
-        """Set a coefficient variable to zero in every coefficient."""
-        return SchurExpansion(
-            {lam: c.at_zero(name) for lam, c in self._terms.items()}
-        )
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -214,11 +208,12 @@ def e_perp(k: int, f: SchurExpansion) -> SchurExpansion:
         raise ValueError("e_perp needs k >= 0")
     if k == 0:
         return f
-    out = SchurExpansion.zero()
+    terms = {}
     for lam, coeff in f._terms.items():
         for mu in vertical_strips(lam, k):
-            out = out + SchurExpansion({mu: coeff})
-    return out
+            prev = terms.get(mu)
+            terms[mu] = coeff if prev is None else prev + coeff
+    return SchurExpansion(terms)
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:

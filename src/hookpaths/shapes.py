@@ -71,15 +71,6 @@ def make_hook(a: int, k: int) -> Partition:
     return (a,) + (1,) * k
 
 
-def hook_arm_leg(lam: Partition) -> tuple[int, int]:
-    """(a, k) with lam = (a, 1^k); the empty partition gives (0, 0)."""
-    if not is_hook(lam):
-        raise ValueError(f"not a hook: {lam}")
-    if not lam:
-        return (0, 0)
-    return (lam[0], len(lam) - 1)
-
-
 def partitions_of(n: int):
     """All partitions of n, largest part first, in lexicographic descent."""
     if n == 0:
@@ -120,6 +111,22 @@ class StdTableau:
             raise ValueError("entries must be exactly 1..n")
         self._row_of = row_of
 
+    @classmethod
+    def _trusted(cls, rows, shape, row_of) -> "StdTableau":
+        """Internal constructor that skips validation.
+
+        Only for tableaux built inside the library whose validity holds by
+        construction; `rows` is a tuple of int tuples, `shape` its row
+        lengths and `row_of` the entry -> row map.  Public input goes
+        through __init__ or parse.
+        """
+        tab = cls.__new__(cls)
+        tab.rows = rows
+        tab.shape = shape
+        tab.n = len(row_of)
+        tab._row_of = row_of
+        return tab
+
     def row_of(self, entry: int) -> int:
         return self._row_of[entry]
 
@@ -136,11 +143,16 @@ class StdTableau:
         return sum(self.descent_set())
 
     def conjugate(self) -> "StdTableau":
+        """The transpose; its descent set is [n-1] minus this one's."""
         cols = [[] for _ in range(self.shape[0])] if self.shape else []
+        row_of = {}
         for row in self.rows:
             for c, entry in enumerate(row):
                 cols[c].append(entry)
-        return StdTableau(cols)
+                row_of[entry] = c
+        return StdTableau._trusted(
+            tuple(map(tuple, cols)), tuple(map(len, cols)), row_of
+        )
 
     def __eq__(self, other):
         return isinstance(other, StdTableau) and self.rows == other.rows
@@ -173,10 +185,13 @@ def enumerate_SYT(lam, bound: int = SYT_SIZE_BOUND) -> list[StdTableau]:
         return [StdTableau(())]
     out = []
     rows = [[] for _ in lam]
+    where = [0] * n  # where[v - 1] is the row holding v
 
     def place(v):
         if v > n:
-            out.append(StdTableau([tuple(r) for r in rows]))
+            out.append(StdTableau._trusted(
+                tuple(map(tuple, rows)), lam, dict(zip(range(1, n + 1), where))
+            ))
             return
         for r, row in enumerate(rows):
             if len(row) >= lam[r]:
@@ -184,6 +199,7 @@ def enumerate_SYT(lam, bound: int = SYT_SIZE_BOUND) -> list[StdTableau]:
             if r and len(rows[r - 1]) <= len(row):
                 continue
             row.append(v)
+            where[v - 1] = r
             place(v + 1)
             row.pop()
 
@@ -198,17 +214,35 @@ def hook_tableau_from_descents(S, n: int) -> StdTableau:
     comes out as (n - |S|, 1^|S|).
     """
     S = frozenset(S)
+    if n < 1:
+        raise ValueError(f"hook tableaux need n >= 1, got {n}")
     if not S <= set(range(1, n)):
         raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(S)}")
     leg = sorted(s + 1 for s in S)
-    arm = [e for e in range(1, n + 1) if e not in set(leg)]
-    return StdTableau([tuple(arm)] + [(e,) for e in leg])
+    arm = tuple(e for e in range(1, n + 1) if e - 1 not in S)
+    row_of = dict.fromkeys(arm, 0)
+    row_of.update((e, r) for r, e in enumerate(leg, start=1))
+    return StdTableau._trusted(
+        (arm,) + tuple((e,) for e in leg), (len(arm),) + (1,) * len(leg), row_of
+    )
 
 
 def descent_stats(tau: StdTableau) -> tuple[frozenset, int, int]:
     """(descent set, des, maj) in one call."""
     des_set = tau.descent_set()
     return des_set, len(des_set), sum(des_set)
+
+
+def conjugate_descent_stats(tau: StdTableau) -> tuple[int, int]:
+    """(des, maj) of the conjugate tableau, without building it.
+
+    In a standard tableau i+1 lies either in a strictly higher row or in a
+    strictly later column than i, never both, so Des(tau') is the complement
+    of Des(tau) in 1..n-1: des' = n-1-des and maj' = binomial(n, 2) - maj.
+    """
+    descents = tau.descent_set()
+    n = tau.n
+    return max(n - 1, 0) - len(descents), n * (n - 1) // 2 - sum(descents)
 
 
 def hook_descent_subsets(n: int, k: int):

@@ -395,30 +395,45 @@ def suite_difference_w(max_n: int = 8) -> list[VerifyReport]:
     return out
 
 
+# name -> (suite, default size cap, smallest cap that runs an instance);
+# two-column's top-W check runs one size past the cap, so 2 already runs n=3
 SUITES = {
-    "gf": (suite_gf, 14),
-    "alternating": (suite_alternating, 12),
-    "restriction2": (suite_restriction2, 9),
-    "hrs-t0": (suite_hrs_t0, 8),
-    "pieri-paths": (suite_pieri_paths, 9),
-    "bijections": (suite_bijections, 10),
-    "two-column": (suite_two_column, 9),
-    "difference-W": (suite_difference_w, 8),
+    "gf": (suite_gf, 14, 2),
+    "alternating": (suite_alternating, 12, 3),
+    "restriction2": (suite_restriction2, 9, 2),
+    "hrs-t0": (suite_hrs_t0, 8, 2),
+    "pieri-paths": (suite_pieri_paths, 9, 3),
+    "bijections": (suite_bijections, 10, 3),
+    "two-column": (suite_two_column, 9, 2),
+    "difference-W": (suite_difference_w, 8, 3),
 }
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
-    """Run one named suite (or "all"); reports come back in deterministic order."""
+    """Run one named suite (or "all"); reports come back in deterministic order.
+
+    A cap below the smallest size the suite checks (for "all": below every
+    suite's) is an error rather than an empty, passing run.
+    """
     if name == "all":
+        smallest = min(low for _, _, low in SUITES.values())
+        if max_n is not None and max_n < smallest:
+            raise ValueError(
+                f"max_n={max_n} is below {smallest}, the smallest cap at which any suite checks something"
+            )
         reports = []
-        for suite_name, (fn, default) in SUITES.items():
+        for suite_name, (fn, default, _) in SUITES.items():
             bound = default if max_n is None else min(max_n, default)
             reports.extend(fn(bound))
         return reports
     if name not in SUITES:
         known = ", ".join(list(SUITES) + ["all"])
         raise ValueError(f"unknown suite {name!r}; known: {known}")
-    fn, default = SUITES[name]
+    fn, default, smallest = SUITES[name]
+    if max_n is not None and max_n < smallest:
+        raise ValueError(
+            f"max_n={max_n} is below {smallest}, the smallest cap at which the {name} suite checks something"
+        )
     return fn(default if max_n is None else max_n)
 
 

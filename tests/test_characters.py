@@ -3,10 +3,10 @@ import random
 import pytest
 
 from hookpaths import characters as ch
-from hookpaths.paths import binom2
-from hookpaths.qpoly import ONE, ZERO, q, q_power
+from hookpaths.paths import binom2, enumerate_T
+from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, psi, restrict, specialize2
-from hookpaths.shapes import make_hook, partitions_of
+from hookpaths.shapes import enumerate_SYT, is_hook, make_hook, normalize_shape, partitions_of
 
 s = SchurExpansion.term
 
@@ -272,6 +272,85 @@ def test_near_row_shapes_stay_short():
         for mu in ((n,), (n - 1, 1), (n - 2, 1, 1)):
             result = ch.hook_formula(n, 1, mu)
             assert all(len(lam) <= 2 for lam in result.expansion.support()), mu
+
+
+# -- reference folds: the formulas as first written, building each conjugate
+# tableau and adding one term at a time --------------------------------------
+
+
+def reference_hook_formula(n, r, mu):
+    base = (r - 1) * binom2(n)
+    out = SchurExpansion.zero()
+    for tau in enumerate_SYT(mu):
+        conj = tau.conjugate()
+        majp = conj.maj()
+        for gamma in enumerate_T(n, conj.des()):
+            arm = base + gamma.area() + gamma.ht() - majp + 1
+            leg = n - 2 - gamma.ht()
+            out = out + s(ch._hook_index(arm, leg, "reference"))
+    return out
+
+
+def reference_add_shape(expansion, raw):
+    shape = normalize_shape(raw)
+    return expansion if shape is None else expansion + s(shape)
+
+
+def reference_gl2_nabla_hooks(n, r, mu):
+    out = SchurExpansion.zero()
+    for tau in enumerate_SYT(mu):
+        m = r * binom2(n) - tau.conjugate().maj()
+        out = reference_add_shape(out, (m,))
+        for i in range(2, tau.des() + 1):
+            out = reference_add_shape(out, (m - i, 1))
+    return out
+
+
+def reference_gl2_delta_mu(n, k, mu):
+    two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
+    one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
+    out = SchurExpansion.zero()
+    for tau in enumerate_SYT(mu):
+        conj = tau.conjugate()
+        majp = conj.maj()
+        for gamma in enumerate_T(n, conj.des()):
+            h = gamma.ht()
+            if h in two_row_heights:
+                out = reference_add_shape(out, (k - 1 + gamma.area() - majp, 1))
+            if h in one_row_heights:
+                out = reference_add_shape(out, (k + gamma.area() - majp,))
+    return out
+
+
+def reference_hrs_t0(n, k):
+    out = SchurExpansion.zero()
+    for mu in partitions_of(n):
+        coeff = ZERO
+        for tau in enumerate_SYT(mu):
+            binom_factor = gauss_binomial(tau.des(), k)
+            if binom_factor.is_zero():
+                continue
+            conj = tau.conjugate()
+            expo = k * conj.des() + binom2(n - k) - conj.maj()
+            coeff = coeff + q_power(expo) * binom_factor
+        if not coeff.is_zero():
+            out = out + SchurExpansion.term(mu, coeff)
+    return out
+
+
+def test_formulas_match_reference_folds():
+    for n in range(0, 8):
+        for k in range(0, n + 2):
+            assert ch.hrs_t0(n, k) == reference_hrs_t0(n, k), (n, k)
+        for mu in partitions_of(n):
+            for k in range(0, n):
+                assert ch.gl2_delta_mu(n, k, mu) == reference_gl2_delta_mu(n, k, mu)
+            if is_hook(mu):
+                for r in (1, 2):
+                    assert ch.gl2_nabla_hooks(n, r, mu) == reference_gl2_nabla_hooks(n, r, mu)
+            if n >= 2:
+                for r in (1, 2):
+                    assert ch.hook_formula(n, r, mu).expansion == reference_hook_formula(n, r, mu)
 
 
 def test_hook_index_guard_names_context():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hookpaths import cli, fixtures
+from hookpaths import cli, fixtures, pierimaps
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
 from hookpaths.verify import VerifyReport, has_failure
@@ -78,7 +78,8 @@ def test_fixtures_output(capsys):
     assert "<E, s[1,1,1,1]> = s[6] + s[4,1] + s[3,1] + s[1,1,1]" in out
 
 
-def test_fixture_tamper_detection(monkeypatch):
+def tamper_fixture(monkeypatch):
+    """Make load_fixture read a payload whose checksum no longer matches."""
     real = fixtures.resources.files
 
     class FakeTraversable:
@@ -93,8 +94,47 @@ def test_fixture_tamper_detection(monkeypatch):
             return json.dumps(doc)
 
     monkeypatch.setattr(fixtures.resources, "files", lambda pkg: FakeTraversable())
+
+
+def test_fixture_tamper_detection(monkeypatch):
+    tamper_fixture(monkeypatch)
     with pytest.raises(RuntimeError, match="checksum mismatch"):
         fixtures.load_fixture()
+
+
+def test_fixture_checksum_error_is_a_clean_cli_error(monkeypatch, capsys):
+    tamper_fixture(monkeypatch)
+    code = cli.main(["fixtures"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error (fixtures): fixture checksum mismatch")
+    assert captured.err.count("\n") == 1
+
+
+def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
+    # stats whose first two east steps give the same descent n-2
+    monkeypatch.setattr(pierimaps, "path_stats", lambda path: pierimaps.PathStats((1, 0), 0, ()))
+    code = cli.main(["pieri", "--n", "6", "--k", "2", "--path", "EENN"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error (pieri): descent construction collided\n"
+
+
+def test_verify_rejects_caps_below_suite_minimum(capsys):
+    for argv, smallest in (
+        (["verify", "--suite", "gf", "--max-n", "-3"], 2),
+        (["verify", "--suite", "pieri-paths", "--max-n", "2"], 3),
+        (["--max-n", "1", "verify", "--suite", "all"], 2),
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error (verify): max_n={argv[argv.index('--max-n') + 1]} is below {smallest}")
+    # the smallest caps still run: two-column's emptiness check runs one size past
+    code, out = run_cli(capsys, "verify", "--suite", "two-column", "--max-n", "2")
+    assert code == 0 and out.endswith("# 1 instances: pass=1\n")
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--max-n", "2")
+    assert code == 0 and "# 0 instances" not in out
 
 
 def test_verify_exit_codes(capsys):

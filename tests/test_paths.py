@@ -62,6 +62,41 @@ def test_paths_from_different_grids_never_compare_equal():
     assert a.same_grid(LatticePath(5, 0, "EEE")) and not a.same_grid(b)
 
 
+def test_enumerate_T_matches_validated_rebuild():
+    for n in range(0, 13):
+        for s in range(0, n + 1):
+            for p in enumerate_T(n, s):
+                rebuilt = LatticePath(p.n, p.s, p.word)
+                assert rebuilt == p and rebuilt.s == clamp_start(n, s)
+
+
+def reference_gf_T(n, s):
+    """gf_T as first written: one polynomial addition per path."""
+    out = ZERO
+    for path in enumerate_T(n, s):
+        out = out + LaurentPoly.term(1, eq=path.area(), ez=path.ht())
+    return out
+
+
+def reference_hat_gf(m, j):
+    out = ZERO
+    for path in enumerate_T(m, 0):
+        h = path.ht()
+        if h >= j:
+            sign = -1 if (j - h) % 2 else 1
+            out = out + LaurentPoly.term(sign, eq=path.area() + (j - h), ez=j)
+    return out
+
+
+def test_accumulating_folds_match_reference():
+    for n in range(0, 13):
+        for s in range(0, n):
+            assert gf_T(n, s) == reference_gf_T(n, s)
+    for m in range(0, 11):
+        for j in range(0, m + 1):
+            assert hat_gf(m, j) == reference_hat_gf(m, j)
+
+
 def test_gf_examples():
     assert gf_T(4, 0) == ONE + q * z + q**2 * z + q**3 * z**2
     for n in range(2, 9):

@@ -84,6 +84,8 @@ def test_map_domain_errors():
         pm.e_minus_map(0, LatticePath(6, 0, "NNEE"))
     with pytest.raises(ValueError):
         pm.e_plus_map(1, LatticePath(6, 2, "NE"))  # wrong start height
+    with pytest.raises(ValueError):
+        pm._tag(5, {5}, "")  # descents outside 1..n-1
 
 
 def test_build_sets_structure():
@@ -95,6 +97,11 @@ def test_build_sets_structure():
             assert sets.w == sets.tminus - sets.v
             total = len(sets.tplus) + len(sets.tminus)
             assert total == math.comb(n - 1, k) * 2 ** (n - k - 2)
+            if n <= 7:
+                for tp in sets.tplus | sets.tminus:
+                    tableau = tp.tableau
+                    assert tableau.shape == (k + 1,) + (1,) * (n - k - 1)
+                    assert tableau.conjugate().descent_set() == tp.descents
     # the top k leaves no gap
     for n in range(3, 11):
         assert not pm.build_sets(n, n - 2).w

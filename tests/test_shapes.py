@@ -8,6 +8,7 @@ from hookpaths.shapes import (
     StdTableau,
     check_partition,
     conjugate,
+    conjugate_descent_stats,
     enumerate_SYT,
     hook_tableau_from_descents,
     is_hook,
@@ -130,15 +131,38 @@ def test_enumerate_syt_distinct_and_bounded():
     assert len(enumerate_SYT((13,), bound=13)) == 1
 
 
+def assert_equals_validated_rebuild(tau):
+    """A tableau built by a trusted constructor matches the validating one."""
+    rebuilt = StdTableau(tau.rows)
+    assert rebuilt == tau
+    assert (rebuilt.shape, rebuilt.n, rebuilt._row_of) == (tau.shape, tau.n, tau._row_of)
+
+
 def test_descent_complement_invariants():
-    for n in range(1, 9):
+    for n in range(0, 9):
         full = frozenset(range(1, n))
         for lam in partitions_of(n):
             for tau in enumerate_SYT(lam):
                 conj = tau.conjugate()
+                assert_equals_validated_rebuild(tau)
+                assert_equals_validated_rebuild(conj)
                 assert conj.descent_set() == full - tau.descent_set()
                 assert tau.maj() + conj.maj() == n * (n - 1) // 2
-                assert tau.des() == n - 1 - conj.des()
+                assert tau.des() == max(n - 1, 0) - conj.des()
+                assert conjugate_descent_stats(tau) == (conj.des(), conj.maj())
+
+
+@given(st.data())
+def test_conjugate_property(data):
+    n = data.draw(st.integers(min_value=0, max_value=10))
+    lam = data.draw(st.sampled_from(list(partitions_of(n))))
+    tau = data.draw(st.sampled_from(enumerate_SYT(lam)))
+    conj = tau.conjugate()
+    assert_equals_validated_rebuild(conj)
+    assert conj.shape == conjugate(lam)
+    assert conj.descent_set() == frozenset(range(1, n)) - tau.descent_set()
+    assert conjugate_descent_stats(tau) == (conj.des(), conj.maj())
+    assert conj.conjugate() == tau
 
 
 def test_hook_tableau_from_descents():
@@ -150,6 +174,8 @@ def test_hook_tableau_from_descents():
     assert hook_tableau_from_descents(set(), 5).shape == (5,)
     with pytest.raises(ValueError):
         hook_tableau_from_descents({5}, 5)
+    with pytest.raises(ValueError):
+        hook_tableau_from_descents(set(), 0)
 
 
 def test_hook_descent_bijection_exhaustive():
@@ -158,6 +184,7 @@ def test_hook_descent_bijection_exhaustive():
         for k in range(n):
             for subset in combinations(range(1, n), k):
                 tau = hook_tableau_from_descents(subset, n)
+                assert_equals_validated_rebuild(tau)
                 assert tau.descent_set() == frozenset(subset)
                 seen.add(tau)
         hook_count = sum(
