@@ -26,6 +26,7 @@ from .shapes import (
     check_partition,
     conjugate_descent_stats,
     enumerate_SYT,
+    hook_index,
     is_hook,
     normalize_shape,
     partitions_of,
@@ -61,12 +62,6 @@ class HookResult:
         return f"n={self.n} r={self.r} mu={','.join(map(str, self.mu)) or 'empty'}: {status}"
 
 
-def _hook_index(arm: int, leg: int, context: str) -> Partition:
-    if arm < 0 or (arm == 0 and leg > 0):
-        raise ValueError(f"hook arm {arm} out of range for {context}")
-    return (arm,) + (1,) * leg if arm else ()
-
-
 def hook_formula(n: int, r: int, mu) -> HookResult:
     """The tableau-and-path expansion of the hook components.
 
@@ -96,7 +91,7 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
 def _hook_expansion(counts, context: str) -> SchurExpansion:
     """The expansion sum of count * s_(arm, 1^leg) over an (arm, leg) tally."""
     return SchurExpansion(
-        {_hook_index(arm, leg, context): c for (arm, leg), c in counts.items()}
+        {hook_index(arm, leg, context): c for (arm, leg), c in counts.items()}
     )
 
 
@@ -267,18 +262,12 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
         raise ValueError("lift_next_column needs b >= 1")
     own = restrict(G, f"V{b}")
     i_max = max((len(lam) for lam in G.support()), default=0) + 2
-    fs = []
-    for i in range(i_max + 1):
-        fs.append(
-            _row_pair_fingerprint(e_perp(i, G), b)
-            - _row_pair_fingerprint(e_perp(i, own), b)
-        )
-    out = ZERO
-    for j in range(1, i_max + 1):
-        for k in range(j + 1):
-            sign = -1 if k % 2 else 1
-            out = out + fs[j - k] * LaurentPoly.term(sign, eq=-k, et=j)
-    return out
+    fs = [
+        _row_pair_fingerprint(e_perp(i, G), b) - _row_pair_fingerprint(e_perp(i, own), b)
+        for i in range(i_max + 1)
+    ]
+    # the alternating double sum without its j = 0 term
+    return lift_hooks(fs) - fs[0]
 
 
 # -- the alternating-sum identities ----------------------------------------------

@@ -14,7 +14,7 @@ from . import characters, pierimaps, verify
 from .fixtures import load_fixture
 from .paths import LatticePath, enumerate_T, gf_T, gf_closed
 from .schur import restrict, specialize2
-from .shapes import parse_partition, partition_str
+from .shapes import hook_index, parse_partition, partition_str
 
 
 def _emit_json(obj) -> None:
@@ -47,11 +47,10 @@ def cmd_expand(args) -> int:
 def cmd_paths(args) -> int:
     rows = []
     for path in enumerate_T(args.n, args.s):
-        arm = path.area() + path.ht() + 1
-        hook = (arm,) + (1,) * (args.n - 2 - path.ht())
+        area, ht = path.area(), path.ht()
+        hook = hook_index(area + ht + 1, args.n - 2 - ht)
         rows.append(
-            {"word": str(path), "area": path.area(), "ht": path.ht(),
-             "hook": partition_str(hook)}
+            {"word": str(path), "area": area, "ht": ht, "hook": partition_str(hook)}
         )
     if args.json:
         _emit_json({"n": args.n, "s": args.s, "paths": rows})
@@ -83,23 +82,21 @@ def cmd_pieri(args) -> int:
         paths = [LatticePath.parse(n, 0, args.path)]
     else:
         paths = enumerate_T(n, 0)
+    sides = (
+        ("plus", pierimaps.plus_domain, pierimaps.e_plus_map),
+        ("minus", pierimaps.minus_domain, pierimaps.e_minus_map),
+    )
     entries = []
     for gamma in paths:
         entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
-        if gamma.east_count() >= k:
-            tagged = pierimaps.e_plus_map(k, gamma)
-            entry["plus"] = {
-                "descents": sorted(tagged.conj_descents()),
-                "word": str(tagged.path),
-                "hook": partition_str(pierimaps.hook_of(tagged)),
-            }
-        if k >= 1 and gamma.east_count() >= k - 1 and gamma.north_count() > 0:
-            tagged = pierimaps.e_minus_map(k, gamma)
-            entry["minus"] = {
-                "descents": sorted(tagged.conj_descents()),
-                "word": str(tagged.path),
-                "hook": partition_str(pierimaps.hook_of(tagged)),
-            }
+        for side, in_domain, pieri_map in sides:
+            if in_domain(k, gamma):
+                tagged = pieri_map(k, gamma)
+                entry[side] = {
+                    "descents": sorted(tagged.descents),
+                    "word": str(tagged.path),
+                    "hook": partition_str(pierimaps.hook_of(tagged)),
+                }
         entries.append(entry)
     if args.json:
         _emit_json({"n": n, "k": k, "paths": entries})

@@ -14,6 +14,8 @@ from itertools import product
 
 from .qpoly import LaurentPoly, ZERO, gauss_binomial, q_power
 
+PATH_STEP_BOUND = 20
+
 
 def binom2(m: int) -> int:
     """binomial(m, 2), tolerant of m < 2."""
@@ -134,6 +136,8 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
     """The full path family for (n, s), in lexicographic word order (E < N).
 
     Start heights s >= n-2 give exactly the empty word; n < 2 gives [].
+    Families of words longer than PATH_STEP_BOUND steps are refused before
+    anything is built: the list doubles with every step.
     """
     if n < 2:
         return []
@@ -141,6 +145,11 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
         raise ValueError(f"start height must be nonnegative, got {s}")
     s = clamp_start(n, s)
     length = n - s - 2
+    if length > PATH_STEP_BOUND:
+        raise ValueError(
+            f"the (n={n}, s={s}) family has 2^{length} paths, past the "
+            f"enumeration bound of 2^{PATH_STEP_BOUND}"
+        )
     trusted = LatticePath._trusted
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
@@ -198,7 +207,7 @@ PREDICATES = (
 
 
 def filter_paths(n: int, s: int, predicate: str, **params) -> list[LatticePath]:
-    """Named subsets of the (n, s) family used by the Pieri and bijection maps.
+    """Named subsets of the (n, s) family.
 
     height_eq(h): endpoint height h.
     at_least_k_easts(k): at least k east steps, i.e. n-2-ht >= k.

@@ -15,7 +15,7 @@ from math import inf
 
 from .paths import LatticePath, clamp_start, enumerate_T
 from .schur import SchurExpansion
-from .shapes import StdTableau, hook_tableau_from_descents
+from .shapes import StdTableau, hook_index, hook_tableau_from_descents
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,6 @@ class TaggedPath:
     @property
     def tableau(self) -> StdTableau:
         return hook_tableau_from_descents(self.descents, self.path.n).conjugate()
-
-    def conj_descents(self) -> frozenset:
-        return self.descents
-
-    def conj_maj(self) -> int:
-        return sum(self.descents)
 
 
 @dataclass(frozen=True)
@@ -84,10 +78,22 @@ def _drop_steps(word: str, easts: int, norths: int) -> str:
     return "".join(out)
 
 
+def plus_domain(k: int, path: LatticePath) -> bool:
+    """Whether the base path lies in the domain of e_plus_map(k, .): it has
+    at least k east steps."""
+    return path.east_count() >= k
+
+
+def minus_domain(k: int, path: LatticePath) -> bool:
+    """Whether the base path lies in the domain of e_minus_map(k, .): k >= 1,
+    at least k-1 east steps, and not the all-east path."""
+    return k >= 1 and path.east_count() >= k - 1 and path.north_count() > 0
+
+
 def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     """Discard the first k east steps; the tableau records where they were.
 
-    Defined on paths of the base family with at least k east steps.
+    Defined on the base paths where plus_domain(k, path) holds.
     """
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
@@ -106,8 +112,9 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     """Discard the first k-1 east steps and the first north step.
 
-    Defined for k >= 1 on paths with at least k-1 east steps, excluding the
-    all-east path (whose hook image has a single Pieri term already).
+    Defined on the base paths where minus_domain(k, path) holds; the
+    all-east path is left out because its hook image has a single Pieri term
+    already.
     """
     if path.s != 0:
         raise ValueError("e_minus_map expects a path starting at height 0")
@@ -132,11 +139,7 @@ def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
     (area + ht - maj(conjugate) + 1, 1^(n-2-ht))."""
     path = tagged.path
     ht = path.ht()
-    arm = path.area() + ht - tagged.conj_maj() + 1
-    leg = path.n - 2 - ht
-    if arm < 0 or (arm == 0 and leg > 0):
-        raise ValueError(f"invalid hook arm {arm} for {tagged}")
-    return (arm,) + (1,) * leg if arm else ()
+    return hook_index(path.area() + ht - sum(tagged.descents) + 1, path.n - 2 - ht, tagged)
 
 
 def hook_sum(tagged_paths) -> SchurExpansion:
@@ -198,13 +201,9 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
         raise ValueError(f"k={k} outside 0..{n - 2}")
     counts = Counter()
     for path in enumerate_T(n, 0):
-        if path.east_count() >= k:
+        if plus_domain(k, path):
             counts[hook_of(e_plus_map(k, path))] += 1
-        if (
-            k >= 1
-            and path.east_count() >= k - 1
-            and path.north_count() > 0
-        ):
+        if minus_domain(k, path):
             counts[hook_of(e_minus_map(k, path))] += 1
     return SchurExpansion(counts)
 
@@ -214,11 +213,7 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
 
 def _shape_index(n, gamma, majp, shift) -> tuple[int, ...]:
     ht = gamma.ht()
-    arm = gamma.area() + ht + 1 - majp + shift
-    leg = n - 2 - ht
-    if arm < 0 or (arm == 0 and leg > 0):
-        raise ValueError(f"invalid reindexed hook arm {arm}")
-    return (arm,) + (1,) * leg if arm else ()
+    return hook_index(gamma.area() + ht + 1 - majp + shift, n - 2 - ht, "a reindexed W term")
 
 
 def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate") -> SchurExpansion:

@@ -62,6 +62,18 @@ def is_hook(lam: Partition) -> bool:
     return len(lam) <= 1 or lam[1] <= 1
 
 
+def hook_index(arm: int, leg: int, context="") -> Partition:
+    """The hook (arm, 1^leg) that labels a term, or () when the arm is 0.
+
+    An arm below 0, or an arm of 0 with a leg, names no partition and raises;
+    `context` says where the term came from and is formatted only then, so hot
+    callers may pass the object itself.
+    """
+    if arm < 0 or (arm == 0 and leg > 0):
+        raise ValueError(f"hook arm {arm} out of range for {context}")
+    return (arm,) + (1,) * leg if arm else ()
+
+
 def make_hook(a: int, k: int) -> Partition:
     """The hook (a, 1^k); a=1 degenerates to the column (1^(k+1))."""
     if a <= 0:
@@ -225,12 +237,6 @@ def hook_tableau_from_descents(S, n: int) -> StdTableau:
     return StdTableau._trusted(
         (arm,) + tuple((e,) for e in leg), (len(arm),) + (1,) * len(leg), row_of
     )
-
-
-def descent_stats(tau: StdTableau) -> tuple[frozenset, int, int]:
-    """(descent set, des, maj) in one call."""
-    des_set = tau.descent_set()
-    return des_set, len(des_set), sum(des_set)
 
 
 def conjugate_descent_stats(tau: StdTableau) -> tuple[int, int]:

@@ -9,12 +9,13 @@ scrutiny rather than assertion.
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import characters, pierimaps
-from .paths import binom2, filter_paths, gf_T, gf_closed
+from .paths import binom2, enumerate_T, gf_T, gf_closed
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, specialize2
-from .shapes import hook_descent_subsets, hook_tableau_from_descents, make_hook, partitions_of, partition_str
+from .shapes import hook_descent_subsets, hook_index, hook_tableau_from_descents, make_hook, partitions_of, partition_str
 
 
 @dataclass
@@ -196,8 +197,8 @@ def suite_pieri_paths(max_n: int = 9) -> list[VerifyReport]:
 def suite_bijections(max_n: int = 10) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
-        out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_plus(n)))
-        out.append(_timed("bijections", {"map": "minus", "n": n}, lambda n=n: _check_minus(n)))
+        out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_pieri(n, False)))
+        out.append(_timed("bijections", {"map": "minus", "n": n}, lambda n=n: _check_pieri(n, True)))
         out.append(_timed("bijections", {"map": "east-start", "n": n}, lambda n=n: _check_phi(n)))
         out.append(_timed("bijections", {"map": "north-start", "n": n}, lambda n=n: _check_omega(n)))
         out.append(_timed("bijections", {"map": "descent-path", "n": n}, lambda n=n: _check_beta(n)))
@@ -205,79 +206,73 @@ def suite_bijections(max_n: int = 10) -> list[VerifyReport]:
     return out
 
 
-def _check_plus(n):
-    for k in range(0, n - 1):
+def _check_pieri(n, minus):
+    """The plus map (minus=False) or the minus map on every k: the hook law,
+    injectivity, and the image being the plus set or the V set."""
+    m = int(minus)
+    in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
+    pieri_map = pierimaps.e_minus_map if minus else pierimaps.e_plus_map
+    family = enumerate_T(n, 0)
+    for k in range(m, n - 1):
         sets = pierimaps.build_sets(n, k)
-        domain = filter_paths(n, 0, "at_least_k_easts", k=k)
+        domain = [gamma for gamma in family if in_domain(k, gamma)]
         images = set()
         for gamma in domain:
-            tagged = pierimaps.e_plus_map(k, gamma)
+            tagged = pieri_map(k, gamma)
             images.add(tagged)
-            want = (gamma.area() + gamma.ht() + 1,) + (1,) * (n - 2 - gamma.ht() - k)
+            ht = gamma.ht()
+            want = hook_index(gamma.area() + ht + 1 - m, n - 2 - ht - k + m)
             if pierimaps.hook_of(tagged) != want:
                 return f"k={k} hook law fails on {gamma}"
         if len(images) != len(domain):
             return f"k={k} not injective"
-        if images != set(sets.tplus):
-            return f"k={k} image is not the plus set"
+        if images != (sets.v if minus else sets.tplus):
+            return f"k={k} image is not the {'V' if minus else 'plus'} set"
     return None
 
 
-def _check_minus(n):
-    for k in range(1, n - 1):
-        sets = pierimaps.build_sets(n, k)
-        domain = [
-            gamma
-            for gamma in filter_paths(n, 0, "at_least_k_easts", k=k - 1)
-            if gamma.north_count() > 0
-        ]
-        images = set()
-        for gamma in domain:
-            tagged = pierimaps.e_minus_map(k, gamma)
-            images.add(tagged)
-            arm = gamma.area() + gamma.ht()
-            leg = n - 1 - gamma.ht() - k
-            want = (arm,) + (1,) * leg if arm else ()
-            if pierimaps.hook_of(tagged) != want:
-                return f"k={k} hook law fails on {gamma}"
-        if len(images) != len(domain):
-            return f"k={k} not injective"
-        if images != set(sets.v):
-            return f"k={k} image is not the V set"
+def _bijects(label, domain, forward, inverse, statistic, target):
+    """A witness that `forward` is not a bijection from `domain` onto
+    `target`, undone by `inverse`, with statistic(x, forward(x)) true on
+    every x -- or None."""
+    images = set()
+    for x in domain:
+        y = forward(x)
+        images.add(y)
+        if inverse(y) != x:
+            return f"{label} round trip fails on {x}"
+        if not statistic(x, y):
+            return f"{label} statistic fails on {x}"
+    if len(images) != len(domain) or images != set(target):
+        return f"{label} image mismatch"
     return None
+
+
+def _hook_tableaux(n, des, keep):
+    """The hook tableaux of size n with `des` descents whose descent set passes `keep`."""
+    return [hook_tableau_from_descents(d, n) for d in hook_descent_subsets(n, des) if keep(d)]
 
 
 def _check_phi(n):
+    east_start = [p for p in enumerate_T(n, 0) if p.word.startswith("E")]
     for k in range(0, n - 2):
-        domain = [
-            p
-            for p in filter_paths(n, 0, "height_eq", h=n - k - 3)
-            if p.word.startswith("E")
-        ]
-        target = {
-            hook_tableau_from_descents(d, n)
-            for d in hook_descent_subsets(n, n - k - 1)
-            if {1, 2} <= d
-        }
-        images = set()
-        for gamma in domain:
-            tab = pierimaps.phi_map(k, gamma)
-            images.add(tab)
-            if pierimaps.phi_inverse(k, tab) != gamma:
-                return f"k={k} round trip fails on {gamma}"
-            if gamma.area() + gamma.ht() + 1 != tab.maj() - tab.des():
-                return f"k={k} statistic fails on {gamma}"
-        if len(images) != len(domain) or images != target:
-            return f"k={k} image mismatch"
+        witness = _bijects(
+            f"k={k}", [p for p in east_start if p.ht() == n - k - 3],
+            partial(pierimaps.phi_map, k), partial(pierimaps.phi_inverse, k),
+            lambda gamma, tab: gamma.area() + gamma.ht() + 1 == tab.maj() - tab.des(),
+            _hook_tableaux(n, n - k - 1, lambda d: {1, 2} <= d),
+        )
+        if witness:
+            return witness
     return None
 
 
 def _check_omega(n):
+    north_start = [p for p in enumerate_T(n, 0) if p.word.startswith("N")]
     for k in range(0, n - 2):
         h = n - k - 3
         for j in range(0, h + 1):
-            domain = filter_paths(n, 0, "starts_north_ends_exact_norths", j=j)
-            domain = [p for p in domain if p.ht() == h]
+            domain = [p for p in north_start if p.trailing_run("N") == j and p.ht() == h]
             if j == h:
                 # a north-start path of height h always carries k+1 >= 1
                 # east steps, so its trailing run is < h; the descent-set
@@ -285,63 +280,40 @@ def _check_omega(n):
                 if domain:
                     return f"k={k} j={j} unexpected all-north domain"
                 continue
-            target = {
-                hook_tableau_from_descents(d, n)
-                for d in hook_descent_subsets(n, n - k - 1)
-                if set(range(1, j + 3)) | {n - 1} <= d
-            }
-            images = set()
-            for gamma in domain:
-                tab = pierimaps.omega_map(k, j, gamma)
-                images.add(tab)
-                if pierimaps.omega_inverse(k, j, tab) != gamma:
-                    return f"k={k} j={j} round trip fails on {gamma}"
-                if gamma.area() + gamma.ht() + 1 != tab.maj() - (j + 2):
-                    return f"k={k} j={j} statistic fails on {gamma}"
-            if len(images) != len(domain) or images != target:
-                return f"k={k} j={j} image mismatch"
+            witness = _bijects(
+                f"k={k} j={j}", domain,
+                partial(pierimaps.omega_map, k, j), partial(pierimaps.omega_inverse, k, j),
+                lambda gamma, tab: gamma.area() + gamma.ht() + 1 == tab.maj() - (j + 2),
+                _hook_tableaux(n, n - k - 1, lambda d: set(range(1, j + 3)) | {n - 1} <= d),
+            )
+            if witness:
+                return witness
     return None
 
 
 def _check_beta(n):
+    family = enumerate_T(n, 0)
     for d in range(0, n - 1):
-        tableaux = [
-            hook_tableau_from_descents(s, n)
-            for s in hook_descent_subsets(n, n - d - 1)
-            if 1 in s
-        ]
-        target = set(filter_paths(n, 0, "height_eq", h=n - d - 2))
-        images = set()
-        for tab in tableaux:
-            gamma = pierimaps.beta_map(d, tab)
-            images.add(gamma)
-            if pierimaps.beta_inverse(d, gamma) != tab:
-                return f"d={d} round trip fails on {tab}"
-            if tab.maj() != gamma.area() + gamma.ht() + 1:
-                return f"d={d} statistic fails on {tab}"
-        if len(images) != len(tableaux) or images != target:
-            return f"d={d} image mismatch"
+        witness = _bijects(
+            f"d={d}", _hook_tableaux(n, n - d - 1, lambda s: 1 in s),
+            partial(pierimaps.beta_map, d), partial(pierimaps.beta_inverse, d),
+            lambda tab, gamma: tab.maj() == gamma.area() + gamma.ht() + 1,
+            [p for p in family if p.ht() == n - d - 2],
+        )
+        if witness:
+            return witness
     return None
 
 
 def _check_slice(n):
+    family = enumerate_T(n, 0)
     for h in range(0, n - 1):
-        slice_paths = set(filter_paths(n, 0, "height_eq", h=h))
-        east = {p for p in slice_paths if p.word.startswith("E")}
-        north_parts = []
-        for j in range(0, h + 1):
-            block = {
-                p
-                for p in filter_paths(n, 0, "starts_north_ends_exact_norths", j=j)
-                if p.ht() == h
-            }
-            north_parts.append(block)
-        union = set(east)
-        total = len(east)
-        for block in north_parts:
-            union |= block
-            total += len(block)
-        if union != slice_paths or total != len(slice_paths):
+        slice_paths = {p for p in family if p.ht() == h}
+        blocks = [{p for p in slice_paths if p.word.startswith("E")}] + [
+            {p for p in slice_paths if p.word.startswith("N") and p.trailing_run("N") == j}
+            for j in range(0, h + 1)
+        ]
+        if set().union(*blocks) != slice_paths or sum(map(len, blocks)) != len(slice_paths):
             return f"h={h} east/north blocks do not partition the slice"
     return None
 
@@ -371,7 +343,7 @@ def suite_difference_w(max_n: int = 8) -> list[VerifyReport]:
         for k in range(1, n - 1):
             def set_identity(n=n, k=k):
                 sets = pierimaps.build_sets(n, k)
-                direct = pierimaps.difference_W(n, k, "direct")
+                direct = pierimaps.hook_sum(sets.w)
                 via_sets = pierimaps.hook_sum(sets.tminus) - pierimaps.hook_sum(sets.v)
                 return None if direct == via_sets else "W sum != minus-sum - V-sum"
 

@@ -3,10 +3,17 @@ import random
 import pytest
 
 from hookpaths import characters as ch
-from hookpaths.paths import binom2, enumerate_T
+from hookpaths.paths import LatticePath, binom2, enumerate_T
 from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, psi, restrict, specialize2
-from hookpaths.shapes import enumerate_SYT, is_hook, make_hook, normalize_shape, partitions_of
+from hookpaths.shapes import (
+    enumerate_SYT,
+    hook_index,
+    is_hook,
+    make_hook,
+    normalize_shape,
+    partitions_of,
+)
 
 s = SchurExpansion.term
 
@@ -287,7 +294,7 @@ def reference_hook_formula(n, r, mu):
         for gamma in enumerate_T(n, conj.des()):
             arm = base + gamma.area() + gamma.ht() - majp + 1
             leg = n - 2 - gamma.ht()
-            out = out + s(ch._hook_index(arm, leg, "reference"))
+            out = out + s(hook_index(arm, leg, "reference"))
     return out
 
 
@@ -355,10 +362,15 @@ def test_formulas_match_reference_folds():
 
 def test_hook_index_guard_names_context():
     with pytest.raises(ValueError, match="somewhere"):
-        ch._hook_index(-1, 0, "somewhere")
+        hook_index(-1, 0, "somewhere")
     with pytest.raises(ValueError):
-        ch._hook_index(0, 2, "zero arm with legs")
-    assert ch._hook_index(0, 0, "unit") == ()
+        hook_index(0, 2, "zero arm with legs")
+    with pytest.raises(ValueError, match="for NE$"):
+        hook_index(-2, 1, LatticePath(4, 0, "NE"))  # context formatted on raise
+    assert hook_index(0, 0, "unit") == ()
+    assert hook_index(0, 0) == ()
+    assert hook_index(3, 2) == (3, 1, 1) == make_hook(3, 2)
+    assert hook_index(1, 0) == (1,)
 
 
 def test_hook_formula_reproduces_whole_fixture_table():

@@ -120,6 +120,19 @@ def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
     assert captured.err == "error (pieri): descent construction collided\n"
 
 
+def test_oversized_path_families_are_refused(capsys):
+    # 2^28 paths: refused before anything is built, with one line on stderr
+    for command in ("gf", "paths"):
+        code = cli.main([command, "--n", "30"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error ({command}): the (n=30, s=0) family has 2^28 paths, "
+            "past the enumeration bound of 2^20\n"
+        )
+
+
 def test_verify_rejects_caps_below_suite_minimum(capsys):
     for argv, smallest in (
         (["verify", "--suite", "gf", "--max-n", "-3"], 2),

@@ -6,6 +6,7 @@ import pytest
 from hookpaths import characters as ch
 from hookpaths import pierimaps as pm
 from hookpaths.paths import LatticePath, enumerate_T, filter_paths
+from hookpaths.pierimaps import minus_domain, plus_domain
 from hookpaths.schur import SchurExpansion, e_perp
 from hookpaths.shapes import hook_tableau_from_descents
 
@@ -28,7 +29,7 @@ def test_path_stats():
 def test_e_plus_figure_example():
     gamma = LatticePath(10, 0, "NENEENEE")
     tagged = pm.e_plus_map(2, gamma)
-    assert sorted(tagged.conj_descents()) == [6, 8]
+    assert sorted(tagged.descents) == [6, 8]
     assert tagged.path.word == "NNENEE"
     assert tagged.path.s == 2
 
@@ -36,7 +37,7 @@ def test_e_plus_figure_example():
 def test_e_minus_figure_example():
     gamma = LatticePath(10, 0, "NENEENEE")
     tagged = pm.e_minus_map(2, gamma)
-    assert sorted(tagged.conj_descents()) == [1, 8]
+    assert sorted(tagged.descents) == [1, 8]
     assert tagged.path.word == "NEENEE"
     assert tagged.path.s == 2
 
@@ -44,7 +45,7 @@ def test_e_minus_figure_example():
 def test_e_plus_k0_is_identity_tagging():
     for gamma in enumerate_T(6, 0):
         tagged = pm.e_plus_map(0, gamma)
-        assert tagged.conj_descents() == frozenset()
+        assert tagged.descents == frozenset()
         assert tagged.tableau.shape == (1,) * 6
         assert tagged.path == gamma
 
@@ -52,7 +53,9 @@ def test_e_plus_k0_is_identity_tagging():
 def test_e_plus_hook_law():
     for n in range(3, 11):
         for k in range(0, n - 1):
-            for gamma in filter_paths(n, 0, "at_least_k_easts", k=k):
+            for gamma in enumerate_T(n, 0):
+                if not plus_domain(k, gamma):
+                    continue
                 want = (gamma.area() + gamma.ht() + 1,) + (1,) * (
                     n - 2 - gamma.ht() - k
                 )
@@ -62,8 +65,8 @@ def test_e_plus_hook_law():
 def test_e_minus_hook_law_and_east_start_branch():
     for n in range(3, 11):
         for k in range(1, n - 1):
-            for gamma in filter_paths(n, 0, "at_least_k_easts", k=k - 1):
-                if gamma.north_count() == 0:
+            for gamma in enumerate_T(n, 0):
+                if not minus_domain(k, gamma):
                     continue
                 tagged = pm.e_minus_map(k, gamma)
                 arm = gamma.area() + gamma.ht()
@@ -72,7 +75,25 @@ def test_e_minus_hook_law_and_east_start_branch():
                 assert pm.hook_of(tagged) == want
                 h = gamma.leading_run("E")
                 if h > k - 1:
-                    assert h - k + 2 in tagged.conj_descents()
+                    assert h - k + 2 in tagged.descents
+
+
+def _defined(pieri_map, k, path):
+    try:
+        pieri_map(k, path)
+    except ValueError:
+        return False
+    return True
+
+
+def test_domain_predicates_match_the_maps():
+    for n in range(2, 10):
+        for gamma in enumerate_T(n, 0):
+            for k in range(0, n - 1):
+                assert plus_domain(k, gamma) == _defined(pm.e_plus_map, k, gamma), (k, gamma)
+            for k in range(1, n - 1):
+                assert minus_domain(k, gamma) == _defined(pm.e_minus_map, k, gamma), (k, gamma)
+    assert not minus_domain(0, LatticePath(6, 0, "NNEE"))  # the minus map needs k >= 1
 
 
 def test_map_domain_errors():
@@ -111,7 +132,7 @@ def test_build_sets_small_case_by_hand():
     # n=5, k=1: conjugate descent sets {m}; the gap holds NE at m=2, EN at m=3
     sets = pm.build_sets(5, 1)
     w_items = {
-        (tuple(sorted(tp.conj_descents())), tp.path.word) for tp in sets.w
+        (tuple(sorted(tp.descents)), tp.path.word) for tp in sets.w
     }
     assert w_items == {((2,), "NE"), ((3,), "EN")}
     assert pm.hook_sum(sets.w) == s((6, 1)) + s((4, 1))
@@ -121,16 +142,13 @@ def test_bijectivity_onto_plus_and_v():
     for n in range(3, 10):
         for k in range(0, n - 1):
             sets = pm.build_sets(n, k)
-            domain_plus = filter_paths(n, 0, "at_least_k_easts", k=k)
+            family = enumerate_T(n, 0)
+            domain_plus = [g for g in family if plus_domain(k, g)]
             image_plus = {pm.e_plus_map(k, g) for g in domain_plus}
             assert len(image_plus) == len(domain_plus)
             assert image_plus == set(sets.tplus)
             if k >= 1:
-                domain_minus = [
-                    g
-                    for g in filter_paths(n, 0, "at_least_k_easts", k=k - 1)
-                    if g.north_count() > 0
-                ]
+                domain_minus = [g for g in family if minus_domain(k, g)]
                 image_minus = {pm.e_minus_map(k, g) for g in domain_minus}
                 assert len(image_minus) == len(domain_minus)
                 assert image_minus == set(sets.v)

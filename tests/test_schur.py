@@ -187,14 +187,6 @@ def test_omega_does_not_commute_with_e_perp():
     assert e_perp(2, omega(s((2,)))) == s(())
 
 
-def test_descent_stats_helper():
-    from hookpaths.shapes import StdTableau, descent_stats
-
-    des_set, des, maj = descent_stats(StdTableau.parse("1,2,4,8/3,7/5,10/6/9"))
-    assert des_set == frozenset({2, 4, 5, 8})
-    assert (des, maj) == (4, 19)
-
-
 def _horizontal_strips(lam, k):
     """Partitions mu <= lam with lam/mu a horizontal strip of k boxes:
     interleaving lam_i >= mu_i >= lam_{i+1}."""

@@ -1,0 +1,90 @@
+"""The bijection checks in `verify` must still report a failure when a map
+under test is wrong: every passing run looks the same whether or not a check
+can fail, so each check is fed a broken map here and must name it."""
+
+from hookpaths import pierimaps, verify
+from hookpaths.paths import LatticePath
+from hookpaths.pierimaps import TaggedPath
+from hookpaths.shapes import StdTableau
+
+
+class StrayTagged(TaggedPath):
+    """Equal only to itself: an image outside every set of real tagged paths."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class StrayPath(LatticePath):
+    """Equal only to itself: an image outside every set of real paths."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class HighMaj(StdTableau):
+    """A tableau whose major index reads one too high."""
+
+    def maj(self):
+        return super().maj() + 1
+
+
+def _flip_first_step(tagged):
+    path = tagged.path
+    flipped = {"E": "N", "N": "E"}[path.word[0]] + path.word[1:]
+    return TaggedPath(tagged.descents, LatticePath(path.n, path.s, flipped))
+
+
+def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
+    plus, minus = pierimaps.e_plus_map, pierimaps.e_minus_map
+    monkeypatch.setattr(pierimaps, "e_plus_map", lambda k, g: _flip_first_step(plus(k, g)))
+    monkeypatch.setattr(pierimaps, "e_minus_map", lambda k, g: _flip_first_step(minus(k, g)))
+    assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
+    assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
+
+
+def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
+    plus, minus = pierimaps.e_plus_map, pierimaps.e_minus_map
+
+    def stray(pieri_map):
+        def stray_map(k, g):
+            tagged = pieri_map(k, g)
+            return StrayTagged(tagged.descents, tagged.path)
+
+        return stray_map
+
+    monkeypatch.setattr(pierimaps, "e_plus_map", stray(plus))
+    monkeypatch.setattr(pierimaps, "e_minus_map", stray(minus))
+    assert verify._check_pieri(4, False) == "k=0 image is not the plus set"
+    assert verify._check_pieri(4, True) == "k=1 image is not the V set"
+
+
+def test_phi_check_reports_a_broken_round_trip(monkeypatch):
+    inverse = pierimaps.phi_inverse
+
+    def reversed_inverse(k, tab):
+        path = inverse(k, tab)
+        return LatticePath(path.n, path.s, path.word[::-1])
+
+    monkeypatch.setattr(pierimaps, "phi_inverse", reversed_inverse)
+    assert verify._check_phi(4) == "k=0 round trip fails on EN"
+
+
+def test_omega_check_reports_a_broken_statistic(monkeypatch):
+    forward = pierimaps.omega_map
+    monkeypatch.setattr(
+        pierimaps, "omega_map", lambda k, j, g: HighMaj(forward(k, j, g).rows)
+    )
+    assert verify._check_omega(4) == "k=0 j=0 statistic fails on NE"
+
+
+def test_beta_check_reports_an_image_mismatch(monkeypatch):
+    forward = pierimaps.beta_map
+
+    def stray(d, tab):
+        path = forward(d, tab)
+        return StrayPath(path.n, path.s, path.word)
+
+    monkeypatch.setattr(pierimaps, "beta_map", stray)
+    assert verify._check_beta(3) == "d=0 image mismatch"
