@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .paths import binom2, enumerate_T, gf_closed
+from .paths import PATH_STEP_BOUND, binom2, enumerate_T, gf_closed
 from .qpoly import (
     LaurentPoly,
     ZERO,
@@ -222,32 +222,29 @@ def one_part_fingerprints(G: SchurExpansion, i_max: int) -> list[LaurentPoly]:
     out = []
     for i in range(i_max + 1):
         image = e_perp(i, G)
-        f = ZERO
-        for lam, coeff in image.items():
-            if len(lam) <= 1:
-                f = f + coeff * q_power(lam[0] if lam else 0)
-        out.append(f)
+        out.append(LaurentPoly.sum(
+            coeff * q_power(lam[0] if lam else 0)
+            for lam, coeff in image.items() if len(lam) <= 1
+        ))
     return out
 
 
 def lift_hooks(fs) -> LaurentPoly:
     """Rebuild the hook fingerprint from one-part data by the alternating
     double sum: sum_{j>=0} sum_{k=0}^{j} (-1)^k f_{j-k} q^-k t^j."""
-    out = ZERO
-    for j in range(len(fs)):
-        for k in range(j + 1):
-            sign = -1 if k % 2 else 1
-            out = out + fs[j - k] * LaurentPoly.term(sign, eq=-k, et=j)
-    return out
+    return LaurentPoly.sum(
+        fs[j - k] * LaurentPoly.term(-1 if k % 2 else 1, eq=-k, et=j)
+        for j in range(len(fs))
+        for k in range(j + 1)
+    )
 
 
 def _row_pair_fingerprint(expansion: SchurExpansion, b: int) -> LaurentPoly:
     """sum of coeff * q^a over indices of shape exactly (a, b)."""
-    f = ZERO
-    for lam, coeff in expansion.items():
-        if len(lam) == 2 and lam[1] == b:
-            f = f + coeff * q_power(lam[0])
-    return f
+    return LaurentPoly.sum(
+        coeff * q_power(lam[0])
+        for lam, coeff in expansion.items() if len(lam) == 2 and lam[1] == b
+    )
 
 
 def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
@@ -296,11 +293,10 @@ def _validate_difference(n: int, g) -> None:
 
 
 def _alt_sum(n: int, j: int, g) -> LaurentPoly:
-    out = ZERO
-    for k in range(n - j):
-        sign = -1 if k % 2 else 1
-        out = out + sign * gauss_binomial(n - 1, j + k) * q_power(g(j, k) - k)
-    return out
+    return LaurentPoly.sum(
+        (-1 if k % 2 else 1) * gauss_binomial(n - 1, j + k) * q_power(g(j, k) - k)
+        for k in range(n - j)
+    )
 
 
 def alternating_identity_check(n: int, c: int = 0, variant: str = "all", g=None) -> bool:
@@ -329,9 +325,9 @@ def alternating_identity_check(n: int, c: int = 0, variant: str = "all", g=None)
         if len(base) != 1:
             raise ValueError(f"g family violates the {var} base condition")
         shift = base.pop()
-        total = ZERO
-        for j in range(1, n):
-            total = total + _alt_sum(n, j, gv) * LaurentPoly.term(1, ez=j - 1)
+        total = LaurentPoly.sum(
+            _alt_sum(n, j, gv) * LaurentPoly.term(1, ez=j - 1) for j in range(1, n)
+        )
         gf = gf_closed(n, 0)
         if var == "plain":
             expected = gf * q_power(shift)
@@ -353,9 +349,16 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     "lifted" sums over descent-constrained hook tableaux (shape read off the
     major index); "path" re-indexes over staircase paths excluding the words
     that start north and finish with i-1 norths.  Empty below n = 5.
+    Sizes whose path family has more than 2^PATH_STEP_BOUND paths are
+    refused before either form runs.
     """
     if n < 2:
         raise ValueError("two_column_formula needs n >= 2")
+    if n - 2 > PATH_STEP_BOUND:
+        raise ValueError(
+            f"the two-column forms at n={n} sum over 2^{n - 2} paths, past the "
+            f"enumeration bound of 2^{PATH_STEP_BOUND}"
+        )
     counts = Counter()
     if form == "lifted":
         for k in range(1, n - 3):

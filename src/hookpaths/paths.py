@@ -170,11 +170,11 @@ def gf_closed(n: int, s: int) -> LaurentPoly:
         return ZERO
     s = clamp_start(n, s)
     r = n - s - 2
-    out = ZERO
-    for j in range(r + 1):
-        expo = binom2(s + j + 1) + s * (r - j)
-        out = out + q_power(expo) * gauss_binomial(r, j) * LaurentPoly.term(1, ez=j + s)
-    return out
+    return LaurentPoly.sum(
+        q_power(binom2(s + j + 1) + s * (r - j)) * gauss_binomial(r, j)
+        * LaurentPoly.term(1, ez=j + s)
+        for j in range(r + 1)
+    )
 
 
 def hat_gf(m: int, j: int) -> LaurentPoly:

@@ -5,7 +5,9 @@ bijections between descent-constrained hook tableaux and staircase paths.
 Set elements are (descent set, path) pairs: every tableau of a fixed hook
 shape conjugates to the same descent count, but membership in the V/W splits
 depends on the actual descent set, so the conjugate descent set -- which
-fixes the hook tableau -- travels with the path.
+fixes the hook tableau -- travels with the path.  The bijections take and
+return a hook tableau tau of shape (k+1, 1^(n-k-1)) as Des(tau) itself, the
+complement in 1..n-1 of the set a TaggedPath would carry.
 """
 
 from collections import Counter
@@ -56,6 +58,13 @@ def path_stats(path: LatticePath) -> PathStats:
     return PathStats(tuple(p), path.leading_run("E"), tuple(n_steps))
 
 
+def _row_descents(n: int, counts, shift: int) -> set:
+    """The descent n - i - c + shift for the i-th of the weakly increasing
+    step counts c: one rule encodes the Pieri maps' east steps (c = norths
+    before it) and the bijections' north steps (c = easts before it)."""
+    return {n - i - c + shift for i, c in enumerate(counts, start=1)}
+
+
 def _tag(n: int, descents, word: str) -> TaggedPath:
     """Pair a conjugate descent set with the path `word` in its family."""
     descents = frozenset(descents)
@@ -103,7 +112,7 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
         raise ValueError(f"path {path} has fewer than {k} east steps")
     n = path.n
     stats = path_stats(path)
-    descents = {n - i - stats.p[i - 1] for i in range(1, k + 1)}
+    descents = _row_descents(n, stats.p[:k], 0)
     if len(descents) != k:
         raise AssertionError("descent construction collided")
     return _tag(n, descents, _drop_steps(path.word, easts=k, norths=0))
@@ -126,7 +135,7 @@ def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     if path.north_count() == 0:
         raise ValueError("the all-east path is outside the domain")
     stats = path_stats(path)
-    descents = {n - i - stats.p[i - 1] for i in range(1, k)}
+    descents = _row_descents(n, stats.p[:k - 1], 0)
     extra = max(1, stats.h - k + 2)
     if extra in descents:
         raise AssertionError("descent construction collided")
@@ -299,7 +308,18 @@ def compare_difference(n: int, k: int) -> dict:
 # -- the descent bijections ------------------------------------------------------
 
 
-def phi_map(k: int, path: LatticePath) -> StdTableau:
+def _hook_descents(k: int, n: int, descents) -> frozenset:
+    """Check that `descents` is Des(tau) for a tableau of shape
+    (k+1, 1^(n-k-1)): an (n-k-1)-subset of 1..n-1."""
+    descents = frozenset(descents)
+    if not descents <= frozenset(range(1, n)):
+        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
+    if len(descents) != n - k - 1:
+        raise ValueError(f"shape ({k + 1}, 1^{n - k - 1}) needs {n - k - 1} descents, got {len(descents)}")
+    return descents
+
+
+def phi_map(k: int, path: LatticePath) -> frozenset:
     """East-start paths of height n-k-3 to hook tableaux whose descent set
     contains {1, 2}."""
     n = path.n
@@ -307,26 +327,17 @@ def phi_map(k: int, path: LatticePath) -> StdTableau:
         raise ValueError("phi_map expects a base path starting with an east step")
     if path.ht() != n - k - 3:
         raise ValueError(f"phi_map expects height {n - k - 3}, got {path.ht()}")
-    stats = path_stats(path)
-    descents = {n - i - stats.n_steps[i - 1] + 1 for i in range(1, path.ht() + 1)}
-    descents |= {1, 2}
-    return hook_tableau_from_descents(descents, n)
+    return frozenset(_row_descents(n, path_stats(path).n_steps, 1) | {1, 2})
 
 
-def phi_inverse(k: int, tableau: StdTableau) -> LatticePath:
-    n = tableau.n
-    des = tableau.descent_set()
-    if tableau.shape != (k + 1,) + (1,) * (n - k - 1):
-        raise ValueError(f"wrong shape {tableau.shape}")
-    if not {1, 2} <= des:
+def phi_inverse(k: int, n: int, descents) -> LatticePath:
+    descents = _hook_descents(k, n, descents)
+    if not {1, 2} <= descents:
         raise ValueError("descent set must contain {1, 2}")
-    created = sorted(des - {1, 2}, reverse=True)
-    return _path_from_east_counts(
-        n, [n - i - d + 1 for i, d in enumerate(created, start=1)], k + 1
-    )
+    return _path_from_descents(n, descents - {1, 2}, 1, k + 1)
 
 
-def omega_map(k: int, j: int, path: LatticePath) -> StdTableau:
+def omega_map(k: int, j: int, path: LatticePath) -> frozenset:
     """North-start paths of height n-k-3 ending with exactly j norths to hook
     tableaux whose descent set contains {1, ..., j+2, n-1}."""
     n = path.n
@@ -336,58 +347,43 @@ def omega_map(k: int, j: int, path: LatticePath) -> StdTableau:
         raise ValueError(f"omega_map expects height {n - k - 3}, got {path.ht()}")
     if path.trailing_run("N") != j:
         raise ValueError(f"path must end with exactly {j} north steps")
-    stats = path_stats(path)
-    descents = {n - i - stats.n_steps[i - 1] for i in range(1, path.ht() + 1)}
+    descents = _row_descents(n, path_stats(path).n_steps, 0)
     if j + 2 in descents:
         raise AssertionError("descent construction collided")
-    descents |= {1, j + 2}
-    return hook_tableau_from_descents(descents, n)
+    return frozenset(descents | {1, j + 2})
 
 
-def omega_inverse(k: int, j: int, tableau: StdTableau) -> LatticePath:
-    n = tableau.n
-    des = tableau.descent_set()
-    if tableau.shape != (k + 1,) + (1,) * (n - k - 1):
-        raise ValueError(f"wrong shape {tableau.shape}")
-    if not (set(range(1, j + 3)) | {n - 1}) <= des:
+def omega_inverse(k: int, j: int, n: int, descents) -> LatticePath:
+    descents = _hook_descents(k, n, descents)
+    if not (set(range(1, j + 3)) | {n - 1}) <= descents:
         raise ValueError(f"descent set must contain 1..{j + 2} and {n - 1}")
-    created = sorted(des - {1, j + 2}, reverse=True)
-    return _path_from_east_counts(
-        n, [n - i - d for i, d in enumerate(created, start=1)], k + 1
-    )
+    return _path_from_descents(n, descents - {1, j + 2}, 0, k + 1)
 
 
-def beta_map(d: int, tableau: StdTableau) -> LatticePath:
+def beta_map(d: int, n: int, descents) -> LatticePath:
     """Hook tableaux with 1 as a descent to base paths of height n-d-2,
     turning descent positions into per-row east offsets."""
-    n = tableau.n
-    des = tableau.descent_set()
-    if tableau.shape != (d + 1,) + (1,) * (n - d - 1):
-        raise ValueError(f"wrong shape {tableau.shape}")
-    if 1 not in des:
+    descents = _hook_descents(d, n, descents)
+    if 1 not in descents:
         raise ValueError("beta_map needs 1 in the descent set")
-    rs = sorted(des - {1}, reverse=True)
-    return _path_from_east_counts(
-        n, [n - i - r for i, r in enumerate(rs, start=1)], d
-    )
+    return _path_from_descents(n, descents - {1}, 0, d)
 
 
-def beta_inverse(d: int, path: LatticePath) -> StdTableau:
+def beta_inverse(d: int, path: LatticePath) -> frozenset:
     n = path.n
     if path.s != 0 or path.ht() != n - d - 2:
         raise ValueError(f"beta_inverse expects a base path of height {n - d - 2}")
-    stats = path_stats(path)
-    row_areas = [n - 1 - i - stats.n_steps[i - 1] for i in range(1, path.ht() + 1)]
-    descents = {a + 1 for a in row_areas} | {1}
-    return hook_tableau_from_descents(descents, n)
+    return frozenset(_row_descents(n, path_stats(path).n_steps, 0) | {1})
 
 
-def _path_from_east_counts(n: int, east_counts, total_easts: int) -> LatticePath:
-    """Assemble the base-family word whose i-th north step is preceded by
-    east_counts[i-1] east steps and which has total_easts east steps."""
+def _path_from_descents(n: int, descents, shift: int, total_easts: int) -> LatticePath:
+    """Invert _row_descents: the base-family word whose i-th north step is
+    preceded by n - i - d + shift east steps, d the i-th largest descent, and
+    which has total_easts east steps."""
     word = []
     prev = 0
-    for count in east_counts:
+    for i, d in enumerate(sorted(descents, reverse=True), start=1):
+        count = n - i - d + shift
         if count < prev:
             raise ValueError("east counts must be weakly increasing")
         word.append("E" * (count - prev))

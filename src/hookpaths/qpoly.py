@@ -51,6 +51,16 @@ class LaurentPoly:
         return cls({(eq, et, ez): coeff})
 
     @classmethod
+    def sum(cls, polys) -> "LaurentPoly":
+        """The sum of an iterable of polynomials, accumulated in one dict
+        instead of copying a partial sum for every term."""
+        out = {}
+        for p in polys:
+            for expo, c in p._terms.items():
+                out[expo] = out.get(expo, 0) + c
+        return cls(out)
+
+    @classmethod
     def var(cls, name: str) -> "LaurentPoly":
         expo = [0, 0, 0]
         expo[_VAR_INDEX[name]] = 1
@@ -227,7 +237,7 @@ class LaurentPoly:
             if not isinstance(img, LaurentPoly) or not img.is_monomial():
                 raise ValueError(f"substitution image for {name} must be a monomial")
             images.append(next(iter(img._terms.items())))
-        out = LaurentPoly.zero()
+        out = {}
         for expo, c in self._terms.items():
             coeff = c
             new_expo = [0, 0, 0]
@@ -247,8 +257,9 @@ class LaurentPoly:
                     raise ValueError("negative exponent needs unit monomial image")
                 for j in range(3):
                     new_expo[j] += img_expo[j] * e
-            out = out + LaurentPoly({tuple(new_expo): coeff})
-        return out
+            key = tuple(new_expo)
+            out[key] = out.get(key, 0) + coeff
+        return LaurentPoly(out)
 
     def at_zero(self, name: str) -> "LaurentPoly":
         """Set one variable to 0: keep exponent-0 terms, reject negative powers."""

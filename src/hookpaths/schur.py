@@ -138,18 +138,16 @@ def shape_class_predicate(cls):
     """Resolve a shape-class name (or explicit shape collection) to a predicate.
 
     Named classes: "hooks", "one_part", "V<b>" (e.g. "V1", "V2"),
-    "two_columns" (alias of V2).  The empty partition belongs to hooks and
-    one_part; V_b is the shapes (a, b, 1^k) with a >= b.
+    "two_columns" and "two-column" (aliases of V2).  The empty partition
+    belongs to hooks and one_part; V_b is the shapes (a, b, 1^k) with a >= b.
     """
-    if callable(cls):
-        return cls
     if isinstance(cls, str):
         name = cls.lower()
         if name == "hooks":
             return is_hook
         if name == "one_part":
             return lambda lam: len(lam) <= 1
-        if name in ("two_columns", "two-column", "r"):
+        if name in ("two_columns", "two-column"):
             name = "v2"
         if name.startswith("v") and name[1:].isdigit():
             b = int(name[1:])
@@ -226,13 +224,10 @@ def psi(f: SchurExpansion) -> LaurentPoly:
 
     The empty partition maps to 1.  Injective on hook-supported expansions.
     """
-    out = ZERO
-    for lam, coeff in f._terms.items():
-        if not lam:
-            out = out + coeff
-        else:
-            out = out + coeff * LaurentPoly.term(1, eq=lam[0], et=len(lam) - 1)
-    return out
+    return LaurentPoly.sum(
+        coeff * LaurentPoly.term(1, eq=lam[0], et=len(lam) - 1) if lam else coeff
+        for lam, coeff in f._terms.items()
+    )
 
 
 def psi_inverse_hooks(p: LaurentPoly) -> SchurExpansion:
@@ -253,10 +248,7 @@ def specialize2(f: SchurExpansion) -> LaurentPoly:
     Indices of length > 2 vanish; s_(a) and s_(a,b) use the closed
     two-variable forms, which the semistandard oracle gates in the tests.
     """
-    out = ZERO
-    for lam, coeff in f._terms.items():
-        out = out + coeff * _schur_qt(lam)
-    return out
+    return LaurentPoly.sum(coeff * _schur_qt(lam) for lam, coeff in f._terms.items())
 
 
 def _schur_qt(lam: Partition) -> LaurentPoly:
@@ -267,10 +259,7 @@ def _schur_qt(lam: Partition) -> LaurentPoly:
     a = lam[0]
     b = lam[1] if len(lam) == 2 else 0
     # (qt)^b * h_{a-b}(q, t)
-    out = ZERO
-    for i in range(a - b + 1):
-        out = out + LaurentPoly.term(1, eq=b + i, et=b + (a - b - i))
-    return out
+    return LaurentPoly({(b + i, b + (a - b - i), 0): 1 for i in range(a - b + 1)})
 
 
 def ssyt_specialize_oracle(lam, m: int) -> LaurentPoly:

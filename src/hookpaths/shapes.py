@@ -183,16 +183,16 @@ class StdTableau:
         return cls([piece.split(",") for piece in text.split("/")])
 
 
-def enumerate_SYT(lam, bound: int = SYT_SIZE_BOUND) -> list[StdTableau]:
+def enumerate_SYT(lam) -> list[StdTableau]:
     """All standard Young tableaux of the given shape, by backtracking.
 
-    Refuses shapes larger than `bound` cells; the exhaustive suites never
-    need more and the bound guards against accidental blowups.
+    Refuses shapes larger than SYT_SIZE_BOUND cells; the exhaustive suites
+    never need more and the bound guards against accidental blowups.
     """
     lam = check_partition(lam)
     n = sum(lam)
-    if n > bound:
-        raise ValueError(f"shape size {n} exceeds the enumeration bound {bound}")
+    if n > SYT_SIZE_BOUND:
+        raise ValueError(f"shape size {n} exceeds the enumeration bound {SYT_SIZE_BOUND}")
     if n == 0:
         return [StdTableau(())]
     out = []

@@ -15,7 +15,7 @@ from . import characters, pierimaps
 from .paths import binom2, enumerate_T, gf_T, gf_closed
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, specialize2
-from .shapes import hook_descent_subsets, hook_index, hook_tableau_from_descents, make_hook, partitions_of, partition_str
+from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
 
 
 @dataclass
@@ -240,17 +240,17 @@ def _bijects(label, domain, forward, inverse, statistic, target):
         y = forward(x)
         images.add(y)
         if inverse(y) != x:
-            return f"{label} round trip fails on {x}"
+            return f"{label} round trip fails on {_shown(x)}"
         if not statistic(x, y):
-            return f"{label} statistic fails on {x}"
+            return f"{label} statistic fails on {_shown(x)}"
     if len(images) != len(domain) or images != set(target):
         return f"{label} image mismatch"
     return None
 
 
-def _hook_tableaux(n, des, keep):
-    """The hook tableaux of size n with `des` descents whose descent set passes `keep`."""
-    return [hook_tableau_from_descents(d, n) for d in hook_descent_subsets(n, des) if keep(d)]
+def _shown(x):
+    """A witness as printed; a descent set reads as its sorted list, as in `pieri`."""
+    return sorted(x) if isinstance(x, frozenset) else x
 
 
 def _check_phi(n):
@@ -258,9 +258,9 @@ def _check_phi(n):
     for k in range(0, n - 2):
         witness = _bijects(
             f"k={k}", [p for p in east_start if p.ht() == n - k - 3],
-            partial(pierimaps.phi_map, k), partial(pierimaps.phi_inverse, k),
-            lambda gamma, tab: gamma.area() + gamma.ht() + 1 == tab.maj() - tab.des(),
-            _hook_tableaux(n, n - k - 1, lambda d: {1, 2} <= d),
+            partial(pierimaps.phi_map, k), partial(pierimaps.phi_inverse, k, n),
+            lambda gamma, d: gamma.area() + gamma.ht() + 1 == sum(d) - len(d),
+            [d for d in hook_descent_subsets(n, n - k - 1) if {1, 2} <= d],
         )
         if witness:
             return witness
@@ -282,9 +282,9 @@ def _check_omega(n):
                 continue
             witness = _bijects(
                 f"k={k} j={j}", domain,
-                partial(pierimaps.omega_map, k, j), partial(pierimaps.omega_inverse, k, j),
-                lambda gamma, tab: gamma.area() + gamma.ht() + 1 == tab.maj() - (j + 2),
-                _hook_tableaux(n, n - k - 1, lambda d: set(range(1, j + 3)) | {n - 1} <= d),
+                partial(pierimaps.omega_map, k, j), partial(pierimaps.omega_inverse, k, j, n),
+                lambda gamma, d: gamma.area() + gamma.ht() + 1 == sum(d) - (j + 2),
+                [d for d in hook_descent_subsets(n, n - k - 1) if set(range(1, j + 3)) | {n - 1} <= d],
             )
             if witness:
                 return witness
@@ -295,9 +295,9 @@ def _check_beta(n):
     family = enumerate_T(n, 0)
     for d in range(0, n - 1):
         witness = _bijects(
-            f"d={d}", _hook_tableaux(n, n - d - 1, lambda s: 1 in s),
-            partial(pierimaps.beta_map, d), partial(pierimaps.beta_inverse, d),
-            lambda tab, gamma: tab.maj() == gamma.area() + gamma.ht() + 1,
+            f"d={d}", [s for s in hook_descent_subsets(n, n - d - 1) if 1 in s],
+            partial(pierimaps.beta_map, d, n), partial(pierimaps.beta_inverse, d),
+            lambda s, gamma: sum(s) == gamma.area() + gamma.ht() + 1,
             [p for p in family if p.ht() == n - d - 2],
         )
         if witness:
@@ -384,29 +384,27 @@ SUITES = {
 def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
     """Run one named suite (or "all"); reports come back in deterministic order.
 
-    A cap below the smallest size the suite checks (for "all": below every
+    Each suite runs up to the smaller of `max_n` and its default cap.  A cap
+    below the smallest size the suite checks (for "all": below every
     suite's) is an error rather than an empty, passing run.
     """
     if name == "all":
-        smallest = min(low for _, _, low in SUITES.values())
-        if max_n is not None and max_n < smallest:
-            raise ValueError(
-                f"max_n={max_n} is below {smallest}, the smallest cap at which any suite checks something"
-            )
-        reports = []
-        for suite_name, (fn, default, _) in SUITES.items():
-            bound = default if max_n is None else min(max_n, default)
-            reports.extend(fn(bound))
-        return reports
-    if name not in SUITES:
+        names, what = list(SUITES), "any suite"
+    elif name in SUITES:
+        names, what = [name], f"the {name} suite"
+    else:
         known = ", ".join(list(SUITES) + ["all"])
         raise ValueError(f"unknown suite {name!r}; known: {known}")
-    fn, default, smallest = SUITES[name]
+    smallest = min(SUITES[suite_name][2] for suite_name in names)
     if max_n is not None and max_n < smallest:
         raise ValueError(
-            f"max_n={max_n} is below {smallest}, the smallest cap at which the {name} suite checks something"
+            f"max_n={max_n} is below {smallest}, the smallest cap at which {what} checks something"
         )
-    return fn(default if max_n is None else max_n)
+    reports = []
+    for suite_name in names:
+        fn, default, _ = SUITES[suite_name]
+        reports.extend(fn(default if max_n is None else min(max_n, default)))
+    return reports
 
 
 def has_failure(reports) -> bool:

@@ -131,6 +131,14 @@ def test_oversized_path_families_are_refused(capsys):
             f"error ({command}): the (n=30, s=0) family has 2^28 paths, "
             "past the enumeration bound of 2^20\n"
         )
+    # the lifted form, which runs first, enumerates descent sets: same bound
+    code = cli.main(["two-column", "--n", "30"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error (two-column): the two-column forms at n=30 sum over 2^28 paths, "
+        "past the enumeration bound of 2^20\n"
+    )
 
 
 def test_verify_rejects_caps_below_suite_minimum(capsys):
@@ -200,6 +208,9 @@ def test_global_max_n(capsys):
     code, out = run_cli(capsys, "--max-n", "5", "verify", "--suite", "bijections")
     assert code == 0
     assert "n=5" in out and "n=6" not in out
+    # a cap above a suite's default runs the default, as it does for "all"
+    code, out = run_cli(capsys, "verify", "--suite", "gf", "--max-n", "30")
+    assert code == 0 and out.endswith("# 39 instances: pass=39\n")
 
 
 def test_verify_all_small_cap(capsys):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -208,29 +209,102 @@ def test_difference_validation():
         pm.difference_W(6, 1, "upside-down")
 
 
+# The tableau-valued bijections as first written, kept as references for the
+# descent-set forms: each builds or reads a hook tableau of shape
+# (k+1, 1^(n-k-1)).
+
+
+def ref_path_from_east_counts(n, east_counts, total_easts):
+    word = []
+    prev = 0
+    for count in east_counts:
+        assert count >= prev
+        word.append("E" * (count - prev) + "N")
+        prev = count
+    assert prev <= total_easts
+    return LatticePath(n, 0, "".join(word) + "E" * (total_easts - prev))
+
+
+def ref_phi_map(k, path):
+    n = path.n
+    stats = pm.path_stats(path)
+    descents = {n - i - stats.n_steps[i - 1] + 1 for i in range(1, path.ht() + 1)}
+    return hook_tableau_from_descents(descents | {1, 2}, n)
+
+
+def ref_phi_inverse(k, tableau):
+    n = tableau.n
+    assert tableau.shape == (k + 1,) + (1,) * (n - k - 1)
+    created = sorted(tableau.descent_set() - {1, 2}, reverse=True)
+    return ref_path_from_east_counts(
+        n, [n - i - d + 1 for i, d in enumerate(created, start=1)], k + 1
+    )
+
+
+def ref_omega_map(k, j, path):
+    n = path.n
+    stats = pm.path_stats(path)
+    descents = {n - i - stats.n_steps[i - 1] for i in range(1, path.ht() + 1)}
+    assert j + 2 not in descents
+    return hook_tableau_from_descents(descents | {1, j + 2}, n)
+
+
+def ref_omega_inverse(k, j, tableau):
+    n = tableau.n
+    assert tableau.shape == (k + 1,) + (1,) * (n - k - 1)
+    created = sorted(tableau.descent_set() - {1, j + 2}, reverse=True)
+    return ref_path_from_east_counts(
+        n, [n - i - d for i, d in enumerate(created, start=1)], k + 1
+    )
+
+
+def ref_beta_map(d, tableau):
+    n = tableau.n
+    assert tableau.shape == (d + 1,) + (1,) * (n - d - 1)
+    rs = sorted(tableau.descent_set() - {1}, reverse=True)
+    return ref_path_from_east_counts(n, [n - i - r for i, r in enumerate(rs, start=1)], d)
+
+
+def ref_beta_inverse(d, path):
+    n = path.n
+    stats = pm.path_stats(path)
+    row_areas = [n - 1 - i - stats.n_steps[i - 1] for i in range(1, path.ht() + 1)]
+    return hook_tableau_from_descents({a + 1 for a in row_areas} | {1}, n)
+
+
 def test_phi_figure_example_and_statistic():
     gamma = LatticePath(7, 0, "ENNEN")
-    tab = pm.phi_map(1, gamma)
-    assert sorted(tab.descent_set()) == [1, 2, 3, 5, 6]
-    assert tab.maj() == 17 and tab.des() == 5
-    assert gamma.area() + gamma.ht() + 1 == 12 == tab.maj() - tab.des()
-    assert pm.phi_inverse(1, tab) == gamma
+    des = pm.phi_map(1, gamma)
+    assert sorted(des) == [1, 2, 3, 5, 6]
+    assert gamma.area() + gamma.ht() + 1 == 12 == sum(des) - len(des)
+    assert pm.phi_inverse(1, 7, des) == gamma
 
 
 def test_omega_figure_example_and_statistic():
     gamma = LatticePath(7, 0, "NNEEN")
-    tab = pm.omega_map(1, 1, gamma)
-    assert sorted(tab.descent_set()) == [1, 2, 3, 5, 6]
-    assert gamma.area() + gamma.ht() + 1 == tab.maj() - 3
-    assert pm.omega_inverse(1, 1, tab) == gamma
+    des = pm.omega_map(1, 1, gamma)
+    assert sorted(des) == [1, 2, 3, 5, 6]
+    assert gamma.area() + gamma.ht() + 1 == sum(des) - 3
+    assert pm.omega_inverse(1, 1, 7, des) == gamma
 
 
 def test_beta_figure_example_and_statistic():
-    tab = hook_tableau_from_descents({1, 2, 4, 5}, 7)
-    gamma = pm.beta_map(2, tab)
+    des = frozenset({1, 2, 4, 5})
+    gamma = pm.beta_map(2, 7, des)
     assert gamma.word == "ENNEN"
-    assert tab.maj() == 12 == gamma.area() + gamma.ht() + 1
-    assert pm.beta_inverse(2, gamma) == tab
+    assert sum(des) == 12 == gamma.area() + gamma.ht() + 1
+    assert pm.beta_inverse(2, gamma) == des
+
+
+def test_descent_encoding_round_trip():
+    # one rule, both shifts: the bijections' inverse undoes their encoding
+    for n in range(2, 10):
+        for gamma in enumerate_T(n, 0):
+            counts = pm.path_stats(gamma).n_steps
+            for shift in (0, 1):
+                descents = pm._row_descents(n, counts, shift)
+                assert len(descents) == len(counts)
+                assert pm._path_from_descents(n, descents, shift, gamma.east_count()) == gamma
 
 
 def test_phi_round_trip_exhaustive():
@@ -239,10 +313,11 @@ def test_phi_round_trip_exhaustive():
             for gamma in filter_paths(n, 0, "height_eq", h=n - k - 3):
                 if not gamma.word.startswith("E"):
                     continue
-                tab = pm.phi_map(k, gamma)
-                assert {1, 2} <= tab.descent_set()
-                assert pm.phi_inverse(k, tab) == gamma
-                assert gamma.area() + gamma.ht() + 1 == tab.maj() - tab.des()
+                des = pm.phi_map(k, gamma)
+                tab = ref_phi_map(k, gamma)
+                assert des == tab.descent_set() and {1, 2} <= des
+                assert pm.phi_inverse(k, n, des) == gamma == ref_phi_inverse(k, tab)
+                assert gamma.area() + gamma.ht() + 1 == sum(des) - len(des)
 
 
 def test_omega_round_trip_exhaustive():
@@ -255,10 +330,12 @@ def test_omega_round_trip_exhaustive():
                 ):
                     if gamma.ht() != h:
                         continue
-                    tab = pm.omega_map(k, j, gamma)
-                    assert set(range(1, j + 3)) | {n - 1} <= tab.descent_set()
-                    assert pm.omega_inverse(k, j, tab) == gamma
-                    assert gamma.area() + gamma.ht() + 1 == tab.maj() - (j + 2)
+                    des = pm.omega_map(k, j, gamma)
+                    tab = ref_omega_map(k, j, gamma)
+                    assert des == tab.descent_set()
+                    assert set(range(1, j + 3)) | {n - 1} <= des
+                    assert pm.omega_inverse(k, j, n, des) == gamma == ref_omega_inverse(k, j, tab)
+                    assert gamma.area() + gamma.ht() + 1 == sum(des) - (j + 2)
 
 
 def test_beta_round_trip_exhaustive():
@@ -269,11 +346,12 @@ def test_beta_round_trip_exhaustive():
             for subset in combinations(range(1, n), size):
                 if 1 not in subset:
                     continue
-                tab = hook_tableau_from_descents(subset, n)
-                gamma = pm.beta_map(d, tab)
+                des = frozenset(subset)
+                gamma = pm.beta_map(d, n, des)
+                assert gamma == ref_beta_map(d, hook_tableau_from_descents(des, n))
                 assert gamma.ht() == n - d - 2
-                assert pm.beta_inverse(d, gamma) == tab
-                assert tab.maj() == gamma.area() + gamma.ht() + 1
+                assert pm.beta_inverse(d, gamma) == des == ref_beta_inverse(d, gamma).descent_set()
+                assert sum(des) == gamma.area() + gamma.ht() + 1
                 count += 1
             assert count == math.comb(n - 2, n - d - 2)
 
@@ -285,6 +363,15 @@ def test_bijection_domain_errors():
         pm.omega_map(1, 0, LatticePath(7, 0, "ENNEN"))  # starts east
     with pytest.raises(ValueError):
         pm.omega_map(1, 2, LatticePath(7, 0, "NNEEN"))  # trailing run is 1
-    tab = hook_tableau_from_descents({2, 4, 5, 6}, 7)
     with pytest.raises(ValueError):
-        pm.beta_map(2, tab)  # 1 not a descent
+        pm.beta_map(2, 7, {2, 4, 5, 6})  # 1 not a descent
+    # shape (k+1, 1^(n-k-1)) at n = 7: k = 1 needs 5 descents, k = 2 needs 4
+    for inverse, size in (
+        (partial(pm.phi_inverse, 1), 5),
+        (partial(pm.omega_inverse, 1, 1), 5),
+        (partial(pm.beta_map, 2), 4),
+    ):
+        with pytest.raises(ValueError, match=f"needs {size} descents, got {size - 1}"):
+            inverse(7, set(range(1, size)))
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.6"):
+            inverse(7, set(range(1, size)) | {7})

@@ -44,6 +44,8 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert LaurentPoly.sum([a, b, c]) == a + b + c
+    assert LaurentPoly.sum([a, -a]).is_zero() and LaurentPoly.sum([]) == ZERO
 
 
 @given(polys)
@@ -55,6 +57,8 @@ def test_zero_insertion_is_identity(p):
 def test_substitute_examples():
     assert (q * z).substitute({"z": q * z}) == q**2 * z
     assert (q**2 * t).substitute({"t": z**-1}) == q**2 * z**-1
+    # terms that land on one exponent add up
+    assert (q + z - q**2 * z).substitute({"z": q}) == 2 * q - q**3
     # frozen from expanding the (4, 0) family then substituting z -> qz
     p = ONE + q * z + q**2 * z + q**3 * z**2
     assert p.substitute({"z": q * z}) == ONE + q**2 * z + q**3 * z + q**5 * z**2

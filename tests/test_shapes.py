@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookpaths.shapes import (
+    SYT_SIZE_BOUND,
     StdTableau,
     check_partition,
     conjugate,
@@ -127,8 +128,8 @@ def test_enumerate_syt_distinct_and_bounded():
     tableaux = enumerate_SYT((3, 2, 1))
     assert len(set(tableaux)) == len(tableaux)
     with pytest.raises(ValueError):
-        enumerate_SYT((13,))
-    assert len(enumerate_SYT((13,), bound=13)) == 1
+        enumerate_SYT((SYT_SIZE_BOUND + 1,))
+    assert len(enumerate_SYT((SYT_SIZE_BOUND,))) == 1
 
 
 def assert_equals_validated_rebuild(tau):

@@ -5,7 +5,6 @@ can fail, so each check is fed a broken map here and must name it."""
 from hookpaths import pierimaps, verify
 from hookpaths.paths import LatticePath
 from hookpaths.pierimaps import TaggedPath
-from hookpaths.shapes import StdTableau
 
 
 class StrayTagged(TaggedPath):
@@ -23,11 +22,12 @@ class StrayPath(LatticePath):
     __hash__ = object.__hash__
 
 
-class HighMaj(StdTableau):
-    """A tableau whose major index reads one too high."""
-
-    def maj(self):
-        return super().maj() + 1
+def _shift_descents(monkeypatch, forward, inverse):
+    """Shift every descent a bijection returns by 10, and back in its inverse:
+    the round trip still holds, the major index does not."""
+    f, g = getattr(pierimaps, forward), getattr(pierimaps, inverse)
+    monkeypatch.setattr(pierimaps, forward, lambda *a: frozenset(d + 10 for d in f(*a)))
+    monkeypatch.setattr(pierimaps, inverse, lambda *a: g(*a[:-1], {d - 10 for d in a[-1]}))
 
 
 def _flip_first_step(tagged):
@@ -63,8 +63,8 @@ def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
     inverse = pierimaps.phi_inverse
 
-    def reversed_inverse(k, tab):
-        path = inverse(k, tab)
+    def reversed_inverse(k, n, descents):
+        path = inverse(k, n, descents)
         return LatticePath(path.n, path.s, path.word[::-1])
 
     monkeypatch.setattr(pierimaps, "phi_inverse", reversed_inverse)
@@ -72,19 +72,21 @@ def test_phi_check_reports_a_broken_round_trip(monkeypatch):
 
 
 def test_omega_check_reports_a_broken_statistic(monkeypatch):
-    forward = pierimaps.omega_map
-    monkeypatch.setattr(
-        pierimaps, "omega_map", lambda k, j, g: HighMaj(forward(k, j, g).rows)
-    )
+    _shift_descents(monkeypatch, "omega_map", "omega_inverse")
     assert verify._check_omega(4) == "k=0 j=0 statistic fails on NE"
+    _shift_descents(monkeypatch, "phi_map", "phi_inverse")
+    assert verify._check_phi(4) == "k=0 statistic fails on EN"
 
 
 def test_beta_check_reports_an_image_mismatch(monkeypatch):
     forward = pierimaps.beta_map
 
-    def stray(d, tab):
-        path = forward(d, tab)
+    def stray(d, n, descents):
+        path = forward(d, n, descents)
         return StrayPath(path.n, path.s, path.word)
 
     monkeypatch.setattr(pierimaps, "beta_map", stray)
     assert verify._check_beta(3) == "d=0 image mismatch"
+    # a descent set in a witness reads as its sorted list
+    monkeypatch.setattr(pierimaps, "beta_inverse", lambda d, g: frozenset())
+    assert verify._check_beta(3) == "d=0 round trip fails on [1, 2]"
