@@ -20,7 +20,15 @@ from .shapes import (
     parse_partition,
     partition_str,
 )
-from .paths import LatticePath, enumerate_T, filter_paths, gf_T, gf_closed, hat_gf
+from .paths import (
+    LatticePath,
+    enumerate_T,
+    filter_paths,
+    gf_T,
+    gf_closed,
+    hat_gf,
+    stats_T,
+)
 from .schur import (
     SchurExpansion,
     e_perp,

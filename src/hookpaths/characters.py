@@ -8,11 +8,11 @@ The main expansion is proven for r = 1 and mu in {(n), (n-1,1), (n-2,1,1),
 exploring those cases is the point of having the formula in executable form.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .paths import PATH_STEP_BOUND, binom2, enumerate_T, gf_closed
+from .paths import PATH_STEP_BOUND, binom2, enumerate_T, gf_T, gf_closed, stats_T
 from .qpoly import (
     LaurentPoly,
     ZERO,
@@ -68,7 +68,9 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     For each standard tableau of shape mu the paths start at the conjugate's
     descent count; every path contributes the hook whose arm is
     (r-1)*binom(n,2) + area + ht - maj(conjugate) + 1 and whose leg brings
-    the total height to n-2.
+    the total height to n-2.  Tableaux with equal conjugate statistics
+    contribute equal terms, and a path only through (area, ht), so the sum
+    runs over (des', maj') classes and the (area, ht) tally of gf_T.
     """
     mu = check_partition(mu)
     if n < 2:
@@ -79,13 +81,22 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
     base = (r - 1) * binom2(n)
     counts = Counter()  # (arm, leg) -> number of (tableau, path) pairs
-    for tau in enumerate_SYT(mu):
-        desp, majp = conjugate_descent_stats(tau)
-        for gamma in enumerate_T(n, desp):
-            ht = gamma.ht()
-            counts[base + gamma.area() + ht - majp + 1, n - 2 - ht] += 1
+    for desp, majps in _conjugate_classes(mu).items():
+        family = gf_T(n, desp).items()
+        for majp, mult in majps.items():
+            for (area, _, ht), c in family:
+                counts[base + area + ht - majp + 1, n - 2 - ht] += mult * c
     expansion = _hook_expansion(counts, f"n={n}, r={r}, mu={mu}")
     return HookResult(n, r, mu, expansion, proven_inputs(n, r, mu))
+
+
+def _conjugate_classes(mu: Partition) -> dict[int, Counter]:
+    """des' -> {maj': number of standard tableaux of shape mu}."""
+    classes = defaultdict(Counter)
+    for tau in enumerate_SYT(mu):
+        desp, majp = conjugate_descent_stats(tau)
+        classes[desp][majp] += 1
+    return classes
 
 
 def _hook_expansion(counts, context: str) -> SchurExpansion:
@@ -101,9 +112,8 @@ def alternant_formula(n: int, r: int) -> SchurExpansion:
         raise ValueError("alternant_formula needs n >= 2 and r >= 1")
     base = (r - 1) * binom2(n)
     counts = Counter()
-    for gamma in enumerate_T(n, 0):
-        ht = gamma.ht()
-        counts[base + gamma.area() + ht + 1, n - 2 - ht] += 1
+    for (area, _, ht), c in gf_T(n, 0).items():
+        counts[base + area + ht + 1, n - 2 - ht] += c
     return _hook_expansion(counts, f"n={n}, r={r}")
 
 
@@ -154,22 +164,22 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
     counts = Counter()
-    for tau in enumerate_SYT(mu):
-        desp, majp = conjugate_descent_stats(tau)
-        for gamma in enumerate_T(n, desp):
-            h = gamma.ht()
-            if h in two_row_heights:
-                _add_shape(counts, (k - 1 + gamma.area() - majp, 1))
-            if h in one_row_heights:
-                _add_shape(counts, (k + gamma.area() - majp,))
+    for desp, majps in _conjugate_classes(mu).items():
+        family = gf_T(n, desp).items()
+        for majp, mult in majps.items():
+            for (area, _, h), c in family:
+                if h in two_row_heights:
+                    _add_shape(counts, (k - 1 + area - majp, 1), mult * c)
+                if h in one_row_heights:
+                    _add_shape(counts, (k + area - majp,), mult * c)
     return SchurExpansion(counts)
 
 
-def _add_shape(counts: Counter, raw) -> None:
-    """Count one s_shape term; a raw shape off the diagram counts as 0."""
+def _add_shape(counts: Counter, raw, count: int = 1) -> None:
+    """Count s_shape count times; a raw shape off the diagram counts as 0."""
     shape = normalize_shape(raw)
     if shape is not None:
-        counts[shape] += 1
+        counts[shape] += count
 
 
 def hrs_t0(n: int, k: int) -> SchurExpansion:
@@ -253,7 +263,10 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
     The i-th datum is the (a, b) two-row part of the i-th adjoint Pieri
     image, with the contribution of G's own (a, b, 1^k)-part subtracted
     (only the b- and (b+1)-column components can reach a two-row (a, b)
-    index, so the subtraction isolates the part being lifted).
+    index, so the subtraction isolates the part being lifted).  V_b holds
+    every two-row shape (a, b), so the 0-th datum, G's (a, b) part minus
+    the same part, is 0, and the alternating double sum needs no j = 0
+    correction.
     """
     if b < 1:
         raise ValueError("lift_next_column needs b >= 1")
@@ -263,8 +276,7 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
         _row_pair_fingerprint(e_perp(i, G), b) - _row_pair_fingerprint(e_perp(i, own), b)
         for i in range(i_max + 1)
     ]
-    # the alternating double sum without its j = 0 term
-    return lift_hooks(fs) - fs[0]
+    return lift_hooks(fs)
 
 
 # -- the alternating-sum identities ----------------------------------------------
@@ -374,13 +386,11 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
                     counts[check_partition((maj - i, 2) + (1,) * (k - 1))] += 1
         return SchurExpansion(counts)
     if form == "path":
-        for gamma in enumerate_T(n, 0):
-            h = gamma.ht()
+        for gamma, (area, h) in zip(enumerate_T(n, 0), stats_T(n, 0)):
             if h > n - 3:
                 continue
             starts_north = gamma.word.startswith("N")
             trailing = gamma.trailing_run("N")
-            area = gamma.area()
             for i in range(2, h + 1):
                 if starts_north and trailing >= i - 1:
                     continue

@@ -12,7 +12,7 @@ import sys
 
 from . import characters, pierimaps, verify
 from .fixtures import load_fixture
-from .paths import LatticePath, enumerate_T, gf_T, gf_closed
+from .paths import LatticePath, enumerate_T, gf_T, gf_closed, stats_T
 from .schur import restrict, specialize2
 from .shapes import hook_index, parse_partition, partition_str
 
@@ -46,8 +46,7 @@ def cmd_expand(args) -> int:
 
 def cmd_paths(args) -> int:
     rows = []
-    for path in enumerate_T(args.n, args.s):
-        area, ht = path.area(), path.ht()
+    for path, (area, ht) in zip(enumerate_T(args.n, args.s), stats_T(args.n, args.s)):
         hook = hook_index(area + ht + 1, args.n - 2 - ht)
         rows.append(
             {"word": str(path), "area": area, "ht": ht, "hook": partition_str(hook)}

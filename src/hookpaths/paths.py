@@ -132,15 +132,15 @@ class LatticePath:
         return cls(n, clamp_start(n, s), word)
 
 
-def enumerate_T(n: int, s: int) -> list[LatticePath]:
-    """The full path family for (n, s), in lexicographic word order (E < N).
+def _family_grid(n: int, s: int):
+    """The clamped start height and word length of the (n, s) family, or
+    None for the empty family (n < 2).
 
-    Start heights s >= n-2 give exactly the empty word; n < 2 gives [].
-    Families of words longer than PATH_STEP_BOUND steps are refused before
-    anything is built: the list doubles with every step.
+    Refuses a negative start height, and families of words longer than
+    PATH_STEP_BOUND steps: a family doubles with every step.
     """
     if n < 2:
-        return []
+        return None
     if s < 0:
         raise ValueError(f"start height must be nonnegative, got {s}")
     s = clamp_start(n, s)
@@ -150,14 +150,53 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
             f"the (n={n}, s={s}) family has 2^{length} paths, past the "
             f"enumeration bound of 2^{PATH_STEP_BOUND}"
         )
+    return s, length
+
+
+def enumerate_T(n: int, s: int) -> list[LatticePath]:
+    """The full path family for (n, s), in lexicographic word order (E < N).
+
+    Start heights s >= n-2 give exactly the empty word; n < 2 gives [].
+    Families of words longer than PATH_STEP_BOUND steps are refused before
+    anything is built.
+    """
+    grid = _family_grid(n, s)
+    if grid is None:
+        return []
+    s, length = grid
     trusted = LatticePath._trusted
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
 
+def stats_T(n: int, s: int) -> list[tuple[int, int]]:
+    """(area, ht) of every path in the (n, s) family, in enumerate_T's
+    order, without building the paths.
+
+    One walk shares each prefix among its extensions.  It starts from the
+    start row's statistics; at step k of L = n-s-2 the E child keeps the
+    prefix's (area, ht) and the N child adds L-k to the area and 1 to the
+    height (a north step at (x, y) adds n-2-y-x boxes, and x+y = s+k
+    there).  LatticePath.area/ht stay the per-word definition.
+    """
+    grid = _family_grid(n, s)
+    if grid is None:
+        return []
+    s, length = grid
+    level = [(s * (n - 2) - binom2(s), s)]
+    for gain in range(length, 0, -1):
+        nxt = []
+        extend = nxt.extend
+        for prefix in level:
+            extend((prefix, (prefix[0] + gain, prefix[1] + 1)))
+        level = nxt
+    return level
+
+
 def gf_T(n: int, s: int) -> LaurentPoly:
-    """sum of q^area * z^ht over the family, by direct enumeration."""
-    counts = Counter((path.area(), 0, path.ht()) for path in enumerate_T(n, s))
-    return LaurentPoly(counts)
+    """sum of q^area * z^ht over the family, by direct enumeration (every
+    path's statistics, from stats_T)."""
+    counts = Counter(stats_T(n, s))
+    return LaurentPoly({(area, 0, ht): c for (area, ht), c in counts.items()})
 
 
 def gf_closed(n: int, s: int) -> LaurentPoly:
@@ -187,12 +226,11 @@ def hat_gf(m: int, j: int) -> LaurentPoly:
     if j < 0:
         raise ValueError(f"height threshold must be nonnegative, got {j}")
     counts = Counter()
-    for path in enumerate_T(m, 0):
-        h = path.ht()
+    for (area, h), c in Counter(stats_T(m, 0)).items():
         if h < j:
             continue
         sign = -1 if (j - h) % 2 else 1
-        counts[path.area() + (j - h), 0, j] += sign
+        counts[area + (j - h), 0, j] += sign * c
     return LaurentPoly(counts)
 
 

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hookpaths import characters as ch
 from hookpaths.paths import LatticePath, binom2, enumerate_T
 from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, psi, restrict, specialize2
 from hookpaths.shapes import (
+    check_partition,
     enumerate_SYT,
     hook_index,
     is_hook,
@@ -225,6 +227,21 @@ def test_lift_next_column():
         assert ch.lift_next_column(G, 2) == psi(restrict(G, "V3"))
 
 
+@given(
+    st.dictionaries(
+        st.lists(st.integers(min_value=1, max_value=7), max_size=5)
+        .map(lambda xs: tuple(sorted(xs, reverse=True))),
+        st.integers(min_value=-9, max_value=9),
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_v_class_holds_every_two_row_part(terms, b):
+    # so lift_next_column's 0-th datum vanishes for every G
+    G = SchurExpansion(terms)
+    assert ch._row_pair_fingerprint(G, b) == ch._row_pair_fingerprint(restrict(G, f"V{b}"), b)
+
+
 def test_lift_next_column_round_trip_with_two_column_output():
     for n in range(5, 8):
         G = ch.hook_formula(n, 1, (1,) * n).expansion + ch.two_column_formula(n, "path")
@@ -329,6 +346,28 @@ def reference_gl2_delta_mu(n, k, mu):
     return out
 
 
+def reference_alternant_formula(n, r):
+    base = (r - 1) * binom2(n)
+    out = SchurExpansion.zero()
+    for gamma in enumerate_T(n, 0):
+        ht = gamma.ht()
+        out = out + s(hook_index(base + gamma.area() + ht + 1, n - 2 - ht, "reference"))
+    return out
+
+
+def reference_two_column_path(n):
+    out = SchurExpansion.zero()
+    for gamma in enumerate_T(n, 0):
+        h = gamma.ht()
+        if h > n - 3:
+            continue
+        for i in range(2, h + 1):
+            if gamma.word.startswith("N") and gamma.trailing_run("N") >= i - 1:
+                continue
+            out = out + s(check_partition((gamma.area() + h + 1 - i, 2) + (1,) * (n - 3 - h)))
+    return out
+
+
 def reference_hrs_t0(n, k):
     out = SchurExpansion.zero()
     for mu in partitions_of(n):
@@ -358,6 +397,13 @@ def test_formulas_match_reference_folds():
             if n >= 2:
                 for r in (1, 2):
                     assert ch.hook_formula(n, r, mu).expansion == reference_hook_formula(n, r, mu)
+
+
+def test_single_family_formulas_match_reference_folds():
+    for n in range(2, 13):
+        for r in (1, 2):
+            assert ch.alternant_formula(n, r) == reference_alternant_formula(n, r), (n, r)
+        assert ch.two_column_formula(n, "path") == reference_two_column_path(n), n
 
 
 def test_hook_index_guard_names_context():

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from hookpaths import cli, fixtures, pierimaps
+from hookpaths import cli, fixtures, paths, pierimaps
+from hookpaths.paths import enumerate_T, gf_T, hat_gf, stats_T
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
+from hookpaths.shapes import hook_index, partition_str
 from hookpaths.verify import VerifyReport, has_failure
 
 
@@ -139,6 +141,55 @@ def test_oversized_path_families_are_refused(capsys):
         "error (two-column): the two-column forms at n=30 sum over 2^28 paths, "
         "past the enumeration bound of 2^20\n"
     )
+
+
+def test_path_bound_is_shared(monkeypatch, capsys):
+    # one bound behind every path family consumer: a 5-step family is
+    # refused under a bound of 4 steps, a 4-step one is not
+    monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
+    refusal = "the (n=7, s=0) family has 2^5 paths, past the enumeration bound of 2^4"
+    for fn in (enumerate_T, stats_T, gf_T, hat_gf):
+        with pytest.raises(ValueError) as exc:
+            fn(7, 0)
+        assert str(exc.value) == refusal
+        fn(6, 0)
+    for fn in (enumerate_T, stats_T, gf_T):
+        assert fn(7, 1)  # 4 steps from start height 1
+        with pytest.raises(ValueError, match="start height must be nonnegative"):
+            fn(5, -1)
+    for command in ("gf", "paths"):
+        assert cli.main([command, "--n", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error ({command}): {refusal}\n"
+        assert cli.main([command, "--n", "6"]) == 0
+        assert cli.main([command, "--n", "7", "--s", "1"]) == 0
+        capsys.readouterr()
+
+
+def reference_paths_output(n, s, as_json):
+    """`paths` as first written: one LatticePath per row, read through
+    area() and ht()."""
+    rows = []
+    for path in enumerate_T(n, s):
+        area, ht = path.area(), path.ht()
+        hook = hook_index(area + ht + 1, n - 2 - ht)
+        rows.append({"word": str(path), "area": area, "ht": ht, "hook": partition_str(hook)})
+    if as_json:
+        return json.dumps({"n": n, "s": s, "paths": rows}, indent=1, sort_keys=True) + "\n"
+    lines = [f"# paths for n={n} s={s}: {len(rows)} total"]
+    for row in rows:
+        lines.append(f"{row['word']:>{max(3, n)}}  area={row['area']:<3d} ht={row['ht']:<2d} hook={row['hook']}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_paths_output_matches_reference_rendering(capsys):
+    for n in range(0, 11):
+        for s in range(0, n + 1):
+            for as_json in (False, True):
+                argv = ["--json"] if as_json else []
+                code, out = run_cli(capsys, *argv, "paths", "--n", str(n), "--s", str(s))
+                assert code == 0
+                assert out == reference_paths_output(n, s, as_json), (n, s, as_json)
 
 
 def test_verify_rejects_caps_below_suite_minimum(capsys):

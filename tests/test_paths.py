@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hookpaths.paths import (
     LatticePath,
@@ -11,6 +12,7 @@ from hookpaths.paths import (
     gf_T,
     gf_closed,
     hat_gf,
+    stats_T,
 )
 from hookpaths.qpoly import LaurentPoly, ONE, ZERO, q, q_pochhammer, q_power, z
 
@@ -68,6 +70,18 @@ def test_enumerate_T_matches_validated_rebuild():
             for p in enumerate_T(n, s):
                 rebuilt = LatticePath(p.n, p.s, p.word)
                 assert rebuilt == p and rebuilt.s == clamp_start(n, s)
+
+
+def test_walk_matches_per_word_statistics():
+    # area() and ht() are the definition; the walk must agree word by word
+    for n in range(0, 15):
+        for s in range(0, n + 1):
+            assert stats_T(n, s) == [(p.area(), p.ht()) for p in enumerate_T(n, s)], (n, s)
+
+
+@given(st.integers(min_value=0, max_value=18), st.integers(min_value=0, max_value=20))
+def test_walk_matches_per_word_statistics_property(n, s):
+    assert stats_T(n, s) == [(p.area(), p.ht()) for p in enumerate_T(n, s)]
 
 
 def reference_gf_T(n, s):
