@@ -13,6 +13,7 @@ from .shapes import (
     Partition,
     StdTableau,
     conjugate,
+    descent_tally,
     enumerate_SYT,
     hook_tableau_from_descents,
     is_hook,

@@ -8,7 +8,7 @@ The main expansion is proven for r = 1 and mu in {(n), (n-1,1), (n-2,1,1),
 exploring those cases is the point of having the formula in executable form.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,8 +24,8 @@ from .schur import SchurExpansion, e_perp, restrict
 from .shapes import (
     Partition,
     check_partition,
-    conjugate_descent_stats,
-    enumerate_SYT,
+    conjugate,
+    descent_tally,
     hook_index,
     is_hook,
     normalize_shape,
@@ -68,9 +68,8 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     For each standard tableau of shape mu the paths start at the conjugate's
     descent count; every path contributes the hook whose arm is
     (r-1)*binom(n,2) + area + ht - maj(conjugate) + 1 and whose leg brings
-    the total height to n-2.  Tableaux with equal conjugate statistics
-    contribute equal terms, and a path only through (area, ht), so the sum
-    runs over (des', maj') classes and the (area, ht) tally of gf_T.
+    the total height to n-2.  Pairs with equal statistics contribute equal
+    terms, and a pair enters only through (area - maj', ht) (_pair_tally).
     """
     mu = check_partition(mu)
     if n < 2:
@@ -80,23 +79,21 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     if sum(mu) != n:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
     base = (r - 1) * binom2(n)
-    counts = Counter()  # (arm, leg) -> number of (tableau, path) pairs
-    for desp, majps in _conjugate_classes(mu).items():
-        family = gf_T(n, desp).items()
-        for majp, mult in majps.items():
-            for (area, _, ht), c in family:
-                counts[base + area + ht - majp + 1, n - 2 - ht] += mult * c
+    counts = {(base + d + ht + 1, n - 2 - ht): c for (d, ht), c in _pair_tally(n, mu).items()}
     expansion = _hook_expansion(counts, f"n={n}, r={r}, mu={mu}")
     return HookResult(n, r, mu, expansion, proven_inputs(n, r, mu))
 
 
-def _conjugate_classes(mu: Partition) -> dict[int, Counter]:
-    """des' -> {maj': number of standard tableaux of shape mu}."""
-    classes = defaultdict(Counter)
-    for tau in enumerate_SYT(mu):
-        desp, majp = conjugate_descent_stats(tau)
-        classes[desp][majp] += 1
-    return classes
+def _pair_tally(n: int, mu: Partition) -> Counter:
+    """(area - maj', ht) -> number of pairs tau in SYT(mu), gamma in
+    T(n, des'(tau)), from the tallies of SYT(mu') and T(n, des')."""
+    tally = Counter()
+    for desp, majps in descent_tally(conjugate(mu)).items():
+        family = gf_T(n, desp).items()
+        for majp, mult in majps.items():
+            for (area, _, ht), c in family:
+                tally[area - majp, ht] += mult * c
+    return tally
 
 
 def _hook_expansion(counts, context: str) -> SchurExpansion:
@@ -127,12 +124,9 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     if not is_hook(mu) or sum(mu) != n:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
     counts = Counter()
-    for tau in enumerate_SYT(mu):
-        _, majp = conjugate_descent_stats(tau)
-        m = r * binom2(n) - majp
-        _add_shape(counts, (m,))
-        for i in range(2, tau.des() + 1):
-            _add_shape(counts, (m - i, 1))
+    for desp, majps in descent_tally(conjugate(mu)).items():
+        for majp, c in majps.items():
+            _add_gl2_terms(counts, r * binom2(n) - majp, max(n - 1, 0) - desp, c)
     return SchurExpansion(counts)
 
 
@@ -141,12 +135,17 @@ def gl2_delta_en(n: int, k: int) -> SchurExpansion:
     if not 0 <= k <= n - 1:
         raise ValueError(f"k={k} outside 0..{n - 1}")
     counts = Counter()
-    for tau in enumerate_SYT((n - k,) + (1,) * k):
-        m = tau.maj()
-        _add_shape(counts, (m,))
-        for i in range(2, k + 1):
-            _add_shape(counts, (m - i, 1))
+    for majs in descent_tally((n - k,) + (1,) * k).values():
+        for maj, c in majs.items():
+            _add_gl2_terms(counts, maj, k, c)
     return SchurExpansion(counts)
+
+
+def _add_gl2_terms(counts: Counter, m: int, top: int, count: int) -> None:
+    """Count s_(m) and s_(m-i, 1) for i = 2..top, count times each."""
+    _add_shape(counts, (m,), count)
+    for i in range(2, top + 1):
+        _add_shape(counts, (m - i, 1), count)
 
 
 def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
@@ -164,14 +163,11 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
     counts = Counter()
-    for desp, majps in _conjugate_classes(mu).items():
-        family = gf_T(n, desp).items()
-        for majp, mult in majps.items():
-            for (area, _, h), c in family:
-                if h in two_row_heights:
-                    _add_shape(counts, (k - 1 + area - majp, 1), mult * c)
-                if h in one_row_heights:
-                    _add_shape(counts, (k + area - majp,), mult * c)
+    for (d, h), c in _pair_tally(n, mu).items():
+        if h in two_row_heights:
+            _add_shape(counts, (k - 1 + d, 1), c)
+        if h in one_row_heights:
+            _add_shape(counts, (k + d,), c)
     return SchurExpansion(counts)
 
 
@@ -195,18 +191,15 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
         raise ValueError("hrs_t0 needs k >= 0")
     terms = {}
     for mu in partitions_of(n):
-        # tableaux with equal (des, exponent) contribute equal terms
-        stats = Counter()
-        for tau in enumerate_SYT(mu):
-            des = tau.des()
+        coeff = Counter()
+        for desp, majps in descent_tally(conjugate(mu)).items():
+            des = max(n - 1, 0) - desp
             if des < k:  # [des k]_q = 0
                 continue
-            desp, majp = conjugate_descent_stats(tau)
-            stats[des, k * desp + binom2(n - k) - majp] += 1
-        coeff = Counter()
-        for (des, expo), count in stats.items():
-            for (eq, et, ez), c in gauss_binomial(des, k).items():
-                coeff[eq + expo, et, ez] += count * c
+            for majp, count in majps.items():
+                expo = k * desp + binom2(n - k) - majp
+                for (eq, et, ez), c in gauss_binomial(des, k).items():
+                    coeff[eq + expo, et, ez] += count * c
         terms[mu] = LaurentPoly(coeff)
     return SchurExpansion(terms)
 

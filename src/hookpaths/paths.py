@@ -108,9 +108,6 @@ class LatticePath:
 
     # -- plumbing -----------------------------------------------------------
 
-    def same_grid(self, other: "LatticePath") -> bool:
-        return self.n == other.n and self.s == other.s
-
     def __eq__(self, other):
         return (
             isinstance(other, LatticePath)
@@ -168,28 +165,35 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
 
-def stats_T(n: int, s: int) -> list[tuple[int, int]]:
-    """(area, ht) of every path in the (n, s) family, in enumerate_T's
-    order, without building the paths.
+def stats_T(n: int, s: int):
+    """An iterator over (area, ht) of every path in the (n, s) family, in
+    enumerate_T's order, without building the paths.
 
     One walk shares each prefix among its extensions.  It starts from the
     start row's statistics; at step k of L = n-s-2 the E child keeps the
     prefix's (area, ht) and the N child adds L-k to the area and 1 to the
     height (a north step at (x, y) adds n-2-y-x boxes, and x+y = s+k
-    there).  LatticePath.area/ht stay the per-word definition.
+    there).  The last level is yielded, not stored.  LatticePath.area/ht
+    stay the per-word definition.
     """
     grid = _family_grid(n, s)
     if grid is None:
-        return []
+        return iter(())
     s, length = grid
     level = [(s * (n - 2) - binom2(s), s)]
-    for gain in range(length, 0, -1):
+    for gain in range(length, 1, -1):
         nxt = []
         extend = nxt.extend
         for prefix in level:
             extend((prefix, (prefix[0] + gain, prefix[1] + 1)))
         level = nxt
-    return level
+    return _last_step(level) if length else iter(level)
+
+
+def _last_step(level):
+    for prefix in level:  # the last north step adds 1 to both
+        yield prefix
+        yield prefix[0] + 1, prefix[1] + 1
 
 
 def gf_T(n: int, s: int) -> LaurentPoly:
@@ -207,6 +211,8 @@ def gf_closed(n: int, s: int) -> LaurentPoly:
     """
     if n < 2:
         return ZERO
+    if s < 0:
+        raise ValueError(f"start height must be nonnegative, got {s}")
     s = clamp_start(n, s)
     r = n - s - 2
     return LaurentPoly.sum(

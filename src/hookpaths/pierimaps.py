@@ -10,12 +10,12 @@ return a hook tableau tau of shape (k+1, 1^(n-k-1)) as Des(tau) itself, the
 complement in 1..n-1 of the set a TaggedPath would carry.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
 
-from .paths import LatticePath, clamp_start, enumerate_T
+from .paths import LatticePath, clamp_start, enumerate_T, gf_T
 from .schur import SchurExpansion
 from .shapes import StdTableau, hook_index, hook_tableau_from_descents
 
@@ -220,9 +220,17 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
 # -- the difference formula ----------------------------------------------------
 
 
-def _shape_index(n, gamma, majp, shift) -> tuple[int, ...]:
-    ht = gamma.ht()
-    return hook_index(gamma.area() + ht + 1 - majp + shift, n - 2 - ht, "a reindexed W term")
+def _family_hooks(n: int, families: dict) -> SchurExpansion:
+    """The re-indexed W sum: families[m, s][shift] = count adds, count
+    times, the hook (area + ht + 1 + shift, 1^(n-2-ht)) of every path in the
+    (m, s) family, read through its (area, ht) tally gf_T(m, s)."""
+    counts = Counter()
+    for (m, s), shifts in families.items():
+        family = gf_T(m, s).items()
+        for shift, count in shifts.items():
+            for (area, _, ht), c in family:
+                counts[hook_index(area + ht + 1 + shift, n - 2 - ht, "a reindexed W term")] += count * c
+    return SchurExpansion(counts)
 
 
 def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate") -> SchurExpansion:
@@ -240,24 +248,21 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
         raise ValueError(f"k={k} outside 1..{n - 2}")
     if form == "direct":
         return hook_sum(build_sets(n, k).w)
+    families = defaultdict(Counter)  # (m, s) -> {shift: count}
     if form == "k1":
         if k != 1:
             raise ValueError("the k1 form is only defined for k = 1")
-        counts = Counter()
         for m in range(2, n - 1):
             for r in range(1, m - 1):
-                for gamma in enumerate_T(n - r, 2):
-                    counts[_shape_index(n, gamma, m, r)] += 1
+                families[n - r, 2][r - m] += 1
             for j in range(1, n - 1 - m):
-                for gamma in enumerate_T(n - 1, j + 1):
-                    counts[_shape_index(n, gamma, m, j + 1)] += 1
-        return SchurExpansion(counts)
+                families[n - 1, j + 1][j + 1 - m] += 1
+        return _family_hooks(n, families)
     if form != "reindexed":
         raise ValueError(f"unknown form {form!r}")
     if reading not in ("conjugate", "literal"):
         raise ValueError(f"unknown reading {reading!r}")
 
-    counts = Counter()
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
         majp = sum(d)
@@ -269,22 +274,18 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
         if first_two:
             if min_d < n - k:
                 for r in range(1, min_d - 1):
-                    for gamma in enumerate_T(n - r, k + 1):
-                        counts[_shape_index(n, gamma, majp, k * r)] += 1
+                    families[n - r, k + 1][k * r - majp] += 1
                 for j in range(1, n - k - min_d):
-                    for gamma in enumerate_T(n - 1, j + k):
-                        counts[_shape_index(n, gamma, majp, j + k)] += 1
+                    families[n - 1, j + k][j + k - majp] += 1
             if not set(range(n - k + 1, n)) <= d:
                 for r in range(min_d - 1, n - k - 1):
-                    for gamma in enumerate_T(n - r, k + 1):
-                        counts[_shape_index(n, gamma, majp, k * r)] += 1
+                    families[n - r, k + 1][k * r - majp] += 1
         else:
             rest = d - {1}
             if rest:
                 for j in range(0, n - k - min(rest)):
-                    for gamma in enumerate_T(n - 1, k + j):
-                        counts[_shape_index(n, gamma, majp, j + k)] += 1
-    return SchurExpansion(counts)
+                    families[n - 1, k + j][j + k - majp] += 1
+    return _family_hooks(n, families)
 
 
 def compare_difference(n: int, k: int) -> dict:

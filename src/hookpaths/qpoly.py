@@ -10,8 +10,6 @@ from functools import lru_cache
 VARS = ("q", "t", "z")
 _VAR_INDEX = {"q": 0, "t": 1, "z": 2}
 
-Exponent = tuple[int, int, int]
-
 
 class LaurentPoly:
     """A Laurent polynomial in q, t, z with integer coefficients.

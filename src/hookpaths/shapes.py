@@ -5,6 +5,7 @@ partition is ().  Tableaux use the French convention: rows[0] is the bottom
 row and entries strictly increase along rows and up columns.
 """
 
+from collections import Counter, defaultdict
 from itertools import combinations
 
 Partition = tuple[int, ...]
@@ -219,6 +220,17 @@ def enumerate_SYT(lam) -> list[StdTableau]:
     return out
 
 
+def descent_tally(lam) -> dict[int, Counter]:
+    """des -> {maj: number of standard tableaux of shape lam}, the character
+    formulas' one view of the tableau side.  Transposition is a bijection
+    SYT(lam) -> SYT(lam'), so descent_tally(conjugate(lam)) tallies the
+    conjugate statistics over SYT(lam)."""
+    tally = defaultdict(Counter)
+    for descents in map(StdTableau.descent_set, enumerate_SYT(lam)):
+        tally[len(descents)][sum(descents)] += 1
+    return dict(tally)
+
+
 def hook_tableau_from_descents(S, n: int) -> StdTableau:
     """The unique hook-shaped tableau of size n with the given descent set.
 
@@ -237,18 +249,6 @@ def hook_tableau_from_descents(S, n: int) -> StdTableau:
     return StdTableau._trusted(
         (arm,) + tuple((e,) for e in leg), (len(arm),) + (1,) * len(leg), row_of
     )
-
-
-def conjugate_descent_stats(tau: StdTableau) -> tuple[int, int]:
-    """(des, maj) of the conjugate tableau, without building it.
-
-    In a standard tableau i+1 lies either in a strictly higher row or in a
-    strictly later column than i, never both, so Des(tau') is the complement
-    of Des(tau) in 1..n-1: des' = n-1-des and maj' = binomial(n, 2) - maj.
-    """
-    descents = tau.descent_set()
-    n = tau.n
-    return max(n - 1, 0) - len(descents), n * (n - 1) // 2 - sum(descents)
 
 
 def hook_descent_subsets(n: int, k: int):

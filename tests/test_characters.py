@@ -330,6 +330,16 @@ def reference_gl2_nabla_hooks(n, r, mu):
     return out
 
 
+def reference_gl2_delta_en(n, k):
+    out = SchurExpansion.zero()
+    for tau in enumerate_SYT((n - k,) + (1,) * k):
+        m = tau.maj()
+        out = reference_add_shape(out, (m,))
+        for i in range(2, k + 1):
+            out = reference_add_shape(out, (m - i, 1))
+    return out
+
+
 def reference_gl2_delta_mu(n, k, mu):
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
@@ -388,6 +398,8 @@ def test_formulas_match_reference_folds():
     for n in range(0, 8):
         for k in range(0, n + 2):
             assert ch.hrs_t0(n, k) == reference_hrs_t0(n, k), (n, k)
+        for k in range(0, n):
+            assert ch.gl2_delta_en(n, k) == reference_gl2_delta_en(n, k), (n, k)
         for mu in partitions_of(n):
             for k in range(0, n):
                 assert ch.gl2_delta_mu(n, k, mu) == reference_gl2_delta_mu(n, k, mu)

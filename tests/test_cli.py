@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hookpaths import cli, fixtures, paths, pierimaps
-from hookpaths.paths import enumerate_T, gf_T, hat_gf, stats_T
+from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, stats_T
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
 from hookpaths.shapes import hook_index, partition_str
@@ -153,7 +153,7 @@ def test_path_bound_is_shared(monkeypatch, capsys):
             fn(7, 0)
         assert str(exc.value) == refusal
         fn(6, 0)
-    for fn in (enumerate_T, stats_T, gf_T):
+    for fn in (enumerate_T, stats_T, gf_T, gf_closed):
         assert fn(7, 1)  # 4 steps from start height 1
         with pytest.raises(ValueError, match="start height must be nonnegative"):
             fn(5, -1)

@@ -9,7 +9,7 @@ from hookpaths import pierimaps as pm
 from hookpaths.paths import LatticePath, enumerate_T, filter_paths
 from hookpaths.pierimaps import minus_domain, plus_domain
 from hookpaths.schur import SchurExpansion, e_perp
-from hookpaths.shapes import hook_tableau_from_descents
+from hookpaths.shapes import hook_index, hook_tableau_from_descents
 
 s = SchurExpansion.term
 
@@ -198,6 +198,58 @@ def test_difference_display_agreement():
             if k == 1:
                 assert report["agree_k1"], n
     assert not pm.compare_difference(5, 1)["agree_literal"]
+
+
+# The re-indexed W displays as first written: one path at a time, read
+# through area() and ht().
+
+
+def reference_family_hooks(n, m, start, shift):
+    out = SchurExpansion.zero()
+    for gamma in enumerate_T(m, start):
+        ht = gamma.ht()
+        out = out + s(hook_index(gamma.area() + ht + 1 + shift, n - 2 - ht, "reference"))
+    return out
+
+
+def reference_reindexed_W(n, k, reading):
+    out = SchurExpansion.zero()
+    for combo in combinations(range(1, n), k):
+        d = frozenset(combo)
+        majp, min_d = sum(d), min(d)
+        first_two = (1 not in d) if reading == "conjugate" else (1 in d)
+        if first_two:
+            if min_d < n - k:
+                for r in range(1, min_d - 1):
+                    out = out + reference_family_hooks(n, n - r, k + 1, k * r - majp)
+                for j in range(1, n - k - min_d):
+                    out = out + reference_family_hooks(n, n - 1, j + k, j + k - majp)
+            if not set(range(n - k + 1, n)) <= d:
+                for r in range(min_d - 1, n - k - 1):
+                    out = out + reference_family_hooks(n, n - r, k + 1, k * r - majp)
+        elif d - {1}:
+            for j in range(0, n - k - min(d - {1})):
+                out = out + reference_family_hooks(n, n - 1, k + j, j + k - majp)
+    return out
+
+
+def reference_k1_W(n):
+    out = SchurExpansion.zero()
+    for m in range(2, n - 1):
+        for r in range(1, m - 1):
+            out = out + reference_family_hooks(n, n - r, 2, r - m)
+        for j in range(1, n - 1 - m):
+            out = out + reference_family_hooks(n, n - 1, j + 1, j + 1 - m)
+    return out
+
+
+def test_difference_forms_match_reference_folds():
+    for n in range(3, 10):
+        for k in range(1, n - 1):
+            for reading in ("conjugate", "literal"):
+                expected = reference_reindexed_W(n, k, reading)
+                assert pm.difference_W(n, k, "reindexed", reading) == expected, (n, k, reading)
+        assert pm.difference_W(n, 1, "k1") == reference_k1_W(n), n
 
 
 def test_difference_validation():

@@ -9,7 +9,7 @@ from hookpaths.shapes import (
     StdTableau,
     check_partition,
     conjugate,
-    conjugate_descent_stats,
+    descent_tally,
     enumerate_SYT,
     hook_tableau_from_descents,
     is_hook,
@@ -19,6 +19,7 @@ from hookpaths.shapes import (
     partition_str,
     partitions_of,
 )
+from hookpaths.qpoly import LaurentPoly, q_factorial, q_int, q_power
 
 
 def hook_length_count(shape):
@@ -150,7 +151,6 @@ def test_descent_complement_invariants():
                 assert conj.descent_set() == full - tau.descent_set()
                 assert tau.maj() + conj.maj() == n * (n - 1) // 2
                 assert tau.des() == max(n - 1, 0) - conj.des()
-                assert conjugate_descent_stats(tau) == (conj.des(), conj.maj())
 
 
 @given(st.data())
@@ -162,8 +162,38 @@ def test_conjugate_property(data):
     assert_equals_validated_rebuild(conj)
     assert conj.shape == conjugate(lam)
     assert conj.descent_set() == frozenset(range(1, n)) - tau.descent_set()
-    assert conjugate_descent_stats(tau) == (conj.des(), conj.maj())
     assert conj.conjugate() == tau
+
+
+def test_descent_tally_obeys_the_q_hook_length_formula():
+    # sum over SYT(lam) of q^maj, times the product of [h(c)]_q over the
+    # cells, is q^b(lam) [n]_q! with b(lam) = sum (i-1) lam_i
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            cols = conjugate(lam)
+            majs = LaurentPoly.sum(
+                c * q_power(maj)
+                for by_maj in descent_tally(lam).values()
+                for maj, c in by_maj.items()
+            )
+            for i, row in enumerate(lam):
+                for j in range(row):
+                    majs = majs * q_int((row - j) + (cols[j] - i) - 1)
+            b = sum(i * part for i, part in enumerate(lam))
+            assert majs == q_power(b) * q_factorial(n), lam
+
+
+def test_descent_tally_of_the_conjugate_is_the_complement():
+    # Des(tau') is Des(tau) complemented in 1..n-1, and transposition is a
+    # bijection SYT(lam) -> SYT(lam')
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            complement = {}
+            for des, by_maj in descent_tally(lam).items():
+                complement[max(n - 1, 0) - des] = {
+                    n * (n - 1) // 2 - maj: c for maj, c in by_maj.items()
+                }
+            assert descent_tally(conjugate(lam)) == complement, lam
 
 
 def test_hook_tableau_from_descents():
