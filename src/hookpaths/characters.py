@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .paths import PATH_STEP_BOUND, binom2, enumerate_T, gf_T, gf_closed, stats_T
+from .paths import PATH_STEP_BOUND, binom2, enumerate_T, family_tally, gf_closed, path_hook, stats_T
 from .qpoly import (
     LaurentPoly,
     ZERO,
@@ -26,7 +26,6 @@ from .shapes import (
     check_partition,
     conjugate,
     descent_tally,
-    hook_index,
     is_hook,
     normalize_shape,
     partitions_of,
@@ -69,7 +68,7 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     descent count; every path contributes the hook whose arm is
     (r-1)*binom(n,2) + area + ht - maj(conjugate) + 1 and whose leg brings
     the total height to n-2.  Pairs with equal statistics contribute equal
-    terms, and a pair enters only through (area - maj', ht) (_pair_tally).
+    terms, so the tableaux enter by (des', maj') class (_syt_families).
     """
     mu = check_partition(mu)
     if n < 2:
@@ -79,27 +78,26 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     if sum(mu) != n:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
     base = (r - 1) * binom2(n)
-    counts = {(base + d + ht + 1, n - 2 - ht): c for (d, ht), c in _pair_tally(n, mu).items()}
-    expansion = _hook_expansion(counts, f"n={n}, r={r}, mu={mu}")
+    expansion = family_hooks(n, _syt_families(n, mu, base), f"n={n}, r={r}, mu={mu}")
     return HookResult(n, r, mu, expansion, proven_inputs(n, r, mu))
 
 
-def _pair_tally(n: int, mu: Partition) -> Counter:
-    """(area - maj', ht) -> number of pairs tau in SYT(mu), gamma in
-    T(n, des'(tau)), from the tallies of SYT(mu') and T(n, des')."""
-    tally = Counter()
-    for desp, majps in descent_tally(conjugate(mu)).items():
-        family = gf_T(n, desp).items()
-        for majp, mult in majps.items():
-            for (area, _, ht), c in family:
-                tally[area - majp, ht] += mult * c
-    return tally
+def _syt_families(n: int, mu: Partition, base: int) -> dict:
+    """The path families of the tableaux in SYT(mu), for family_tally: the
+    class of conjugate statistics (des', maj') reads T(n, des') shifted by
+    base - maj'."""
+    return {
+        (n, desp): {base - majp: c for majp, c in majps.items()}
+        for desp, majps in descent_tally(conjugate(mu)).items()
+    }
 
 
-def _hook_expansion(counts, context: str) -> SchurExpansion:
-    """The expansion sum of count * s_(arm, 1^leg) over an (arm, leg) tally."""
+def family_hooks(n: int, families, context) -> SchurExpansion:
+    """The expansion sum of count * s_path_hook(n, a, ht) over the
+    (a, ht) tally family_tally(families); `context` names the formula in
+    the guard's message."""
     return SchurExpansion(
-        {hook_index(arm, leg, context): c for (arm, leg), c in counts.items()}
+        {path_hook(n, a, ht, context): c for (a, ht), c in family_tally(families).items()}
     )
 
 
@@ -107,11 +105,7 @@ def alternant_formula(n: int, r: int) -> SchurExpansion:
     """The alternant case: one path family, no tableau sum."""
     if n < 2 or r < 1:
         raise ValueError("alternant_formula needs n >= 2 and r >= 1")
-    base = (r - 1) * binom2(n)
-    counts = Counter()
-    for (area, _, ht), c in gf_T(n, 0).items():
-        counts[base + area + ht + 1, n - 2 - ht] += c
-    return _hook_expansion(counts, f"n={n}, r={r}")
+    return family_hooks(n, {(n, 0): {(r - 1) * binom2(n): 1}}, f"n={n}, r={r}")
 
 
 # -- two-row (GL2) formulas ------------------------------------------------------
@@ -163,7 +157,7 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
     counts = Counter()
-    for (d, h), c in _pair_tally(n, mu).items():
+    for (d, h), c in family_tally(_syt_families(n, mu, 0)).items():
         if h in two_row_heights:
             _add_shape(counts, (k - 1 + d, 1), c)
         if h in one_row_heights:
@@ -220,7 +214,8 @@ def one_part_fingerprints(G: SchurExpansion, i_max: int) -> list[LaurentPoly]:
 
     Terms indexed by (a) contribute coeff * q^a; the empty partition counts
     as a = 0 (an all-boxes deletion of a column lands there, and the closed
-    one-part formula assigns it 1).
+    one-part formula assigns it 1).  Read off the alternant's Pieri images,
+    this is the oracle for the closed form f_one_part.
     """
     out = []
     for i in range(i_max + 1):

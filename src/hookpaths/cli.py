@@ -12,9 +12,9 @@ import sys
 
 from . import characters, pierimaps, verify
 from .fixtures import load_fixture
-from .paths import LatticePath, enumerate_T, gf_T, gf_closed, stats_T
+from .paths import LatticePath, enumerate_T, gf_T, gf_closed, path_hook, stats_T
 from .schur import restrict, specialize2
-from .shapes import hook_index, parse_partition, partition_str
+from .shapes import parse_partition, partition_str
 
 
 def _emit_json(obj) -> None:
@@ -47,10 +47,8 @@ def cmd_expand(args) -> int:
 def cmd_paths(args) -> int:
     rows = []
     for path, (area, ht) in zip(enumerate_T(args.n, args.s), stats_T(args.n, args.s)):
-        hook = hook_index(area + ht + 1, args.n - 2 - ht)
-        rows.append(
-            {"word": str(path), "area": area, "ht": ht, "hook": partition_str(hook)}
-        )
+        hook = partition_str(path_hook(args.n, area, ht))
+        rows.append({"word": str(path), "area": area, "ht": ht, "hook": hook})
     if args.json:
         _emit_json({"n": args.n, "s": args.s, "paths": rows})
     else:
@@ -77,6 +75,9 @@ def cmd_gf(args) -> int:
 
 def cmd_pieri(args) -> int:
     n, k = args.n, args.k
+    # the domain predicates would otherwise filter out every path first
+    if not 0 <= k <= n - 2:
+        raise ValueError(f"k={k} outside 0..{n - 2}")
     if args.path is not None:
         paths = [LatticePath.parse(n, 0, args.path)]
     else:

@@ -13,6 +13,7 @@ from collections import Counter
 from itertools import product
 
 from .qpoly import LaurentPoly, ZERO, gauss_binomial, q_power
+from .shapes import Partition, hook_index
 
 PATH_STEP_BOUND = 20
 
@@ -194,6 +195,29 @@ def _last_step(level):
     for prefix in level:  # the last north step adds 1 to both
         yield prefix
         yield prefix[0] + 1, prefix[1] + 1
+
+
+def family_tally(families) -> Counter:
+    """(area + shift, ht) -> number of paths, where families[m, s] maps each
+    shift to the number of times every path of the (m, s) family counts.
+
+    Each family is read once, as the (area, ht) tally of stats_T(m, s); this
+    is the one fold behind every hook sum over path families.
+    """
+    tally = Counter()
+    for (m, s), shifts in families.items():
+        family = Counter(stats_T(m, s)).items()
+        for shift, count in shifts.items():
+            for (area, ht), c in family:
+                tally[area + shift, ht] += count * c
+    return tally
+
+
+def path_hook(n: int, a: int, ht: int, context="") -> Partition:
+    """The hook (a + ht + 1, 1^(n-2-ht)) that a path of height ht labels,
+    a being its area plus the shift of its term.  The guard and the lazy
+    `context` are shapes.hook_index's."""
+    return hook_index(a + ht + 1, n - 2 - ht, context)
 
 
 def gf_T(n: int, s: int) -> LaurentPoly:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import inf
 
-from .paths import LatticePath, clamp_start, enumerate_T, gf_T
+from .characters import family_hooks
+from .paths import LatticePath, clamp_start, enumerate_T, path_hook
 from .schur import SchurExpansion
-from .shapes import StdTableau, hook_index, hook_tableau_from_descents
+from .shapes import StdTableau, hook_tableau_from_descents
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
         raise ValueError("e_plus_map expects a path starting at height 0")
     if not 0 <= k <= path.n - 2:
         raise ValueError(f"k={k} outside 0..{path.n - 2}")
-    if path.east_count() < k:
-        raise ValueError(f"path {path} has fewer than {k} east steps")
+    if not plus_domain(k, path):
+        raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
     n = path.n
     stats = path_stats(path)
     descents = _row_descents(n, stats.p[:k], 0)
@@ -130,10 +131,8 @@ def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     n = path.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"k={k} outside 1..{n - 2}")
-    if path.east_count() < k - 1:
-        raise ValueError(f"path {path} has fewer than {k - 1} east steps")
-    if path.north_count() == 0:
-        raise ValueError("the all-east path is outside the domain")
+    if not minus_domain(k, path):
+        raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
     stats = path_stats(path)
     descents = _row_descents(n, stats.p[:k - 1], 0)
     extra = max(1, stats.h - k + 2)
@@ -147,8 +146,7 @@ def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
     """The hook index attached to a tagged path:
     (area + ht - maj(conjugate) + 1, 1^(n-2-ht))."""
     path = tagged.path
-    ht = path.ht()
-    return hook_index(path.area() + ht - sum(tagged.descents) + 1, path.n - 2 - ht, tagged)
+    return path_hook(path.n, path.area() - sum(tagged.descents), path.ht(), tagged)
 
 
 def hook_sum(tagged_paths) -> SchurExpansion:
@@ -220,19 +218,6 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
 # -- the difference formula ----------------------------------------------------
 
 
-def _family_hooks(n: int, families: dict) -> SchurExpansion:
-    """The re-indexed W sum: families[m, s][shift] = count adds, count
-    times, the hook (area + ht + 1 + shift, 1^(n-2-ht)) of every path in the
-    (m, s) family, read through its (area, ht) tally gf_T(m, s)."""
-    counts = Counter()
-    for (m, s), shifts in families.items():
-        family = gf_T(m, s).items()
-        for shift, count in shifts.items():
-            for (area, _, ht), c in family:
-                counts[hook_index(area + ht + 1 + shift, n - 2 - ht, "a reindexed W term")] += count * c
-    return SchurExpansion(counts)
-
-
 def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate") -> SchurExpansion:
     """The gap sum over W, in three computable forms.
 
@@ -257,7 +242,7 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
                 families[n - r, 2][r - m] += 1
             for j in range(1, n - 1 - m):
                 families[n - 1, j + 1][j + 1 - m] += 1
-        return _family_hooks(n, families)
+        return family_hooks(n, families, "a reindexed W term")
     if form != "reindexed":
         raise ValueError(f"unknown form {form!r}")
     if reading not in ("conjugate", "literal"):
@@ -285,7 +270,7 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
             if rest:
                 for j in range(0, n - k - min(rest)):
                     families[n - 1, k + j][j + k - majp] += 1
-    return _family_hooks(n, families)
+    return family_hooks(n, families, "a reindexed W term")
 
 
 def compare_difference(n: int, k: int) -> dict:

@@ -270,23 +270,6 @@ class LaurentPoly:
                 out[expo] = c
         return LaurentPoly(out)
 
-    def eval_int(self, q: int = 1, t: int = 1, z: int = 1) -> int:
-        """Exact integer evaluation.  Negative exponents need a +-1 value."""
-        values = (q, t, z)
-        total = 0
-        for expo, c in self._terms.items():
-            prod = c
-            for i in range(3):
-                e = expo[i]
-                if e >= 0:
-                    prod *= values[i] ** e
-                elif values[i] in (1, -1):
-                    prod *= values[i] ** (-e)
-                else:
-                    raise ValueError("negative exponent at non-unit evaluation point")
-            total += prod
-        return total
-
     # -- the q-reversal ------------------------------------------------------
 
     def rev_q(self) -> "LaurentPoly":

@@ -6,6 +6,7 @@ row and entries strictly increase along rows and up columns.
 """
 
 from collections import Counter, defaultdict
+from functools import lru_cache
 from itertools import combinations
 
 Partition = tuple[int, ...]
@@ -224,11 +225,21 @@ def descent_tally(lam) -> dict[int, Counter]:
     """des -> {maj: number of standard tableaux of shape lam}, the character
     formulas' one view of the tableau side.  Transposition is a bijection
     SYT(lam) -> SYT(lam'), so descent_tally(conjugate(lam)) tallies the
-    conjugate statistics over SYT(lam)."""
+    conjugate statistics over SYT(lam).
+
+    Each shape is enumerated once per process (SYT_SIZE_BOUND keeps the memo
+    to the 272 partitions of n <= 12); every call gets fresh Counters.
+    """
+    return {des: Counter(dict(majs)) for des, majs in _descent_classes(check_partition(lam))}
+
+
+@lru_cache(maxsize=None)
+def _descent_classes(lam: Partition) -> tuple:
+    """descent_tally's memo, frozen: ((des, ((maj, count), ...)), ...)."""
     tally = defaultdict(Counter)
     for descents in map(StdTableau.descent_set, enumerate_SYT(lam)):
         tally[len(descents)][sum(descents)] += 1
-    return dict(tally)
+    return tuple((des, tuple(majs.items())) for des, majs in tally.items())
 
 
 def hook_tableau_from_descents(S, n: int) -> StdTableau:

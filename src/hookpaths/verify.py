@@ -67,7 +67,7 @@ def _reported(suite, params, note):
 # -- individual suites -----------------------------------------------------------
 
 
-def suite_gf(max_n: int = 14) -> list[VerifyReport]:
+def suite_gf(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(2, max_n + 1):
         def poch(n=n):
@@ -101,7 +101,7 @@ def suite_gf(max_n: int = 14) -> list[VerifyReport]:
     return out
 
 
-def suite_alternating(max_n: int = 12) -> list[VerifyReport]:
+def suite_alternating(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         for c in range(-2, 3):
@@ -113,7 +113,7 @@ def suite_alternating(max_n: int = 12) -> list[VerifyReport]:
     return out
 
 
-def suite_restriction2(max_n: int = 9) -> list[VerifyReport]:
+def suite_restriction2(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(2, max_n + 1):
         for d in range(1, n + 1):
@@ -130,7 +130,7 @@ def suite_restriction2(max_n: int = 9) -> list[VerifyReport]:
     return out
 
 
-def suite_hrs_t0(max_n: int = 8) -> list[VerifyReport]:
+def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(2, max_n + 1):
         def against_hooks(n=n):
@@ -160,7 +160,7 @@ def suite_hrs_t0(max_n: int = 8) -> list[VerifyReport]:
     return out
 
 
-def suite_pieri_paths(max_n: int = 9) -> list[VerifyReport]:
+def suite_pieri_paths(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         alternant = characters.alternant_formula(n, 1)
@@ -194,7 +194,7 @@ def suite_pieri_paths(max_n: int = 9) -> list[VerifyReport]:
     return out
 
 
-def suite_bijections(max_n: int = 10) -> list[VerifyReport]:
+def suite_bijections(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_pieri(n, False)))
@@ -318,7 +318,7 @@ def _check_slice(n):
     return None
 
 
-def suite_two_column(max_n: int = 9) -> list[VerifyReport]:
+def suite_two_column(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(5, max_n + 1):
         def forms(n=n):
@@ -337,7 +337,7 @@ def suite_two_column(max_n: int = 9) -> list[VerifyReport]:
     return out
 
 
-def suite_difference_w(max_n: int = 8) -> list[VerifyReport]:
+def suite_difference_w(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         for k in range(1, n - 1):

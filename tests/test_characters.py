@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookpaths import characters as ch
-from hookpaths.paths import LatticePath, binom2, enumerate_T
+from hookpaths.paths import LatticePath, binom2, enumerate_T, path_hook
 from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, psi, restrict, specialize2
 from hookpaths.shapes import (
@@ -429,6 +429,13 @@ def test_hook_index_guard_names_context():
     assert hook_index(0, 0) == ()
     assert hook_index(3, 2) == (3, 1, 1) == make_hook(3, 2)
     assert hook_index(1, 0) == (1,)
+    # the hook a path labels: arm a + ht + 1, leg n - 2 - ht
+    assert path_hook(6, 1, 2) == (4, 1, 1) == hook_index(4, 2)
+    assert path_hook(4, -3, 2) == ()
+    with pytest.raises(ValueError, match="for n=6$"):
+        path_hook(6, -5, 2, "n=6")
+    with pytest.raises(ValueError, match="for NE$"):
+        path_hook(4, -4, 1, LatticePath(4, 0, "NE"))  # context formatted on raise
 
 
 def test_hook_formula_reproduces_whole_fixture_table():

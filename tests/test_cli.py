@@ -122,6 +122,18 @@ def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
     assert captured.err == "error (pieri): descent construction collided\n"
 
 
+def test_pieri_refuses_k_outside_the_maps_range(capsys):
+    # the domain predicates would filter every path before the maps' k check
+    for k, path in (("9", None), ("4", None), ("-1", None), ("9", "EEN"), ("4", "NNE")):
+        argv = ["pieri", "--n", "5", "--k", k] + (["--path", path] if path else [])
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error (pieri): k={k} outside 0..3\n"
+    code = cli.main(["pieri", "--n", "1", "--k", "0"])
+    assert code == 2 and capsys.readouterr().err == "error (pieri): k=0 outside 0..-1\n"
+
+
 def test_oversized_path_families_are_refused(capsys):
     # 2^28 paths: refused before anything is built, with one line on stderr
     for command in ("gf", "paths"):

@@ -196,6 +196,18 @@ def test_descent_tally_of_the_conjugate_is_the_complement():
             assert descent_tally(conjugate(lam)) == complement, lam
 
 
+def test_descent_tally_memo_hands_out_fresh_counters():
+    first = descent_tally([3, 2, 1])  # a list still works
+    expected = {des: dict(by_maj) for des, by_maj in first.items()}
+    first[2][5] += 100
+    first[3].clear()
+    del first[2]
+    again = descent_tally((3, 2, 1))
+    assert {des: dict(by_maj) for des, by_maj in again.items()} == expected
+    assert again == descent_tally([3, 2, 1])
+    assert sum(c for by_maj in again.values() for c in by_maj.values()) == 16
+
+
 def test_hook_tableau_from_descents():
     tau = hook_tableau_from_descents({1, 2, 4, 5}, 7)
     assert tau.shape == (3, 1, 1, 1, 1)
