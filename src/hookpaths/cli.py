@@ -76,8 +76,7 @@ def cmd_gf(args) -> int:
 def cmd_pieri(args) -> int:
     n, k = args.n, args.k
     # the domain predicates would otherwise filter out every path first
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"k={k} outside 0..{n - 2}")
+    pierimaps.check_pieri_k(k, n)
     if args.path is not None:
         paths = [LatticePath.parse(n, 0, args.path)]
     else:

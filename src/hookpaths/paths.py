@@ -12,7 +12,7 @@ word), and n < 2 gives the empty family.
 from collections import Counter
 from itertools import product
 
-from .qpoly import LaurentPoly, ZERO, gauss_binomial, q_power
+from .qpoly import LaurentPoly, ZERO, gauss_binomial
 from .shapes import Partition, hook_index
 
 PATH_STEP_BOUND = 20
@@ -240,8 +240,7 @@ def gf_closed(n: int, s: int) -> LaurentPoly:
     s = clamp_start(n, s)
     r = n - s - 2
     return LaurentPoly.sum(
-        q_power(binom2(s + j + 1) + s * (r - j)) * gauss_binomial(r, j)
-        * LaurentPoly.term(1, ez=j + s)
+        gauss_binomial(r, j) * LaurentPoly.term(1, eq=binom2(s + j + 1) + s * (r - j), ez=j + s)
         for j in range(r + 1)
     )
 

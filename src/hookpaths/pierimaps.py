@@ -18,7 +18,7 @@ from math import inf
 from .characters import family_hooks
 from .paths import LatticePath, clamp_start, enumerate_T, path_hook
 from .schur import SchurExpansion
-from .shapes import StdTableau, hook_tableau_from_descents
+from .shapes import StdTableau, check_descents, hook_tableau_from_descents
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ def _row_descents(n: int, counts, shift: int) -> set:
 
 def _tag(n: int, descents, word: str) -> TaggedPath:
     """Pair a conjugate descent set with the path `word` in its family."""
-    descents = frozenset(descents)
-    if not descents <= frozenset(range(1, n)):
-        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
+    descents = check_descents(descents, n)
     s = clamp_start(n, len(descents))
     return TaggedPath(descents, LatticePath(n, s, word))
 
@@ -86,6 +84,13 @@ def _drop_steps(word: str, easts: int, norths: int) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+def check_pieri_k(k: int, n: int, low: int = 0) -> None:
+    """Refuse a k outside low..n-2: the Pieri maps and sets at size n are
+    defined for 0 <= k <= n-2, and the minus side and W need k >= 1."""
+    if not low <= k <= n - 2:
+        raise ValueError(f"k={k} outside {low}..{n - 2}")
 
 
 def plus_domain(k: int, path: LatticePath) -> bool:
@@ -107,8 +112,7 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     """
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
-    if not 0 <= k <= path.n - 2:
-        raise ValueError(f"k={k} outside 0..{path.n - 2}")
+    check_pieri_k(k, path.n)
     if not plus_domain(k, path):
         raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
     n = path.n
@@ -129,8 +133,7 @@ def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     if path.s != 0:
         raise ValueError("e_minus_map expects a path starting at height 0")
     n = path.n
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"k={k} outside 1..{n - 2}")
+    check_pieri_k(k, n, 1)
     if not minus_domain(k, path):
         raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
     stats = path_stats(path)
@@ -168,8 +171,7 @@ def build_sets(n: int, k: int) -> PieriSets:
     reaches n - k - min(descents); V collects the Pieri images of the minus
     map; W is the leftover measuring the path-level Pieri gap.
     """
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"k={k} outside 0..{n - 2}")
+    check_pieri_k(k, n)
     tplus, tminus, v = set(), set(), set()
     family = [
         (path, path.leading_run("N"), path.leading_run("E")) for path in enumerate_T(n, k)
@@ -204,8 +206,7 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
     """The adjoint Pieri rule computed path by path: each base path feeds a
     plus image and (off the all-east path) a minus image; out-of-domain paths
     contribute nothing."""
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"k={k} outside 0..{n - 2}")
+    check_pieri_k(k, n)
     counts = Counter()
     for path in enumerate_T(n, 0):
         if plus_domain(k, path):
@@ -229,8 +230,7 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
     reading="literal" takes the printed conditions verbatim on Des(tau').
     "k1" is the printed k = 1 specialization (requires k == 1).
     """
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"k={k} outside 1..{n - 2}")
+    check_pieri_k(k, n, 1)
     if form == "direct":
         return hook_sum(build_sets(n, k).w)
     families = defaultdict(Counter)  # (m, s) -> {shift: count}
@@ -297,9 +297,7 @@ def compare_difference(n: int, k: int) -> dict:
 def _hook_descents(k: int, n: int, descents) -> frozenset:
     """Check that `descents` is Des(tau) for a tableau of shape
     (k+1, 1^(n-k-1)): an (n-k-1)-subset of 1..n-1."""
-    descents = frozenset(descents)
-    if not descents <= frozenset(range(1, n)):
-        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
+    descents = check_descents(descents, n)
     if len(descents) != n - k - 1:
         raise ValueError(f"shape ({k + 1}, 1^{n - k - 1}) needs {n - k - 1} descents, got {len(descents)}")
     return descents

@@ -242,17 +242,24 @@ def _descent_classes(lam: Partition) -> tuple:
     return tuple((des, tuple(majs.items())) for des, majs in tally.items())
 
 
+def check_descents(descents, n: int) -> frozenset:
+    """`descents` as a frozenset, checked to lie in 1..n-1, where the
+    descents of a tableau of size n lie."""
+    descents = frozenset(descents)
+    if not descents <= frozenset(range(1, n)):
+        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
+    return descents
+
+
 def hook_tableau_from_descents(S, n: int) -> StdTableau:
     """The unique hook-shaped tableau of size n with the given descent set.
 
     The leg entries are exactly the successors of the descents, so the shape
     comes out as (n - |S|, 1^|S|).
     """
-    S = frozenset(S)
     if n < 1:
         raise ValueError(f"hook tableaux need n >= 1, got {n}")
-    if not S <= set(range(1, n)):
-        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(S)}")
+    S = check_descents(S, n)
     leg = sorted(s + 1 for s in S)
     arm = tuple(e for e in range(1, n + 1) if e - 1 not in S)
     row_of = dict.fromkeys(arm, 0)

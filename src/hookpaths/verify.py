@@ -47,21 +47,19 @@ class VerifyReport:
         return obj
 
 
-def _timed(suite, params, check):
-    """Run one instance; `check` returns a witness string or None."""
+def _timed(suite, params, check, status="fail"):
+    """Run one instance; `check` returns None (a pass) or a witness string,
+    reported with `status`.  An instance that raises fails with the
+    exception as its witness, and the run goes on."""
     start = time.perf_counter()
     try:
         witness = check()
-        status = "pass" if witness is None else "fail"
+        if witness is None:
+            status = "pass"
     except Exception as exc:  # surface, never hide, an instance blowup
         witness = f"exception: {exc}"
         status = "fail"
     return VerifyReport(suite, params, status, witness, time.perf_counter() - start)
-
-
-def _reported(suite, params, note):
-    start = time.perf_counter()
-    return VerifyReport(suite, params, "reported", note(), time.perf_counter() - start)
 
 
 # -- individual suites -----------------------------------------------------------
@@ -82,7 +80,7 @@ def suite_gf(max_n: int) -> list[VerifyReport]:
                 lhs = gf_T(n, s)
                 if lhs != gf_closed(n, s):
                     return f"s={s}: enumeration != closed form"
-                shift = q_power((n - 2 - s) * s + binom2(s + 1)) * LaurentPoly.term(1, ez=s)
+                shift = LaurentPoly.term(1, eq=(n - 2 - s) * s + binom2(s + 1), ez=s)
                 if lhs != gf_T(n - s, 0) * shift:
                     return f"s={s}: start-height shift identity fails"
             return None
@@ -106,7 +104,7 @@ def suite_alternating(max_n: int) -> list[VerifyReport]:
     for n in range(3, max_n + 1):
         for c in range(-2, 3):
             def check(n=n, c=c):
-                ok = characters.alternating_identity_check(n, c, "all")
+                ok = characters.alternating_identity_check(n, c)
                 return None if ok else "identity check returned false"
 
             out.append(_timed("alternating", {"n": n, "c": c}, check))
@@ -362,7 +360,7 @@ def suite_difference_w(max_n: int) -> list[VerifyReport]:
                 return "; ".join(bits)
 
             out.append(
-                _reported("difference-W", {"check": "display", "n": n, "k": k}, comparison)
+                _timed("difference-W", {"check": "display", "n": n, "k": k}, comparison, "reported")
             )
     return out
 

@@ -239,7 +239,7 @@ def test_lift_next_column():
 def test_v_class_holds_every_two_row_part(terms, b):
     # so lift_next_column's 0-th datum vanishes for every G
     G = SchurExpansion(terms)
-    assert ch._row_pair_fingerprint(G, b) == ch._row_pair_fingerprint(restrict(G, f"V{b}"), b)
+    assert ch._first_row_fingerprint(G, (b,)) == ch._first_row_fingerprint(restrict(G, f"V{b}"), (b,))
 
 
 def test_lift_next_column_round_trip_with_two_column_output():
@@ -251,17 +251,21 @@ def test_lift_next_column_round_trip_with_two_column_output():
 def test_alternating_identities():
     for n in range(3, 13):
         for c in range(-2, 3):
-            assert ch.alternating_identity_check(n, c, "all")
+            assert ch.alternating_identity_check(n, c)
 
 
-def test_alternating_identity_rejects_bad_family():
-    with pytest.raises(ValueError):
-        ch.alternating_identity_check(5, 0, "plain", g=lambda j, k: k * k + j)
-    # correct differences but broken base condition
-    with pytest.raises(ValueError):
-        ch.alternating_identity_check(
-            5, 0, "plain", g=lambda j, k: binom2(j + k + 1) + (j % 2)
-        )
+def test_default_families_meet_the_difference_and_base_conditions():
+    # the two families are the only ones the identities need (see
+    # _default_g): differences j + k, and base shift exactly c over
+    # binom(j, 2) ("plain") or binom(j+1, 2) ("area_ht") for 1 <= j < n
+    for variant, base in (("plain", binom2), ("area_ht", lambda j: binom2(j + 1))):
+        for n in range(2, 13):
+            for c in range(-2, 3):
+                g = ch._default_g(variant, c)
+                for j in range(n):
+                    for k in range(1, n + 1):
+                        assert g(j, k) - g(j, k - 1) == j + k, (variant, n, c, j, k)
+                assert {g(j, 0) - base(j) for j in range(1, n)} == {c}, (variant, n, c)
 
 
 def test_nulle_identity_small_case():

@@ -1,8 +1,11 @@
 """The bijection checks in `verify` must still report a failure when a map
 under test is wrong: every passing run looks the same whether or not a check
-can fail, so each check is fed a broken map here and must name it."""
+can fail, so each check is fed a broken map here and must name it.  An
+instance that raises must fail the same way without ending the run."""
 
-from hookpaths import pierimaps, verify
+import pytest
+
+from hookpaths import cli, pierimaps, verify
 from hookpaths.paths import LatticePath
 from hookpaths.pierimaps import TaggedPath
 
@@ -90,3 +93,15 @@ def test_beta_check_reports_an_image_mismatch(monkeypatch):
     # a descent set in a witness reads as its sorted list
     monkeypatch.setattr(pierimaps, "beta_inverse", lambda d, g: frozenset())
     assert verify._check_beta(3) == "d=0 round trip fails on [1, 2]"
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError])
+def test_a_reported_instance_that_raises_fails_and_the_run_goes_on(monkeypatch, capsys, error):
+    def boom(n, k):
+        raise error("boom")
+
+    monkeypatch.setattr(pierimaps, "compare_difference", boom)
+    assert cli.main(["verify", "--suite", "difference-W", "--max-n", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "[FAIL    ] difference-W check=display n=3 k=1 -- exception: boom"
+    assert lines[-1] == "# 6 instances: fail=3 pass=3"
