@@ -10,7 +10,6 @@ exploring those cases is the point of having the formula in executable form.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .paths import PATH_STEP_BOUND, binom2, enumerate_T, family_tally, gf_closed, path_hook, stats_T
 from .qpoly import (
@@ -20,7 +19,7 @@ from .qpoly import (
     gauss_binomial_qinv,
     q_power,
 )
-from .schur import SchurExpansion, e_perp, restrict
+from .schur import SchurExpansion, e_perp, first_row_fingerprint, restrict
 from .shapes import (
     Partition,
     check_partition,
@@ -209,25 +208,14 @@ def f_one_part(n: int, r: int, j: int) -> LaurentPoly:
     return q_power(r * binom2(n) - binom2(j + 1)) * gauss_binomial_qinv(n - 1, j)
 
 
-def _first_row_fingerprint(expansion: SchurExpansion, rest: Partition) -> LaurentPoly:
-    """sum of coeff * q^a over the indices (a,) + rest: rest = () reads the
-    one-part terms (the empty partition as a = 0), rest = (b,) the two-row
-    terms (a, b)."""
-    return LaurentPoly.sum(
-        coeff * q_power(lam[0] if lam else 0)
-        for lam, coeff in expansion.items() if lam[1:] == rest
-    )
-
-
 def one_part_fingerprints(G: SchurExpansion, i_max: int) -> list[LaurentPoly]:
     """f_i = the one-part fingerprint of the i-th adjoint Pieri image.
 
-    Terms indexed by (a) contribute coeff * q^a; the empty partition counts
-    as a = 0 (an all-boxes deletion of a column lands there, and the closed
-    one-part formula assigns it 1).  Read off the alternant's Pieri images,
-    this is the oracle for the closed form f_one_part.
-    """
-    return [_first_row_fingerprint(e_perp(i, G), ()) for i in range(i_max + 1)]
+    The empty partition, where an all-boxes deletion of a column lands,
+    reads as q^0: the closed one-part formula assigns it 1.  Read off the
+    alternant's Pieri images, this is the oracle for the closed form
+    f_one_part."""
+    return [first_row_fingerprint(e_perp(i, G)) for i in range(i_max + 1)]
 
 
 def lift_hooks(fs) -> LaurentPoly:
@@ -256,7 +244,7 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
     own = restrict(G, f"V{b}")
     i_max = max((len(lam) for lam in G.support()), default=0) + 2
     fs = [
-        _first_row_fingerprint(e_perp(i, G), (b,)) - _first_row_fingerprint(e_perp(i, own), (b,))
+        first_row_fingerprint(e_perp(i, G), (b,)) - first_row_fingerprint(e_perp(i, own), (b,))
         for i in range(i_max + 1)
     ]
     return lift_hooks(fs)
@@ -326,9 +314,10 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
 def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     """The (a, 2, 1^k)-component, in either of two provably equal forms.
 
-    "lifted" sums over descent-constrained hook tableaux (shape read off the
-    major index); "path" re-indexes over staircase paths excluding the words
-    that start north and finish with i-1 norths.  Empty below n = 5.
+    "lifted" counts descent-constrained hook tableaux by major index with
+    Gaussian binomials (shape read off the major index); "path" re-indexes
+    over staircase paths excluding the words that start north and finish
+    with i-1 norths.  Empty below n = 5.
     Sizes whose path family has more than 2^PATH_STEP_BOUND paths are
     refused before either form runs.
     """
@@ -342,16 +331,13 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     counts = Counter()
     if form == "lifted":
         for k in range(1, n - 3):
-            size = n - k - 1  # descent count of shape (k+1, 1^(n-k-1))
-            for descents in combinations(range(1, n), size):
-                d = set(descents)
-                if 1 not in d:
-                    continue
-                maj = sum(d)
-                for i in range(2, n - k - 1):
-                    if set(range(1, i + 1)) | {n - 1} <= d:
-                        continue
-                    counts[check_partition((maj - i, 2) + (1,) * (k - 1))] += 1
+            m = n - k - 1  # descent count of shape (k+1, 1^(n-k-1))
+            # maj over the descent sets containing 1, less those containing {1..i, n-1}
+            with_one = q_power(binom2(m + 1)) * gauss_binomial(n - 2, m - 1)
+            for i in range(2, m):
+                kept = with_one - q_power(n - 1 + binom2(m)) * gauss_binomial(n - 2 - i, m - i - 1)
+                for (maj, _, _), c in kept.items():
+                    counts[(maj - i, 2) + (1,) * (k - 1)] += c
         return SchurExpansion(counts)
     if form == "path":
         for gamma, (area, h) in zip(enumerate_T(n, 0), stats_T(n, 0)):

@@ -6,7 +6,7 @@ sum).  The empty partition acts as the multiplicative unit and is counted
 as a one-part (and hook) shape so the inclusion-exclusion lifts close up.
 """
 
-from .qpoly import LaurentPoly, ZERO, ONE
+from .qpoly import LaurentPoly, ZERO, ONE, q_power
 from .shapes import Partition, check_partition, conjugate, is_hook, normalize_shape
 
 
@@ -227,6 +227,18 @@ def psi(f: SchurExpansion) -> LaurentPoly:
     return LaurentPoly.sum(
         coeff * LaurentPoly.term(1, eq=lam[0], et=len(lam) - 1) if lam else coeff
         for lam, coeff in f._terms.items()
+    )
+
+
+def first_row_fingerprint(f: SchurExpansion, rest: Partition = ()) -> LaurentPoly:
+    """sum of coeff * q^a over the indices (a,) + rest: rest = (b,) reads the
+    two-row terms (a, b), rest = () the one-part terms (the empty partition
+    as a = 0).  As s_(a)(q, 0) = q^a, s_()(q, 0) = 1 and every longer
+    s_lambda(q, 0) is 0, rest = () is the t = 0 evaluation
+    specialize2(f).at_zero("t") for coefficients free of t."""
+    return LaurentPoly.sum(
+        coeff * q_power(lam[0] if lam else 0)
+        for lam, coeff in f._terms.items() if lam[1:] == rest
     )
 
 

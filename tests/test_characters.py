@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from hookpaths import characters as ch
 from hookpaths.paths import LatticePath, binom2, enumerate_T, path_hook
 from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
-from hookpaths.schur import SchurExpansion, e_perp, psi, restrict, specialize2
+from hookpaths.schur import SchurExpansion, e_perp, first_row_fingerprint, psi, restrict, specialize2
 from hookpaths.shapes import (
     check_partition,
     enumerate_SYT,
@@ -239,7 +240,7 @@ def test_lift_next_column():
 def test_v_class_holds_every_two_row_part(terms, b):
     # so lift_next_column's 0-th datum vanishes for every G
     G = SchurExpansion(terms)
-    assert ch._first_row_fingerprint(G, (b,)) == ch._first_row_fingerprint(restrict(G, f"V{b}"), (b,))
+    assert first_row_fingerprint(G, (b,)) == first_row_fingerprint(restrict(G, f"V{b}"), (b,))
 
 
 def test_lift_next_column_round_trip_with_two_column_output():
@@ -382,6 +383,21 @@ def reference_two_column_path(n):
     return out
 
 
+def reference_two_column_lifted(n):
+    # every descent set of size n-k-1 containing 1, one at a time
+    out = SchurExpansion.zero()
+    for k in range(1, n - 3):
+        for descents in combinations(range(1, n), n - k - 1):
+            d = set(descents)
+            if 1 not in d:
+                continue
+            for i in range(2, n - k - 1):
+                if set(range(1, i + 1)) | {n - 1} <= d:
+                    continue
+                out = out + s(check_partition((sum(d) - i, 2) + (1,) * (k - 1)))
+    return out
+
+
 def reference_hrs_t0(n, k):
     out = SchurExpansion.zero()
     for mu in partitions_of(n):
@@ -420,6 +436,11 @@ def test_single_family_formulas_match_reference_folds():
         for r in (1, 2):
             assert ch.alternant_formula(n, r) == reference_alternant_formula(n, r), (n, r)
         assert ch.two_column_formula(n, "path") == reference_two_column_path(n), n
+
+
+def test_lifted_two_column_matches_descent_set_enumeration():
+    for n in range(2, 15):
+        assert ch.two_column_formula(n, "lifted") == reference_two_column_lifted(n), n
 
 
 def test_hook_index_guard_names_context():

@@ -145,7 +145,8 @@ def test_oversized_path_families_are_refused(capsys):
             f"error ({command}): the (n=30, s=0) family has 2^28 paths, "
             "past the enumeration bound of 2^20\n"
         )
-    # the lifted form, which runs first, enumerates descent sets: same bound
+    # the path form enumerates the same family, and both forms are refused
+    # before either runs: same bound
     code = cli.main(["two-column", "--n", "30"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -7,6 +7,7 @@ from hookpaths.qpoly import ONE, ZERO, q, t, z
 from hookpaths.schur import (
     SchurExpansion,
     e_perp,
+    first_row_fingerprint,
     omega,
     psi,
     psi_inverse_hooks,
@@ -154,9 +155,12 @@ def test_ssyt_oracle_examples():
 
 
 def test_specialize2_matches_oracle_exhaustively():
+    # and the first-row reading is its t = 0 evaluation: psi of the one-part terms
     for n in range(0, 9):
         for lam in partitions_of(n):
             assert specialize2(s(lam)) == ssyt_specialize_oracle(lam, 2), lam
+            assert first_row_fingerprint(s(lam)) == specialize2(s(lam)).at_zero("t"), lam
+            assert first_row_fingerprint(s(lam)) == psi(restrict(s(lam), "one_part")), lam
 
 
 def test_expansion_rendering():

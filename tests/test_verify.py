@@ -1,13 +1,16 @@
-"""The bijection checks in `verify` must still report a failure when a map
+"""The checks in `verify` must still report a failure when a map or formula
 under test is wrong: every passing run looks the same whether or not a check
-can fail, so each check is fed a broken map here and must name it.  An
+can fail, so each check is fed a broken one here and must name it.  An
 instance that raises must fail the same way without ending the run."""
+
+from dataclasses import replace
 
 import pytest
 
-from hookpaths import cli, pierimaps, verify
+from hookpaths import characters, cli, pierimaps, verify
 from hookpaths.paths import LatticePath
 from hookpaths.pierimaps import TaggedPath
+from hookpaths.schur import SchurExpansion
 
 
 class StrayTagged(TaggedPath):
@@ -105,3 +108,32 @@ def test_a_reported_instance_that_raises_fails_and_the_run_goes_on(monkeypatch, 
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "[FAIL    ] difference-W check=display n=3 k=1 -- exception: boom"
     assert lines[-1] == "# 6 instances: fail=3 pass=3"
+
+
+def _add_term(monkeypatch, name, shape):
+    """Add s_shape to the expansion characters.<name> gives for mu = (2, 1)."""
+    formula = getattr(characters, name)
+
+    def broken(n, a, mu):
+        out = formula(n, a, mu)
+        if mu != (2, 1):
+            return out
+        extra = SchurExpansion.term(shape)
+        if isinstance(out, SchurExpansion):
+            return out + extra
+        return replace(out, expansion=out.expansion + extra)
+
+    monkeypatch.setattr(characters, name, broken)
+
+
+@pytest.mark.parametrize("name, shape, checks", [
+    ("gl2_delta_mu", (3,), ["check=delta-mu n=3 k=0", "check=delta-mu n=3 k=1", "check=delta-mu n=3 k=2"]),
+    ("hook_formula", (3,), ["check=hook-formula n=3"]),
+    # s_(2,1)(q, 0) = 0, so the t = 0 character does not see it
+    ("gl2_delta_mu", (2, 1), []),
+    ("hook_formula", (2, 1), []),
+])
+def test_hrs_t0_checks_see_exactly_the_one_row_terms(monkeypatch, name, shape, checks):
+    _add_term(monkeypatch, name, shape)
+    failures = [r.line() for r in verify.suite_hrs_t0(3) if r.status != "pass"]
+    assert failures == [f"[FAIL    ] hrs-t0 {check} -- mu=2,1" for check in checks]
