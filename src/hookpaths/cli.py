@@ -8,6 +8,7 @@ only shown under --timings).
 
 import argparse
 import json
+import os
 import sys
 
 from . import characters, pierimaps, verify
@@ -45,16 +46,27 @@ def cmd_expand(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    rows = []
-    for path, (area, ht) in zip(enumerate_T(args.n, args.s), stats_T(args.n, args.s)):
-        hook = partition_str(path_hook(args.n, area, ht))
-        rows.append({"word": str(path), "area": area, "ht": ht, "hook": hook})
+    n, s = args.n, args.s
+    paths = enumerate_T(n, s)
+    labels = {}  # (area, ht) -> hook label: every path of a class shares it
+
+    def rows():
+        for path, stats in zip(paths, stats_T(n, s)):
+            hook = labels.get(stats)
+            if hook is None:
+                hook = labels[stats] = partition_str(path_hook(n, *stats))
+            yield str(path), stats[0], stats[1], hook
+
     if args.json:
-        _emit_json({"n": args.n, "s": args.s, "paths": rows})
+        _emit_json({"n": n, "s": s, "paths": [
+            {"word": word, "area": area, "ht": ht, "hook": hook}
+            for word, area, ht, hook in rows()
+        ]})
     else:
-        print(f"# paths for n={args.n} s={args.s}: {len(rows)} total")
-        for row in rows:
-            print(f"{row['word']:>{max(3, args.n)}}  area={row['area']:<3d} ht={row['ht']:<2d} hook={row['hook']}")
+        print(f"# paths for n={n} s={s}: {len(paths)} total")
+        width = max(3, n)
+        for word, area, ht, hook in rows():
+            print(f"{word:>{width}}  area={area:<3d} ht={ht:<2d} hook={hook}")
     return 0
 
 
@@ -215,13 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the status a shell reports for a command ended by SIGPIPE (128 + 13)
+EXIT_CLOSED_STDOUT = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     # RuntimeError: a fixture checksum mismatch; AssertionError: a map's
-    # internal consistency check
-    except (ValueError, KeyError, RuntimeError, AssertionError) as exc:
+    # internal consistency check; OSError: an unreadable data file
+    except (ValueError, KeyError, RuntimeError, AssertionError, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

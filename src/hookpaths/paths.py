@@ -7,6 +7,12 @@ is the (n-2)-staircase, paths start at (0, s), take n-s-2 unit steps over
 right length fits, so the family has 2^(n-s-2) elements.  The conventions:
 start heights past the staircase clamp to s = n-2 (leaving only the empty
 word), and n < 2 gives the empty family.
+
+Every sum over a whole family (gf_T, hat_gf, family_tally) reads it through
+family_counts, its number of paths per (area, ht) class, which costs
+polynomially in n.  enumerate_T and the per-word walk stats_T visit all
+2^(n-s-2) words; they serve the callers that need each path, and are the
+oracles for family_counts.
 """
 
 from collections import Counter
@@ -197,16 +203,42 @@ def _last_step(level):
         yield prefix[0] + 1, prefix[1] + 1
 
 
+def family_counts(n: int, s: int) -> dict:
+    """(area, ht) -> number of paths in the (n, s) family.
+
+    stats_T's walk run on counts instead of words: each level maps the
+    (area, ht) classes of the prefixes to their sizes.  At the step of gain
+    g (from L = n-s-2 down to 1) the E children keep their class, so the
+    level is copied, and the N children of a class move to (area + g,
+    ht + 1).  A level holds at most (L+1)(binom(L+1, 2)+1) classes where the
+    walk holds 2^L words.  The family and its refusal are _family_grid's.
+    """
+    grid = _family_grid(n, s)
+    if grid is None:
+        return {}
+    s, length = grid
+    level = {(s * (n - 2) - binom2(s), s): 1}
+    for gain in range(length, 0, -1):
+        nxt = level.copy()
+        get = nxt.get
+        for (area, ht), c in level.items():
+            key = area + gain, ht + 1
+            nxt[key] = get(key, 0) + c
+        level = nxt
+    return level
+
+
 def family_tally(families) -> Counter:
     """(area + shift, ht) -> number of paths, where families[m, s] maps each
     shift to the number of times every path of the (m, s) family counts.
 
-    Each family is read once, as the (area, ht) tally of stats_T(m, s); this
-    is the one fold behind every hook sum over path families.
+    Each family is read once, as its (area, ht) classes from
+    family_counts(m, s); this is the one fold behind every hook sum over
+    path families.
     """
     tally = Counter()
     for (m, s), shifts in families.items():
-        family = Counter(stats_T(m, s)).items()
+        family = family_counts(m, s).items()
         for shift, count in shifts.items():
             for (area, ht), c in family:
                 tally[area + shift, ht] += count * c
@@ -221,9 +253,9 @@ def path_hook(n: int, a: int, ht: int, context="") -> Partition:
 
 
 def gf_T(n: int, s: int) -> LaurentPoly:
-    """sum of q^area * z^ht over the family, by direct enumeration (every
-    path's statistics, from stats_T)."""
-    counts = Counter(stats_T(n, s))
+    """sum of q^area * z^ht over the family, read off its (area, ht)
+    classes (family_counts), independently of gf_closed's q-binomials."""
+    counts = family_counts(n, s)
     return LaurentPoly({(area, 0, ht): c for (area, ht), c in counts.items()})
 
 
@@ -250,12 +282,13 @@ def hat_gf(m: int, j: int) -> LaurentPoly:
 
     Each path is weighted (-q z)^(j - ht) q^area z^ht, so the z-degree
     concentrates at z^j.  For j = 0 the sum telescopes to 0 on any
-    nonempty grid and to 1 on the empty one.
+    nonempty grid and to 1 on the empty one.  The family is read through
+    its (area, ht) classes, family_counts(m, 0).
     """
     if j < 0:
         raise ValueError(f"height threshold must be nonnegative, got {j}")
     counts = Counter()
-    for (area, h), c in Counter(stats_T(m, 0)).items():
+    for (area, h), c in family_counts(m, 0).items():
         if h < j:
             continue
         sign = -1 if (j - h) % 2 else 1

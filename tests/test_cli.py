@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hookpaths
 from hookpaths import cli, fixtures, paths, pierimaps
 from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, stats_T
 from hookpaths.qpoly import LaurentPoly
@@ -113,6 +117,36 @@ def test_fixture_checksum_error_is_a_clean_cli_error(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_missing_data_file_is_a_clean_cli_error(monkeypatch, capsys):
+    monkeypatch.setattr(fixtures, "_DATA_FILE", "no_such_table.json")
+    code = cli.main(["fixtures"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error (fixtures): ")
+    assert "no_such_table.json" in captured.err and captured.err.count("\n") == 1
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the reader takes one line and closes the pipe; the 65,536 rows of
+    # n = 18 cannot all fit in a pipe's buffer, so the writer sees it closed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hookpaths.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hookpaths.cli", "paths", "--n", "18"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert first == b"# paths for n=18 s=0: 65536 total\n"
+    assert err == b""
+    assert code == cli.EXIT_CLOSED_STDOUT == 141
+
+
 def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
     # stats whose first two east steps give the same descent n-2
     monkeypatch.setattr(pierimaps, "path_stats", lambda path: pierimaps.PathStats((1, 0), 0, ()))
@@ -203,6 +237,15 @@ def test_paths_output_matches_reference_rendering(capsys):
                 code, out = run_cli(capsys, *argv, "paths", "--n", str(n), "--s", str(s))
                 assert code == 0
                 assert out == reference_paths_output(n, s, as_json), (n, s, as_json)
+
+
+def test_paths_text_output_matches_reference_where_classes_repeat(capsys):
+    # paths labels each (area, ht) class once; these families repeat classes most
+    for n in (13, 14):
+        for s in range(0, 3):
+            code, out = run_cli(capsys, "paths", "--n", str(n), "--s", str(s))
+            assert code == 0
+            assert out == reference_paths_output(n, s, False), (n, s)
 
 
 def test_verify_rejects_caps_below_suite_minimum(capsys):

@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hookpaths import paths
 from hookpaths.paths import (
+    PATH_STEP_BOUND,
     LatticePath,
     binom2,
     clamp_start,
     enumerate_T,
+    family_counts,
     filter_paths,
     gf_T,
     gf_closed,
@@ -84,6 +88,49 @@ def test_walk_matches_per_word_statistics():
 @given(st.integers(min_value=0, max_value=18), st.integers(min_value=0, max_value=20))
 def test_walk_matches_per_word_statistics_property(n, s):
     assert list(stats_T(n, s)) == [(p.area(), p.ht()) for p in enumerate_T(n, s)]
+
+
+def test_family_counts_match_the_walk():
+    # the level DP against the per-word walk, and against area()/ht()
+    for n in range(0, 15):
+        for s in range(0, n + 1):
+            counts = family_counts(n, s)
+            assert counts == Counter(stats_T(n, s)), (n, s)
+            length = max(n - clamp_start(n, s) - 2, 0)
+            assert len(counts) <= (length + 1) * (binom2(length + 1) + 1)
+    for n in range(0, 11):
+        for s in range(0, n + 1):
+            per_word = Counter((p.area(), p.ht()) for p in enumerate_T(n, s))
+            assert family_counts(n, s) == per_word, (n, s)
+
+
+# at n = 16 the walk visits 2^14 words per example
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=18))
+def test_family_counts_match_the_walk_property(n, s):
+    assert family_counts(n, s) == Counter(stats_T(n, s))
+
+
+def test_family_counts_conventions_and_refusal(monkeypatch):
+    assert family_counts(1, 0) == {} and family_counts(0, 3) == {}
+    assert family_counts(6, 9) == {(binom2(5), 4): 1}  # the empty word
+    with pytest.raises(ValueError, match="start height must be nonnegative"):
+        family_counts(5, -1)
+    monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
+    with pytest.raises(ValueError) as exc:
+        family_counts(7, 0)
+    assert str(exc.value) == (
+        "the (n=7, s=0) family has 2^5 paths, past the enumeration bound of 2^4"
+    )
+    assert sum(family_counts(7, 1).values()) == 16
+
+
+def test_gf_matches_closed_form_up_to_the_path_bound():
+    # the level DP and the q-binomial sum, two independent computations, on
+    # every family the bound lets through
+    for n in range(0, PATH_STEP_BOUND + 3):
+        for s in range(0, n + 1):
+            assert gf_T(n, s) == gf_closed(n, s), (n, s)
 
 
 def reference_gf_T(n, s):
