@@ -95,9 +95,13 @@ def family_hooks(n: int, families, context) -> SchurExpansion:
     """The expansion sum of count * s_path_hook(n, a, ht) over the
     (a, ht) tally family_tally(families); `context` names the formula in
     the guard's message."""
-    return SchurExpansion(
-        {path_hook(n, a, ht, context): c for (a, ht), c in family_tally(families).items()}
-    )
+    return tally_hooks(n, family_tally(families), context)
+
+
+def tally_hooks(n: int, tally, context) -> SchurExpansion:
+    """The expansion sum of count * s_path_hook(n, a, ht) over a tally
+    (a, ht) -> count; `context` names its terms in the guard's message."""
+    return SchurExpansion({path_hook(n, a, ht, context): c for (a, ht), c in tally.items()})
 
 
 def alternant_formula(n: int, r: int) -> SchurExpansion:

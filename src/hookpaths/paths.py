@@ -10,9 +10,10 @@ word), and n < 2 gives the empty family.
 
 Every sum over a whole family (gf_T, hat_gf, family_tally) reads it through
 family_counts, its number of paths per (area, ht) class, which costs
-polynomially in n.  enumerate_T and the per-word walk stats_T visit all
-2^(n-s-2) words; they serve the callers that need each path, and are the
-oracles for family_counts.
+polynomially in n; leading_run_counts splits those classes by the word's
+leading north or east run, for the Pieri sets.  enumerate_T and the
+per-word walk stats_T visit all 2^(n-s-2) words; they serve the callers
+that need each path, and are the oracles for both.
 """
 
 from collections import Counter
@@ -217,8 +218,15 @@ def family_counts(n: int, s: int) -> dict:
     if grid is None:
         return {}
     s, length = grid
-    level = {(s * (n - 2) - binom2(s), s): 1}
-    for gain in range(length, 0, -1):
+    return _extend({(s * (n - 2) - binom2(s), s): 1}, length)
+
+
+def _extend(level: dict, steps: int) -> dict:
+    """The (area, ht) classes of the words that extend the prefixes counted
+    in `level` by `steps` free steps: the step of gain g, from `steps` down
+    to 1, keeps each class (its E children) and moves a copy of it to
+    (area + g, ht + 1) (its N children)."""
+    for gain in range(steps, 0, -1):
         nxt = level.copy()
         get = nxt.get
         for (area, ht), c in level.items():
@@ -226,6 +234,35 @@ def family_counts(n: int, s: int) -> dict:
             nxt[key] = get(key, 0) + c
         level = nxt
     return level
+
+
+def leading_run_counts(n: int, s: int) -> dict:
+    """(leading N run, leading E run) -> {(area, ht): number of paths} over
+    the (n, s) family.
+
+    Every nonempty word of L = n-s-2 steps is N^j E w or E^r N w for one
+    run of 1 <= j, r < L, or is N^L or E^L; the empty word has both runs 0.
+    Each such start is one class: its forced prefix fixes (area, ht), and
+    family_counts' level step (_extend) runs over the free rest w.  The
+    family and its refusal are _family_grid's.
+    """
+    grid = _family_grid(n, s)
+    if grid is None:
+        return {}
+    s, length = grid
+    area, ht = s * (n - 2) - binom2(s), s
+    if not length:
+        return {(0, 0): {(area, ht): 1}}
+    out = {}
+    north = area  # the area after the leading N^run
+    for run in range(1, length):
+        north += length - run + 1
+        rest = length - run - 1
+        out[run, 0] = _extend({(north, ht + run): 1}, rest)
+        out[0, run] = _extend({(area + length - run, ht + 1): 1}, rest)
+    out[length, 0] = {(north + 1, ht + length): 1}
+    out[0, length] = {(area, ht): 1}
+    return out
 
 
 def family_tally(families) -> Counter:
@@ -238,11 +275,17 @@ def family_tally(families) -> Counter:
     """
     tally = Counter()
     for (m, s), shifts in families.items():
-        family = family_counts(m, s).items()
-        for shift, count in shifts.items():
-            for (area, ht), c in family:
-                tally[area + shift, ht] += count * c
+        add_shifted(tally, family_counts(m, s), shifts)
     return tally
+
+
+def add_shifted(tally: Counter, counts: dict, shifts: dict) -> None:
+    """Add count * c to tally[area + shift, ht] for every class (area, ht)
+    -> c of `counts` and every shift -> count of `shifts`."""
+    counts = counts.items()
+    for shift, count in shifts.items():
+        for (area, ht), c in counts:
+            tally[area + shift, ht] += count * c
 
 
 def path_hook(n: int, a: int, ht: int, context="") -> Partition:

@@ -8,15 +8,26 @@ depends on the actual descent set, so the conjugate descent set -- which
 fixes the hook tableau -- travels with the path.  The bijections take and
 return a hook tableau tau of shape (k+1, 1^(n-k-1)) as Des(tau) itself, the
 complement in 1..n-1 of the set a TaggedPath would carry.
+
+Membership in T+ and V depends only on a path's leading north or east run,
+against three runs that thresholds() reads off the descent set.  So the
+sets are read at three depths: pieri_tallies counts all five of T+, T-, V,
+W and V & T+ by (area - maj', ht) class, pairing descent classes with the
+leading-run classes of paths.leading_run_counts and building no path;
+plus_set and v_set build T+ and V member by member from each descent set's
+forced prefix, for the Pieri maps' image checks; build_sets builds every
+tagged path and is the oracle for both.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
 
-from .characters import family_hooks
-from .paths import LatticePath, clamp_start, enumerate_T, path_hook
+from .characters import family_hooks, tally_hooks
+from .paths import (
+    LatticePath, _family_grid, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook,
+)
 from .schur import SchurExpansion
 from .shapes import StdTableau, check_descents, hook_tableau_from_descents
 
@@ -156,6 +167,29 @@ def hook_sum(tagged_paths) -> SchurExpansion:
     return SchurExpansion(Counter(hook_of(tp) for tp in tagged_paths))
 
 
+def thresholds(n: int, combo) -> tuple:
+    """Where a tagged path with the conjugate descent set `combo` (a sorted
+    tuple, k = len(combo)) falls among the Pieri sets, as three leading
+    runs: (plus_north, v_north, v_east).
+
+    The path lies in T+ when its leading north run is at least plus_north =
+    max(0, n - k - min(combo)), and in T- otherwise; it lies in V when its
+    leading north run is at least v_north or its leading east run at least
+    v_east.  V takes north runs when 1 is a descent (n - k - min(combo -
+    {1}), any run if combo = (1,)), east runs of at least min(combo) - 1
+    when combo holds every top descent n-k+1..n-1 but not 1, and no path
+    otherwise; inf marks a run no path reaches.
+    """
+    k = len(combo)
+    min_d = combo[0] if combo else inf
+    plus_north = max(0, n - k - min_d)
+    if min_d == 1:
+        return plus_north, (max(0, n - k - combo[1]) if k > 1 else 0), inf
+    if combo[1:] == tuple(range(n - k + 1, n)):
+        return plus_north, inf, min_d - 1
+    return plus_north, inf, inf
+
+
 @dataclass(frozen=True)
 class PieriSets:
     tplus: frozenset
@@ -165,41 +199,104 @@ class PieriSets:
 
 
 def build_sets(n: int, k: int) -> PieriSets:
-    """The tagged-path sets T+, T-, V, and W = T- \\ V for one (n, k).
+    """The tagged-path sets T+, T-, V, and W = T- \\ V for one (n, k), built
+    path by path: the oracle for plus_set, v_set and pieri_tallies.
 
-    T+/T- split each tableau's path family by whether the leading north run
-    reaches n - k - min(descents); V collects the Pieri images of the minus
-    map; W is the leftover measuring the path-level Pieri gap.
+    T+/T- split each tableau's path family by its leading north run; V
+    collects the Pieri images of the minus map; W is the leftover measuring
+    the path-level Pieri gap.  Membership is thresholds'.
     """
     check_pieri_k(k, n)
     tplus, tminus, v = set(), set(), set()
     family = [
         (path, path.leading_run("N"), path.leading_run("E")) for path in enumerate_T(n, k)
     ]
-    top = set(range(n - k + 1, n))
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
-        min_d = combo[0] if combo else inf
-        if 1 in d:
-            # V: leading north run >= n - k - min(d - {1}), any run if d = {1}
-            min_north = max(0, n - k - combo[1]) if k > 1 else 0
-            min_east = inf
-        elif top <= d:
-            # V needs a leading east run of at least min_d - 1
-            min_north, min_east = inf, min_d - 1
-        else:
-            min_north = min_east = inf
+        plus_north, v_north, v_east = thresholds(n, combo)
         for path, j, r in family:
             tagged = TaggedPath(d, path)
-            if j >= n - k - min_d:
+            if j >= plus_north:
                 tplus.add(tagged)
             else:
                 tminus.add(tagged)
-            if j >= min_north or r >= min_east:
+            if j >= v_north or r >= v_east:
                 v.add(tagged)
     return PieriSets(
         frozenset(tplus), frozenset(tminus), frozenset(v), frozenset(tminus - v)
     )
+
+
+def _begin_with(n: int, k: int, step: str, run) -> list:
+    """The paths of the (n, k) family whose word begins with `run` copies
+    of `step`, each built once from that forced prefix; the family and its
+    refusal are _family_grid's."""
+    length = _family_grid(n, k)[1]
+    if run > length:
+        return []
+    prefix, trusted = step * run, LatticePath._trusted
+    return [trusted(n, k, prefix + "".join(w)) for w in product("EN", repeat=length - run)]
+
+
+def _tagged(n: int, k: int, starts) -> frozenset:
+    """The tagged paths (d, path) where `starts(thresholds(n, d))` lists the
+    (step, run) prefixes that admit the path; descent sets with equal
+    prefixes share their paths."""
+    check_pieri_k(k, n)
+    groups = defaultdict(list)
+    for combo in combinations(range(1, n), k):
+        groups[starts(thresholds(n, combo))].append(frozenset(combo))
+    out = set()
+    for prefixes, descent_sets in groups.items():
+        paths = {path for step, run in prefixes for path in _begin_with(n, k, step, run)}
+        out.update(TaggedPath(d, path) for d in descent_sets for path in paths)
+    return frozenset(out)
+
+
+def plus_set(n: int, k: int) -> frozenset:
+    """T+, each member built once: the paths N^plus_north w of each
+    conjugate descent set."""
+    return _tagged(n, k, lambda t: (("N", t[0]),))
+
+
+def v_set(n: int, k: int) -> frozenset:
+    """V, each member built once: the paths N^v_north w and E^v_east w of
+    each conjugate descent set."""
+    return _tagged(n, k, lambda t: (("N", t[1]), ("E", t[2])))
+
+
+def pieri_tallies(n: int, k: int) -> dict:
+    """The tallies (area - maj', ht) -> number of tagged paths of T+, T-,
+    V, W and V & T+ for one (n, k), keyed "tplus", "tminus", "v", "w" and
+    "v_plus", counted by class without building a path.
+
+    The descent sets enter by (thresholds, maj') class and the paths by
+    leading-run class (paths.leading_run_counts); each pair of classes is
+    placed once, and each set's tally folds its run classes' (area, ht)
+    counts shifted by -maj'.  W is counted directly, as the paths in
+    neither T+ nor V.
+    """
+    check_pieri_k(k, n)
+    classes = defaultdict(Counter)  # thresholds -> {-maj': descent sets}
+    for combo in combinations(range(1, n), k):
+        classes[thresholds(n, combo)][-sum(combo)] += 1
+    runs = leading_run_counts(n, k)
+    shifts = defaultdict(Counter)  # (set, run class) -> {-maj': count}
+    for (plus_north, v_north, v_east), majps in classes.items():
+        for j, r in runs:
+            plus = j >= plus_north
+            in_v = j >= v_north or r >= v_east
+            names = ["tplus" if plus else "tminus"]
+            if in_v:
+                names += ["v", "v_plus"] if plus else ["v"]
+            elif not plus:
+                names.append("w")
+            for name in names:
+                shifts[name, (j, r)].update(majps)
+    tallies = {name: Counter() for name in ("tplus", "tminus", "v", "w", "v_plus")}
+    for (name, run), majps in shifts.items():
+        add_shifted(tallies[name], runs[run], majps)
+    return tallies
 
 
 def perp_via_paths(n: int, k: int) -> SchurExpansion:
@@ -222,17 +319,23 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
 def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate") -> SchurExpansion:
     """The gap sum over W, in three computable forms.
 
-    "direct" sums hooks over W = T- \\ V and is set-theoretic ground truth.
+    "direct" sums hooks over W = T- \\ V, counted by class in
+    pieri_tallies (build_sets is its oracle), and is the ground truth.
     "reindexed" evaluates the displayed re-indexed triple sums over the
     smaller families T_{n-r,k+1} and T_{n-1,j+k}; its tableau-side
     conditions are printed on Des(tau) in the source, which complements to
     Des(tau') -- reading="conjugate" applies that complement, while
     reading="literal" takes the printed conditions verbatim on Des(tau').
-    "k1" is the printed k = 1 specialization (requires k == 1).
+    "k1" is the printed k = 1 specialization (requires k == 1).  An
+    unknown form or reading is refused whichever form is asked for.
     """
     check_pieri_k(k, n, 1)
+    if form not in ("direct", "reindexed", "k1"):
+        raise ValueError(f"unknown form {form!r}")
+    if reading not in ("conjugate", "literal"):
+        raise ValueError(f"unknown reading {reading!r}")
     if form == "direct":
-        return hook_sum(build_sets(n, k).w)
+        return tally_hooks(n, pieri_tallies(n, k)["w"], "a W path")
     families = defaultdict(Counter)  # (m, s) -> {shift: count}
     if form == "k1":
         if k != 1:
@@ -243,11 +346,6 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
             for j in range(1, n - 1 - m):
                 families[n - 1, j + 1][j + 1 - m] += 1
         return family_hooks(n, families, "a reindexed W term")
-    if form != "reindexed":
-        raise ValueError(f"unknown form {form!r}")
-    if reading not in ("conjugate", "literal"):
-        raise ValueError(f"unknown reading {reading!r}")
-
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
         majp = sum(d)

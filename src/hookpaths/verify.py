@@ -8,11 +8,15 @@ scrutiny rather than assertion.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
+from math import comb
 
 from . import characters, pierimaps
-from .paths import binom2, enumerate_T, gf_T, gf_closed
+from .characters import tally_hooks
+from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, first_row_fingerprint, specialize2
 from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
@@ -170,18 +174,20 @@ def suite_pieri_paths(max_n: int) -> list[VerifyReport]:
             out.append(_timed("pieri-paths", {"check": "perp", "n": n, "k": k}, equality))
 
             def positivity(n=n, k=k):
-                sets = pierimaps.build_sets(n, k)
-                if sets.tplus & sets.tminus:
-                    return "plus/minus sets intersect"
-                if not sets.v <= sets.tminus:
+                tallies = pierimaps.pieri_tallies(n, k)
+                plus, minus = tallies["tplus"], tallies["tminus"]
+                if tallies["v_plus"]:
                     return "V escapes the minus set"
-                total = len(sets.tplus) + len(sets.tminus)
-                from math import comb
-
+                total = sum(plus.values()) + sum(minus.values())
                 if total != comb(n - 1, k) * 2 ** (n - k - 2):
                     return f"cardinality {total} off"
-                gap = pierimaps.hook_sum(sets.tplus | sets.tminus) - (
-                    pierimaps.hook_sum(sets.tplus) + pierimaps.hook_sum(sets.v)
+                # every tagged path, by family_counts' DP rather than by leading runs
+                majps = Counter(-sum(d) for d in combinations(range(1, n), k))
+                union = family_tally({(n, k): majps})
+                if union != plus + minus:
+                    return "plus/minus sets do not split the tagged paths"
+                gap = tally_hooks(n, union, "a tagged path") - (
+                    tally_hooks(n, plus, "a T+ path") + tally_hooks(n, tallies["v"], "a V path")
                 )
                 return None if gap.is_schur_positive() else f"negative gap {gap}"
 
@@ -210,8 +216,8 @@ def _check_pieri(n, minus):
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
     pieri_map = pierimaps.e_minus_map if minus else pierimaps.e_plus_map
     family = enumerate_T(n, 0)
+    target = pierimaps.v_set if minus else pierimaps.plus_set
     for k in range(m, n - 1):
-        sets = pierimaps.build_sets(n, k)
         domain = [gamma for gamma in family if in_domain(k, gamma)]
         images = set()
         for gamma in domain:
@@ -223,7 +229,7 @@ def _check_pieri(n, minus):
                 return f"k={k} hook law fails on {gamma}"
         if len(images) != len(domain):
             return f"k={k} not injective"
-        if images != (sets.v if minus else sets.tplus):
+        if images != target(n, k):
             return f"k={k} image is not the {'V' if minus else 'plus'} set"
     return None
 
@@ -327,8 +333,8 @@ def suite_two_column(max_n: int) -> list[VerifyReport]:
 
     for n in range(3, max_n + 2):  # the emptiness bound runs one size past
         def empty_w(n=n):
-            w = pierimaps.build_sets(n, n - 2).w
-            return None if not w else f"|W|={len(w)}"
+            w = pierimaps.pieri_tallies(n, n - 2)["w"]
+            return None if not w else f"|W|={sum(w.values())}"
 
         out.append(_timed("two-column", {"check": "top-W-empty", "n": n}, empty_w))
     return out
@@ -339,9 +345,11 @@ def suite_difference_w(max_n: int) -> list[VerifyReport]:
     for n in range(3, max_n + 1):
         for k in range(1, n - 1):
             def set_identity(n=n, k=k):
-                sets = pierimaps.build_sets(n, k)
-                direct = pierimaps.hook_sum(sets.w)
-                via_sets = pierimaps.hook_sum(sets.tminus) - pierimaps.hook_sum(sets.v)
+                tallies = pierimaps.pieri_tallies(n, k)
+                direct = tally_hooks(n, tallies["w"], "a W path")
+                via_sets = tally_hooks(n, tallies["tminus"], "a T- path") - tally_hooks(
+                    n, tallies["v"], "a V path"
+                )
                 return None if direct == via_sets else "W sum != minus-sum - V-sum"
 
             out.append(

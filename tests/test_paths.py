@@ -16,6 +16,7 @@ from hookpaths.paths import (
     gf_T,
     gf_closed,
     hat_gf,
+    leading_run_counts,
     stats_T,
 )
 from hookpaths.qpoly import LaurentPoly, ONE, ZERO, q, q_pochhammer, q_power, z
@@ -123,6 +124,27 @@ def test_family_counts_conventions_and_refusal(monkeypatch):
         "the (n=7, s=0) family has 2^5 paths, past the enumeration bound of 2^4"
     )
     assert sum(family_counts(7, 1).values()) == 16
+
+
+def test_leading_run_counts_match_the_walk():
+    # each start class against the per-word walk, labelled by its words' runs
+    for n in range(0, 13):
+        for s in range(0, n + 1):
+            expected = {}
+            for path, stats in zip(enumerate_T(n, s), stats_T(n, s)):
+                runs = path.leading_run("N"), path.leading_run("E")
+                expected.setdefault(runs, Counter())[stats] += 1
+            assert leading_run_counts(n, s) == expected, (n, s)
+
+
+def test_leading_run_counts_conventions_and_refusal(monkeypatch):
+    assert leading_run_counts(1, 0) == {}
+    assert leading_run_counts(6, 9) == {(0, 0): {(binom2(5), 4): 1}}  # the empty word
+    with pytest.raises(ValueError, match="start height must be nonnegative"):
+        leading_run_counts(5, -1)
+    monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
+    with pytest.raises(ValueError, match="past the enumeration bound of 2"):
+        leading_run_counts(7, 0)
 
 
 def test_gf_matches_closed_form_up_to_the_path_bound():

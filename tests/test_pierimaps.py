@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 from functools import partial
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hookpaths import characters as ch
 from hookpaths import pierimaps as pm
@@ -139,6 +141,85 @@ def test_build_sets_small_case_by_hand():
     assert pm.hook_sum(sets.w) == s((6, 1)) + s((4, 1))
 
 
+def tagged_tally(tagged_paths):
+    """(area - maj', ht) -> number of tagged paths, read path by path."""
+    return Counter((tp.path.area() - sum(tp.descents), tp.path.ht()) for tp in tagged_paths)
+
+
+def test_tallies_and_built_sets_match_the_oracle():
+    for n in range(2, 11):
+        for k in range(0, n - 1):
+            sets = pm.build_sets(n, k)
+            tallies = pm.pieri_tallies(n, k)
+            assert tallies["tplus"] == tagged_tally(sets.tplus), (n, k)
+            assert tallies["tminus"] == tagged_tally(sets.tminus), (n, k)
+            assert tallies["v"] == tagged_tally(sets.v), (n, k)
+            assert tallies["w"] == tagged_tally(sets.w), (n, k)
+            assert tallies["v_plus"] == tagged_tally(sets.v & sets.tplus) == Counter(), (n, k)
+            assert pm.plus_set(n, k) == sets.tplus, (n, k)
+            assert pm.v_set(n, k) == sets.v, (n, k)
+
+
+def test_thresholds_by_hand():
+    # n=5: the k=1 families have 2 steps; T+ needs a north run of 4 - min(d)
+    assert pm.thresholds(5, (1,)) == (3, 0, math.inf)
+    assert pm.thresholds(5, (3,)) == (1, math.inf, 2)
+    assert pm.thresholds(5, ()) == (0, math.inf, math.inf)
+    assert pm.thresholds(5, (1, 3)) == (2, 0, math.inf)
+    assert pm.thresholds(5, (2, 4)) == (1, math.inf, 1)
+    assert pm.thresholds(5, (2, 3)) == (1, math.inf, math.inf)
+
+
+def _lowered_plus(n, combo, thresholds=pm.thresholds):
+    plus_north, v_north, v_east = thresholds(n, combo)
+    return max(plus_north - 1, 0), v_north, v_east
+
+
+# memberships where V meets T+: T+ one leading north step short, and T+ the
+# north-start paths with V those that start NN
+@pytest.mark.parametrize(
+    "membership", [_lowered_plus, lambda n, combo: (1, 2, math.inf)], ids=["plus-short", "north-starts"]
+)
+def test_tallies_follow_the_oracle_where_v_meets_tplus(monkeypatch, membership):
+    # W is still T- \ V, which the tally of T- less the tally of V is not
+    monkeypatch.setattr(pm, "thresholds", membership)
+    for n in range(3, 9):
+        for k in range(1, n - 1):
+            sets = pm.build_sets(n, k)
+            tallies = pm.pieri_tallies(n, k)
+            assert tallies["v_plus"] == tagged_tally(sets.v & sets.tplus), (n, k)
+            assert tallies["tminus"] == tagged_tally(sets.tminus), (n, k)
+            assert tallies["v"] == tagged_tally(sets.v), (n, k)
+            assert tallies["w"] == tagged_tally(sets.w), (n, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=11).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n - 2))
+))
+def test_tallies_match_the_built_sets_property(nk):
+    n, k = nk
+    tallies = pm.pieri_tallies(n, k)
+    assert tallies["tplus"] == tagged_tally(pm.plus_set(n, k))
+    assert tallies["v"] == tagged_tally(pm.v_set(n, k))
+    assert not tallies["v_plus"]
+    assert tallies["tminus"] == tallies["v"] + tallies["w"]
+
+
+def test_tallies_past_the_oracle():
+    for n in range(12, 19):
+        for k in range(0, n - 1):
+            tallies = pm.pieri_tallies(n, k)
+            size = {name: sum(tally.values()) for name, tally in tallies.items()}
+            # T+ and V are the images of the plus and minus domains
+            assert size["tplus"] == sum(math.comb(n - 2, e) for e in range(k, n - 1)), (n, k)
+            minus = sum(math.comb(n - 2, e) for e in range(k - 1, n - 2)) if k else 0
+            assert size["v"] == minus, (n, k)
+            assert size["tplus"] + size["tminus"] == math.comb(n - 1, k) * 2 ** (n - k - 2)
+            assert not tallies["v_plus"], (n, k)
+        assert not pm.pieri_tallies(n, n - 2)["w"], n
+
+
 def test_bijectivity_onto_plus_and_v():
     for n in range(3, 10):
         for k in range(0, n - 1):
@@ -259,6 +340,10 @@ def test_difference_validation():
         pm.difference_W(6, 2, "k1")
     with pytest.raises(ValueError):
         pm.difference_W(6, 1, "upside-down")
+    # the reading is checked whichever form is asked for
+    for form in ("direct", "k1", "reindexed"):
+        with pytest.raises(ValueError, match="unknown reading 'bogus'"):
+            pm.difference_W(5, 1, form, "bogus")
 
 
 # The tableau-valued bijections as first written, kept as references for the

@@ -137,3 +137,22 @@ def test_hrs_t0_checks_see_exactly_the_one_row_terms(monkeypatch, name, shape, c
     _add_term(monkeypatch, name, shape)
     failures = [r.line() for r in verify.suite_hrs_t0(3) if r.status != "pass"]
     assert failures == [f"[FAIL    ] hrs-t0 {check} -- mu=2,1" for check in checks]
+
+
+def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
+    # T+ admits paths one leading north step short: at n = 3, k = 1 the
+    # empty path tagged {1} then lies in both T+ and V
+    thresholds = pierimaps.thresholds
+
+    def lowered(n, combo):
+        plus_north, v_north, v_east = thresholds(n, combo)
+        return max(plus_north - 1, 0), v_north, v_east
+
+    monkeypatch.setattr(pierimaps, "thresholds", lowered)
+    reports = verify.suite_bijections(3) + verify.suite_pieri_paths(3) + verify.suite_difference_w(3)
+    failures = [r.line() for r in reports if r.status == "fail"]
+    assert failures == [
+        "[FAIL    ] bijections map=plus n=3 -- k=1 image is not the plus set",
+        "[FAIL    ] pieri-paths check=positivity n=3 k=1 -- V escapes the minus set",
+        "[FAIL    ] difference-W check=direct n=3 k=1 -- W sum != minus-sum - V-sum",
+    ]
