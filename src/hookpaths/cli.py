@@ -13,7 +13,10 @@ import sys
 
 from . import characters, pierimaps, verify
 from .fixtures import load_fixture
-from .paths import LatticePath, enumerate_T, gf_T, gf_closed, path_hook, stats_T
+from .paths import (
+    LatticePath, _family_grid, family_blocks, family_counts, gf_T, gf_closed, path_hook, words_T,
+)
+from .paths import enumerate_T  # noqa: F401  bench/test_bench.py traces it as cli.enumerate_T
 from .schur import restrict, specialize2
 from .shapes import parse_partition, partition_str
 
@@ -47,26 +50,42 @@ def cmd_expand(args) -> int:
 
 def cmd_paths(args) -> int:
     n, s = args.n, args.s
-    paths = enumerate_T(n, s)
-    labels = {}  # (area, ht) -> hook label: every path of a class shares it
-
-    def rows():
-        for path, stats in zip(paths, stats_T(n, s)):
-            hook = labels.get(stats)
-            if hook is None:
-                hook = labels[stats] = partition_str(path_hook(n, *stats))
-            yield str(path), stats[0], stats[1], hook
-
+    grid = _family_grid(n, s)  # refuses an oversized family before any output
+    length = grid[1] if grid else 0
+    heads, block = family_blocks(n, s)
+    if grid and not length:  # the family of the empty word lists it as "eps"
+        block = [("eps", 0, 0)]
+    # every row of an (area, ht) class shares its text but the word, so the
+    # rows of each head come out as one string
+    hooks = {key: partition_str(path_hook(n, *key)) for key in family_counts(n, s)}
+    write = sys.stdout.write
     if args.json:
-        _emit_json({"n": n, "s": s, "paths": [
-            {"word": word, "area": area, "ht": ht, "hook": hook}
-            for word, area, ht, hook in rows()
-        ]})
-    else:
-        print(f"# paths for n={n} s={s}: {len(paths)} total")
-        width = max(3, n)
-        for word, area, ht, hook in rows():
-            print(f"{word:>{width}}  area={area:<3d} ht={ht:<2d} hook={hook}")
+        if not block:
+            _emit_json({"n": n, "s": s, "paths": []})
+            return 0
+        opens = {
+            (area, ht): f'  {{\n   "area": {area},\n   "hook": "{hook}",'
+                        f'\n   "ht": {ht},\n   "word": "'
+            for (area, ht), hook in hooks.items()
+        }
+        write(f'{{\n "n": {n},\n "paths": [\n')
+        sep = ""
+        for head, area, ht in heads:
+            write(sep + ",\n".join([
+                opens[area + da, ht + dh] + head + word + '"\n  }' for word, da, dh in block
+            ]))
+            sep = ",\n"
+        write(f'\n ],\n "s": {s}\n}}\n')
+        return 0
+    tails = {
+        (area, ht): f"  area={area:<3d} ht={ht:<2d} hook={hook}\n"
+        for (area, ht), hook in hooks.items()
+    }
+    write(f"# paths for n={n} s={s}: {2 ** length if grid else 0} total\n")
+    pad = " " * (max(3, n) - (length or 3))
+    for head, area, ht in heads:
+        prefix = pad + head
+        write("".join([prefix + word + tails[area + da, ht + dh] for word, da, dh in block]))
     return 0
 
 
@@ -90,38 +109,55 @@ def cmd_pieri(args) -> int:
     # the domain predicates would otherwise filter out every path first
     pierimaps.check_pieri_k(k, n)
     if args.path is not None:
-        paths = [LatticePath.parse(n, 0, args.path)]
+        gamma = LatticePath.parse(n, 0, args.path)
+        rows = [(gamma, gamma.area(), gamma.ht())]
     else:
-        paths = enumerate_T(n, 0)
+        rows = ((LatticePath(n, 0, word), area, ht) for word, area, ht in words_T(n, 0))
     sides = (
         ("plus", pierimaps.plus_domain, pierimaps.e_plus_map),
         ("minus", pierimaps.minus_domain, pierimaps.e_minus_map),
     )
-    entries = []
-    for gamma in paths:
-        entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
+    width = max(3, n)
+    if args.json:
+        lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
+    else:
+        lead, sep = f"# adjoint Pieri images for n={n} k={k}\n", ""
+    # each base path's entry is written once its images are known, and the
+    # header with the first one: a map that fails on it leaves stdout empty
+    for gamma, area, ht in rows:
+        word = str(gamma)
+        images = {}  # side -> (descents, image word, hook)
         for side, in_domain, pieri_map in sides:
             if in_domain(k, gamma):
                 tagged = pieri_map(k, gamma)
-                entry[side] = {
-                    "descents": sorted(tagged.descents),
-                    "word": str(tagged.path),
-                    "hook": partition_str(pierimaps.hook_of(tagged)),
-                }
-        entries.append(entry)
-    if args.json:
-        _emit_json({"n": n, "k": k, "paths": entries})
-        return 0
-    print(f"# adjoint Pieri images for n={n} k={k}")
-    for entry in entries:
-        print(f"{entry['word']:>{max(3, n)}}  area={entry['area']:<3d} ht={entry['ht']}")
-        for side in ("plus", "minus"):
-            if side in entry:
-                img = entry[side]
-                print(
-                    f"    {side:5s} -> {img['word']:<{max(3, n)}} "
-                    f"descents={img['descents']} hook={img['hook']}"
+                images[side] = (
+                    sorted(tagged.descents), str(tagged.path),
+                    partition_str(pierimaps.hook_of(tagged)),
                 )
+        if args.json:  # json.dumps(indent=1, sort_keys=True) two levels deep
+            text = f'  {{\n   "area": {area},\n   "ht": {ht},\n'
+            for side in ("minus", "plus"):
+                if side in images:
+                    descents, image, hook = images[side]
+                    listed = (
+                        "[\n" + ",\n".join(f"     {d}" for d in descents) + "\n    ]"
+                        if descents else "[]"
+                    )
+                    text += (
+                        f'   "{side}": {{\n    "descents": {listed},\n'
+                        f'    "hook": "{hook}",\n    "word": "{image}"\n   }},\n'
+                    )
+            text += f'   "word": "{word}"\n  }}'
+        else:
+            text = f"{word:>{width}}  area={area:<3d} ht={ht}\n"
+            for side in ("plus", "minus"):
+                if side in images:
+                    descents, image, hook = images[side]
+                    text += f"    {side:5s} -> {image:<{width}} descents={descents} hook={hook}\n"
+        sys.stdout.write(lead + text)
+        lead = sep
+    if args.json:
+        sys.stdout.write("\n ]\n}\n")
     return 0
 
 

@@ -11,9 +11,10 @@ word), and n < 2 gives the empty family.
 Every sum over a whole family (gf_T, hat_gf, family_tally) reads it through
 family_counts, its number of paths per (area, ht) class, which costs
 polynomially in n; leading_run_counts splits those classes by the word's
-leading north or east run, for the Pieri sets.  enumerate_T and the
-per-word walk stats_T visit all 2^(n-s-2) words; they serve the callers
-that need each path, and are the oracles for both.
+leading north or east run, for the Pieri sets.  enumerate_T, and the walks
+words_T and stats_T over family_blocks' split of the words, visit all
+2^(n-s-2) words; they serve the callers that need each path, and are the
+oracles for both.
 """
 
 from collections import Counter
@@ -173,46 +174,84 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
 
-def stats_T(n: int, s: int):
-    """An iterator over (area, ht) of every path in the (n, s) family, in
-    enumerate_T's order, without building the paths.
+# The depth of family_blocks' split: its suffix block lists the last
+# WALK_BLOCK_STEPS steps once per call.  8 measured fastest over `paths` at
+# n = 10..15 (a longer block costs more to list than its heads save) and
+# within noise of 10 at `paths --n 20`, where 12 raised peak RSS.
+WALK_BLOCK_STEPS = 8
 
-    One walk shares each prefix among its extensions.  It starts from the
-    start row's statistics; at step k of L = n-s-2 the E child keeps the
-    prefix's (area, ht) and the N child adds L-k to the area and 1 to the
-    height (a north step at (x, y) adds n-2-y-x boxes, and x+y = s+k
-    there).  The last level is yielded, not stored.  LatticePath.area/ht
-    stay the per-word definition.
+
+def family_blocks(n: int, s: int):
+    """The (n, s) family split at a fixed depth, as (heads, block).
+
+    A north step at (x, y) adds n-2-y-x boxes, and x + y = s + k at step k
+    of L = n-s-2, so its gain L - k + 1 depends only on its position: the
+    last b = min(WALK_BLOCK_STEPS, L) steps add the same (delta area,
+    delta ht) whatever prefix they follow.  `block` lists those
+    b-step suffixes once, as (word, delta area, delta ht) in lexicographic
+    order (E < N); `heads` yields each (word, area, ht) of the first L - b
+    steps in the same order, starting from the start row's statistics.  The
+    family is every head followed by every block entry, in enumerate_T's
+    order, and the split holds 2^b block entries, not 2^L words.  The family
+    and its refusal are _family_grid's; n < 2 gives no heads.
     """
     grid = _family_grid(n, s)
     if grid is None:
-        return iter(())
+        return iter(()), []
     s, length = grid
-    level = [(s * (n - 2) - binom2(s), s)]
-    for gain in range(length, 1, -1):
+    steps = min(WALK_BLOCK_STEPS, length)
+    block = [("", 0, 0)]
+    for gain in range(steps, 0, -1):  # the step of gain g adds g to the area
         nxt = []
         extend = nxt.extend
-        for prefix in level:
-            extend((prefix, (prefix[0] + gain, prefix[1] + 1)))
-        level = nxt
-    return _last_step(level) if length else iter(level)
+        for word, area, ht in block:
+            extend(((word + "E", area, ht), (word + "N", area + gain, ht + 1)))
+        block = nxt
+    return _heads(s * (n - 2) - binom2(s), s, length, steps), block
 
 
-def _last_step(level):
-    for prefix in level:  # the last north step adds 1 to both
-        yield prefix
-        yield prefix[0] + 1, prefix[1] + 1
+def _heads(area: int, ht: int, length: int, steps: int):
+    """(word, area, ht) of every prefix of the first length - steps steps,
+    whose north steps gain length down to steps + 1."""
+    gains = range(length, steps, -1)
+    for head in product("EN", repeat=length - steps):
+        gain = sum(g for g, step in zip(gains, head) if step == "N")
+        yield "".join(head), area + gain, ht + head.count("N")
+
+
+def words_T(n: int, s: int):
+    """An iterator over (word, area, ht) of every path in the (n, s) family,
+    in enumerate_T's order, read off family_blocks without building a path.
+    The empty word is "" (a LatticePath renders it "eps")."""
+    heads, block = family_blocks(n, s)
+    return (
+        (head + word, area + da, ht + dh)
+        for head, area, ht in heads
+        for word, da, dh in block
+    )
+
+
+def stats_T(n: int, s: int):
+    """An iterator over (area, ht) of every path in the (n, s) family, in
+    enumerate_T's order, read off family_blocks without building the paths
+    or their words.  LatticePath.area/ht stay the per-word definition."""
+    heads, block = family_blocks(n, s)
+    return (
+        (area + da, ht + dh)
+        for _, area, ht in heads
+        for _, da, dh in block
+    )
 
 
 def family_counts(n: int, s: int) -> dict:
     """(area, ht) -> number of paths in the (n, s) family.
 
-    stats_T's walk run on counts instead of words: each level maps the
-    (area, ht) classes of the prefixes to their sizes.  At the step of gain
+    A walk over the steps, run on counts instead of words: each level maps
+    the (area, ht) classes of the prefixes to their sizes.  At the step of gain
     g (from L = n-s-2 down to 1) the E children keep their class, so the
     level is copied, and the N children of a class move to (area + g,
-    ht + 1).  A level holds at most (L+1)(binom(L+1, 2)+1) classes where the
-    walk holds 2^L words.  The family and its refusal are _family_grid's.
+    ht + 1).  A level holds at most (L+1)(binom(L+1, 2)+1) classes where a
+    walk over words visits 2^L.  The family and its refusal are _family_grid's.
     """
     grid = _family_grid(n, s)
     if grid is None:
@@ -299,14 +338,15 @@ def gf_T(n: int, s: int) -> LaurentPoly:
     """sum of q^area * z^ht over the family, read off its (area, ht)
     classes (family_counts), independently of gf_closed's q-binomials."""
     counts = family_counts(n, s)
-    return LaurentPoly({(area, 0, ht): c for (area, ht), c in counts.items()})
+    return LaurentPoly._trusted({(area, 0, ht): c for (area, ht), c in counts.items()})
 
 
 def gf_closed(n: int, s: int) -> LaurentPoly:
     """The closed form of the same generating function.
 
     sum_{j=0..r} q^(binom(s+j+1,2) + s(r-j)) [r j]_q z^(j+s) with r = n-s-2;
-    for s = 0 this is the rising q-Pochhammer product.
+    for s = 0 this is the rising q-Pochhammer product.  The terms of
+    different j differ in z, so each shifted q-binomial fills its own terms.
     """
     if n < 2:
         return ZERO
@@ -314,10 +354,12 @@ def gf_closed(n: int, s: int) -> LaurentPoly:
         raise ValueError(f"start height must be nonnegative, got {s}")
     s = clamp_start(n, s)
     r = n - s - 2
-    return LaurentPoly.sum(
-        gauss_binomial(r, j) * LaurentPoly.term(1, eq=binom2(s + j + 1) + s * (r - j), ez=j + s)
-        for j in range(r + 1)
-    )
+    terms = {}
+    for j in range(r + 1):
+        shift, ez = binom2(s + j + 1) + s * (r - j), j + s
+        for (eq, _, _), c in gauss_binomial(r, j).items():
+            terms[eq + shift, 0, ez] = c
+    return LaurentPoly._trusted(terms)
 
 
 def hat_gf(m: int, j: int) -> LaurentPoly:

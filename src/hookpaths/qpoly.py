@@ -49,6 +49,15 @@ class LaurentPoly:
         return cls({(eq, et, ez): coeff})
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "LaurentPoly":
+        """Internal constructor that adopts `terms` as it is: a map of int
+        exponent triples to nonzero ints that the library built itself.
+        Public input goes through __init__, which canonicalises."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def sum(cls, polys) -> "LaurentPoly":
         """The sum of an iterable of polynomials, accumulated in one dict
         instead of copying a partial sum for every term."""
@@ -143,16 +152,12 @@ class LaurentPoly:
                 out[expo] = s
             else:
                 out.pop(expo, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
+        return LaurentPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return LaurentPoly._trusted({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -176,9 +181,7 @@ class LaurentPoly:
                     out[key] = s
                 else:
                     del out[key]
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._terms = out
-        return result
+        return LaurentPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -291,24 +294,18 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         pieces = []
-        for expo, c in self.items():
-            factors = []
-            for name, e in zip(VARS, expo):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        append = pieces.append
+        for (eq, et, ez), c in sorted(self._terms.items()):
+            mono = (
+                ("" if not eq else "*q" if eq == 1 else f"*q^{eq}")
+                + ("" if not et else "*t" if et == 1 else f"*t^{et}")
+                + ("" if not ez else "*z" if ez == 1 else f"*z^{ez}")
+            )
+            mag = -c if c < 0 else c
+            body = f"{mag}{mono}" if mag != 1 or not mono else mono[1:]
+            append(f"- {body}" if c < 0 else f"+ {body}")
+        text = " ".join(pieces)  # the first term's sign loses its space
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"LaurentPoly({self})"

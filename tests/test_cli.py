@@ -1,13 +1,15 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import hookpaths
 from hookpaths import cli, fixtures, paths, pierimaps
-from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, stats_T
+from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, stats_T, words_T
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
 from hookpaths.shapes import hook_index, partition_str
@@ -195,12 +197,12 @@ def test_path_bound_is_shared(monkeypatch, capsys):
     # refused under a bound of 4 steps, a 4-step one is not
     monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
     refusal = "the (n=7, s=0) family has 2^5 paths, past the enumeration bound of 2^4"
-    for fn in (enumerate_T, stats_T, gf_T, hat_gf):
+    for fn in (enumerate_T, stats_T, words_T, gf_T, hat_gf):
         with pytest.raises(ValueError) as exc:
             fn(7, 0)
         assert str(exc.value) == refusal
         fn(6, 0)
-    for fn in (enumerate_T, stats_T, gf_T, gf_closed):
+    for fn in (enumerate_T, stats_T, words_T, gf_T, gf_closed):
         assert fn(7, 1)  # 4 steps from start height 1
         with pytest.raises(ValueError, match="start height must be nonnegative"):
             fn(5, -1)
@@ -230,13 +232,76 @@ def reference_paths_output(n, s, as_json):
 
 
 def test_paths_output_matches_reference_rendering(capsys):
-    for n in range(0, 11):
-        for s in range(0, n + 1):
+    # every family up to n = 10, and past the walk's block depth up to n = 14
+    cases = [(n, s) for n in range(0, 11) for s in range(0, n + 1)]
+    cases += [(n, s) for n in range(11, 15) for s in (0, 1, n - 2)]
+    assert max(n - s - 2 for n, s in cases) > paths.WALK_BLOCK_STEPS + 1
+    for n, s in cases:
+        for as_json in (False, True):
+            argv = ["--json"] if as_json else []
+            code, out = run_cli(capsys, *argv, "paths", "--n", str(n), "--s", str(s))
+            assert code == 0
+            assert out == reference_paths_output(n, s, as_json), (n, s, as_json)
+
+
+def reference_pieri_output(n, k, as_json):
+    """`pieri` as first written: the whole family's entries in one list,
+    printed after every path is mapped."""
+    sides = (
+        ("plus", pierimaps.plus_domain, pierimaps.e_plus_map),
+        ("minus", pierimaps.minus_domain, pierimaps.e_minus_map),
+    )
+    entries = []
+    for gamma in enumerate_T(n, 0):
+        entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
+        for side, in_domain, pieri_map in sides:
+            if in_domain(k, gamma):
+                tagged = pieri_map(k, gamma)
+                entry[side] = {
+                    "descents": sorted(tagged.descents),
+                    "word": str(tagged.path),
+                    "hook": partition_str(pierimaps.hook_of(tagged)),
+                }
+        entries.append(entry)
+    if as_json:
+        return json.dumps({"n": n, "k": k, "paths": entries}, indent=1, sort_keys=True) + "\n"
+    lines = [f"# adjoint Pieri images for n={n} k={k}"]
+    for entry in entries:
+        lines.append(f"{entry['word']:>{max(3, n)}}  area={entry['area']:<3d} ht={entry['ht']}")
+        for side in ("plus", "minus"):
+            if side in entry:
+                img = entry[side]
+                lines.append(
+                    f"    {side:5s} -> {img['word']:<{max(3, n)}} "
+                    f"descents={img['descents']} hook={img['hook']}"
+                )
+    return "".join(line + "\n" for line in lines)
+
+
+def test_pieri_output_matches_reference_rendering(capsys):
+    for n in range(2, 9):
+        for k in range(0, n - 1):
             for as_json in (False, True):
                 argv = ["--json"] if as_json else []
-                code, out = run_cli(capsys, *argv, "paths", "--n", str(n), "--s", str(s))
+                code, out = run_cli(capsys, *argv, "pieri", "--n", str(n), "--k", str(k))
                 assert code == 0
-                assert out == reference_paths_output(n, s, as_json), (n, s, as_json)
+                assert out == reference_pieri_output(n, k, as_json), (n, k, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_paths_listing_memory_does_not_grow_with_the_family(as_json):
+    # 2^16 rows stream through a bounded block walk; one object per row
+    # would hold over 10 MB
+    argv = (["--json"] if as_json else []) + ["paths", "--n", "18"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_000_000, peak
 
 
 def test_paths_text_output_matches_reference_where_classes_repeat(capsys):

@@ -18,6 +18,7 @@ from hookpaths.paths import (
     hat_gf,
     leading_run_counts,
     stats_T,
+    words_T,
 )
 from hookpaths.qpoly import LaurentPoly, ONE, ZERO, q, q_pochhammer, q_power, z
 
@@ -81,6 +82,19 @@ def test_walk_matches_per_word_statistics():
     for n in range(0, 15):
         for s in range(0, n + 1):
             assert list(stats_T(n, s)) == [(p.area(), p.ht()) for p in enumerate_T(n, s)], (n, s)
+
+
+@pytest.mark.parametrize("depth", [1, 3, paths.WALK_BLOCK_STEPS])
+def test_word_walk_matches_the_oracle(monkeypatch, depth):
+    # every family up to n = 14, so past L = depth + 1 for the default depth,
+    # against the enumerated words and area()/ht(); n < 2 and clamped start
+    # heights included
+    monkeypatch.setattr(paths, "WALK_BLOCK_STEPS", depth)
+    for n in range(-1, 15):
+        for s in range(0, n + 2):
+            oracle = [(p.word, p.area(), p.ht()) for p in enumerate_T(n, s)]
+            assert list(words_T(n, s)) == oracle, (n, s, depth)
+            assert list(stats_T(n, s)) == [(area, ht) for _, area, ht in oracle], (n, s, depth)
 
 
 # at n = 18, s = 0 the per-word oracle alone walks 2^16 words, which can
@@ -153,6 +167,18 @@ def test_gf_matches_closed_form_up_to_the_path_bound():
     for n in range(0, PATH_STEP_BOUND + 3):
         for s in range(0, n + 1):
             assert gf_T(n, s) == gf_closed(n, s), (n, s)
+
+
+def test_gf_term_maps_are_canonical():
+    # both generating functions fill their term maps directly: no zero
+    # coefficient, and the same polynomial as the canonicalising constructor
+    for n in range(0, PATH_STEP_BOUND + 3):
+        for s in range(0, n + 1):
+            for gf in (gf_T(n, s), gf_closed(n, s)):
+                terms = gf._terms
+                assert 0 not in terms.values(), (n, s)
+                assert all(type(e) is int for expo in terms for e in expo)
+                assert gf == LaurentPoly(terms) and LaurentPoly(terms)._terms == terms, (n, s)
 
 
 def reference_gf_T(n, s):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -161,6 +163,45 @@ def test_text_rendering():
     assert str(q**-2) == "q^-2"
     assert str(ONE - q * z) == "1 - q*z"
     assert str(-2 * q) == "-2q" or str(-2 * q) == "-2*q"
+
+
+def reference_str(p):
+    """LaurentPoly.__str__ as first written: a loop over the variables for
+    every term, and the first term's sign told apart while rendering."""
+    if not p._terms:
+        return "0"
+    pieces = []
+    for expo, c in p.items():
+        factors = []
+        for name, e in zip(("q", "t", "z"), expo):
+            if e == 0:
+                continue
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+def test_text_rendering_matches_reference():
+    # every monomial with exponents -3..3 and coefficient +-1 or +-2, alone
+    # and in runs of up to three terms with mixed signs, and zero
+    expos = list(itertools.product(range(-3, 4), repeat=3))
+    cases = [ZERO]
+    for c in (1, -1, 2, -2):
+        cases += [LaurentPoly({e: c}) for e in expos]
+        for i in range(len(expos) - 2):
+            cases.append(LaurentPoly({expos[i]: c, expos[i + 1]: -1, expos[i + 2]: 2}))
+    for p in cases:
+        assert str(p) == reference_str(p), p._terms
 
 
 @given(polys)
