@@ -2,17 +2,19 @@
 
 The file stores the hook-side expansion paired with each size-4 shape and a
 sha256 checksum over the canonical payload bytes; any edit to the data
-trips the checksum and is a hard error.
+trips the checksum and is a hard error.  The file ships as package data,
+data/e44.json beside this module, and is read from there with open():
+importlib.resources would import 37 to 45 more modules (pathlib, tempfile,
+shutil, typing; inspect on Python 3.13) at every CLI start.
 """
 
 import hashlib
 import json
-from importlib import resources
+import os
 
 from .schur import SchurExpansion
 from .shapes import parse_partition, partition_str
 
-_DATA_PACKAGE = "hookpaths.data"
 _DATA_FILE = "e44.json"
 
 
@@ -22,8 +24,8 @@ def canonical_payload_bytes(payload: dict) -> bytes:
 
 def load_fixture() -> dict:
     """The stored expansions, keyed by partition; checksum-verified."""
-    raw = resources.files(_DATA_PACKAGE).joinpath(_DATA_FILE).read_text()
-    doc = json.loads(raw)
+    with open(os.path.join(os.path.dirname(__file__), "data", _DATA_FILE), encoding="utf-8") as f:
+        doc = json.load(f)
     digest = hashlib.sha256(canonical_payload_bytes(doc["payload"])).hexdigest()
     if digest != doc["sha256"]:
         raise RuntimeError(

@@ -19,8 +19,7 @@ forced prefix, for the Pieri maps' image checks; build_sets builds every
 tagged path and is the oracle for both.
 """
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import combinations, product
 from math import inf
 
@@ -32,28 +31,46 @@ from .schur import SchurExpansion
 from .shapes import StdTableau, check_descents, hook_tableau_from_descents
 
 
-@dataclass(frozen=True)
 class TaggedPath:
     """A hook tableau of shape (k+1, 1^(n-k-1)) tagging a path in the family
     whose start height is the conjugate's descent count k.
 
     The tableau is stored as its conjugate's descent set, a k-subset of
-    1..n-1, which fixes it.
+    1..n-1, which fixes it.  Immutable, and equal and hashed by
+    (descents, path), so tagged paths form sets.
     """
 
-    descents: frozenset
-    path: LatticePath
+    __slots__ = ("descents", "path")
+
+    def __init__(self, descents: frozenset, path: LatticePath):
+        object.__setattr__(self, "descents", descents)
+        object.__setattr__(self, "path", path)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to TaggedPath.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete TaggedPath.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.descents == other.descents and self.path == other.path
+
+    def __hash__(self):
+        return hash((self.descents, self.path))
+
+    def __repr__(self):
+        return f"TaggedPath(descents={self.descents!r}, path={self.path!r})"
 
     @property
     def tableau(self) -> StdTableau:
         return hook_tableau_from_descents(self.descents, self.path.n).conjugate()
 
 
-@dataclass(frozen=True)
-class PathStats:
-    p: tuple[int, ...]  # norths before each east step
-    h: int              # leading east run (all easts if the path never goes north)
-    n_steps: tuple[int, ...]  # easts before each north step
+# p: norths before each east step; h: the leading east run (all easts if the
+# path never goes north); n_steps: easts before each north step
+PathStats = namedtuple("PathStats", "p h n_steps")
 
 
 def path_stats(path: LatticePath) -> PathStats:
@@ -190,12 +207,7 @@ def thresholds(n: int, combo) -> tuple:
     return plus_north, inf, inf
 
 
-@dataclass(frozen=True)
-class PieriSets:
-    tplus: frozenset
-    tminus: frozenset
-    v: frozenset
-    w: frozenset
+PieriSets = namedtuple("PieriSets", "tplus tminus v w")
 
 
 def build_sets(n: int, k: int) -> PieriSets:

@@ -42,10 +42,14 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
+        if type(c) is int:
+            return cls._trusted({(0, 0, 0): c} if c else {})
         return cls({(0, 0, 0): c})
 
     @classmethod
     def term(cls, coeff: int, eq: int = 0, et: int = 0, ez: int = 0) -> "LaurentPoly":
+        if type(coeff) is type(eq) is type(et) is type(ez) is int:
+            return cls._trusted({(eq, et, ez): coeff} if coeff else {})
         return cls({(eq, et, ez): coeff})
 
     @classmethod
@@ -65,7 +69,7 @@ class LaurentPoly:
         for p in polys:
             for expo, c in p._terms.items():
                 out[expo] = out.get(expo, 0) + c
-        return cls(out)
+        return cls._trusted({expo: c for expo, c in out.items() if c})
 
     @classmethod
     def var(cls, name: str) -> "LaurentPoly":
@@ -172,6 +176,17 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        terms, single = self._terms, other._terms
+        if len(terms) == 1:
+            terms, single = single, terms
+        if len(single) == 1:
+            # one term: shift the other side's exponents, which stay distinct
+            ((d1, d2, d3), y), = single.items()
+            if y == 1:
+                out = {(a1 + d1, b1 + d2, c1 + d3): x for (a1, b1, c1), x in terms.items()}
+            else:
+                out = {(a1 + d1, b1 + d2, c1 + d3): x * y for (a1, b1, c1), x in terms.items()}
+            return LaurentPoly._trusted(out)
         out = {}
         for (a1, b1, c1), x in self._terms.items():
             for (a2, b2, c2), y in other._terms.items():

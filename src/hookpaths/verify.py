@@ -9,7 +9,6 @@ scrutiny rather than assertion.
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -22,13 +21,32 @@ from .schur import e_perp, first_row_fingerprint, specialize2
 from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    params: dict
-    status: str  # pass | fail | reported
-    witness: str | None = None
-    seconds: float = field(default=0.0, compare=False)
+    """One verify instance's outcome.  Equality ignores `seconds`, so two
+    runs of an instance compare equal whatever they took."""
+
+    __slots__ = ("suite", "params", "status", "witness", "seconds")
+
+    def __init__(self, suite: str, params: dict, status: str,
+                 witness: str | None = None, seconds: float = 0.0):
+        self.suite = suite
+        self.params = params
+        self.status = status  # pass | fail | reported
+        self.witness = witness
+        self.seconds = seconds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.params, self.status, self.witness) == (
+            other.suite, other.params, other.status, other.witness
+        )
+
+    def __repr__(self):
+        return (
+            f"VerifyReport(suite={self.suite!r}, params={self.params!r}, status={self.status!r}, "
+            f"witness={self.witness!r}, seconds={self.seconds!r})"
+        )
 
     def line(self, timings: bool = False) -> str:
         bits = [f"[{self.status.upper():8s}]", self.suite]

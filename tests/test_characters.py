@@ -42,6 +42,18 @@ def test_hook_formula_flags():
     assert "proven" in ch.hook_formula(4, 1, (4,)).banner()
 
 
+def test_hook_result_is_an_immutable_record():
+    result = ch.hook_formula(4, 1, (3, 1))
+    assert (result.n, result.r, result.mu, result.proven) == (4, 1, (3, 1), True)
+    assert result.expansion == s((3,)) + s((2,)) + s((1,))
+    assert result.banner() == "n=4 r=1 mu=3,1: proven"
+    assert result == ch.hook_formula(4, 1, (3, 1)) != ch.hook_formula(4, 2, (3, 1))
+    assert repr(result).startswith("HookResult(n=4, r=1, mu=(3, 1), expansion=SchurExpansion(")
+    with pytest.raises(AttributeError):
+        result.proven = False
+    assert result.proven
+
+
 def test_hook_formula_validation():
     with pytest.raises(ValueError):
         ch.hook_formula(4, 1, (3, 2))  # not a partition of 4

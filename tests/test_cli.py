@@ -86,32 +86,27 @@ def test_fixtures_output(capsys):
     assert "<E, s[1,1,1,1]> = s[6] + s[4,1] + s[3,1] + s[1,1,1]" in out
 
 
-def tamper_fixture(monkeypatch):
-    """Make load_fixture read a payload whose checksum no longer matches."""
-    real = fixtures.resources.files
-
-    class FakeTraversable:
-        def joinpath(self, name):
-            return self
-
-        def read_text(self):
-            doc = json.loads(
-                real(fixtures._DATA_PACKAGE).joinpath(fixtures._DATA_FILE).read_text()
-            )
-            doc["payload"]["4"] = [{"lambda": [1], "coeff": [{"q": 0, "t": 0, "z": 0, "c": "1"}]}]
-            return json.dumps(doc)
-
-    monkeypatch.setattr(fixtures.resources, "files", lambda pkg: FakeTraversable())
+def tamper_fixture(monkeypatch, tmp_path):
+    """Make load_fixture read a payload whose checksum no longer matches: a
+    tampered copy of the table in a data directory beside a stand-in module
+    file under tmp_path."""
+    data_file = os.path.join(os.path.dirname(fixtures.__file__), "data", fixtures._DATA_FILE)
+    with open(data_file, encoding="utf-8") as f:
+        doc = json.load(f)
+    doc["payload"]["4"] = [{"lambda": [1], "coeff": [{"q": 0, "t": 0, "z": 0, "c": "1"}]}]
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / fixtures._DATA_FILE).write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(fixtures, "__file__", str(tmp_path / "fixtures.py"))
 
 
-def test_fixture_tamper_detection(monkeypatch):
-    tamper_fixture(monkeypatch)
+def test_fixture_tamper_detection(monkeypatch, tmp_path):
+    tamper_fixture(monkeypatch, tmp_path)
     with pytest.raises(RuntimeError, match="checksum mismatch"):
         fixtures.load_fixture()
 
 
-def test_fixture_checksum_error_is_a_clean_cli_error(monkeypatch, capsys):
-    tamper_fixture(monkeypatch)
+def test_fixture_checksum_error_is_a_clean_cli_error(monkeypatch, capsys, tmp_path):
+    tamper_fixture(monkeypatch, tmp_path)
     code = cli.main(["fixtures"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -147,6 +142,24 @@ def test_a_closed_stdout_ends_quietly():
     assert first == b"# paths for n=18 s=0: 65536 total\n"
     assert err == b""
     assert code == cli.EXIT_CLOSED_STDOUT == 141
+
+
+def test_the_cli_starts_without_the_heavy_stdlib():
+    # -S: a site .pth file may import importlib.resources and hide a regression
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hookpaths.__file__)))
+    code = (
+        "import sys, hookpaths.cli\n"
+        "from hookpaths.fixtures import load_fixture\n"
+        "assert len(load_fixture()) == 5\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
@@ -351,6 +364,15 @@ def test_has_failure_contract():
     bad = VerifyReport("x", {}, "fail", witness="counterexample")
     assert not has_failure([ok, rep])
     assert has_failure([ok, bad])
+
+
+def test_verify_reports_compare_without_their_timing():
+    a = VerifyReport("x", {"n": 3}, "fail", witness="w", seconds=0.5)
+    assert a == VerifyReport("x", {"n": 3}, "fail", "w")
+    assert a != VerifyReport("x", {"n": 3}, "fail", witness="v", seconds=0.5)
+    assert a.witness == "w" and a.seconds == 0.5
+    assert VerifyReport("x", {}, "pass").witness is None
+    assert "__init__" in VerifyReport.__dict__  # bench/passrun.py wraps it
 
 
 def test_byte_identical_output(capsys):

@@ -29,6 +29,46 @@ def test_path_stats():
     assert pm.path_stats(LatticePath(7, 0, "ENNEN")).h == 1
 
 
+def test_tagged_paths_are_values():
+    a = pm.TaggedPath(frozenset({2}), LatticePath(5, 1, "EN"))
+    b = pm.TaggedPath(frozenset({2}), LatticePath(5, 1, "EN"))
+    c = pm.TaggedPath(frozenset({3}), LatticePath(5, 1, "EN"))
+    d = pm.TaggedPath(frozenset({2}), LatticePath(5, 1, "NE"))
+    assert a == b and hash(a) == hash(b) and a != c and a != d
+    assert {a, b, c, d} == {a, c, d} and len({a, b, c, d}) == 3
+    assert a != (a.descents, a.path)
+    assert repr(a) == "TaggedPath(descents=frozenset({2}), path=LatticePath(n=5, s=1, EN))"
+    with pytest.raises(AttributeError):
+        a.descents = frozenset({3})
+    with pytest.raises(AttributeError):
+        del a.path
+    assert a.descents == frozenset({2})
+
+
+def test_path_stats_and_pieri_sets_are_plain_bundles():
+    stats = pm.PathStats((1, 0), 0, ())
+    assert (stats.p, stats.h, stats.n_steps) == ((1, 0), 0, ())
+    sets = pm.PieriSets(frozenset({1}), frozenset({2}), frozenset({3}), frozenset())
+    assert (sets.tplus, sets.tminus, sets.v, sets.w) == tuple(map(frozenset, ({1}, {2}, {3}, ())))
+    with pytest.raises(AttributeError):
+        stats.h = 1
+
+
+def test_a_wrapped_tagged_path_init_sees_every_build(monkeypatch):
+    # the benchmark's tracer counts tagged paths by wrapping the
+    # constructor found in the class's own namespace
+    built = []
+    init = pm.TaggedPath.__dict__["__init__"]
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(pm.TaggedPath, "__init__", counting_init)
+    sets = pm.build_sets(6, 2)
+    assert len(built) == len(sets.tplus) + len(sets.tminus) == math.comb(5, 2) * 4
+
+
 def test_e_plus_figure_example():
     gamma = LatticePath(10, 0, "NENEENEE")
     tagged = pm.e_plus_map(2, gamma)

@@ -37,6 +37,29 @@ def test_canonical_form_drops_zeros():
     p = LaurentPoly({(1, 0, 0): 2, (0, 1, 0): 0})
     assert p.items() == [((1, 0, 0), 2)]
     assert p - 2 * q == ZERO
+    assert LaurentPoly.const(0).items() == [] and LaurentPoly.term(0, 1, 2, 3).items() == []
+    assert LaurentPoly.term(True, eq=True).items() == [((1, 0, 0), 1)]
+    assert LaurentPoly.sum([q, 2 * z, -q]).items() == [((0, 0, 1), 2)]
+
+
+def _term_by_term_product(a, b):
+    out = {}
+    for (a1, b1, c1), x in a.items():
+        for (a2, b2, c2), y in b.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + x * y
+    return LaurentPoly(out)
+
+
+monomials = st.builds(LaurentPoly.term, st.one_of(st.just(1), coeffs), exponents, exponents, exponents)
+
+
+@given(polys, monomials)
+def test_products_with_one_term_match_the_term_by_term_product(p, m):
+    for a, b in ((p, m), (m, p), (m, m), (ZERO, m), (m, ZERO)):
+        product = a * b
+        assert product == _term_by_term_product(a, b)
+        assert all(c for _, c in product.items())
 
 
 @given(polys, polys, polys)

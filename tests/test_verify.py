@@ -3,8 +3,6 @@ under test is wrong: every passing run looks the same whether or not a check
 can fail, so each check is fed a broken one here and must name it.  An
 instance that raises must fail the same way without ending the run."""
 
-from dataclasses import replace
-
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
@@ -121,7 +119,7 @@ def _add_term(monkeypatch, name, shape):
         extra = SchurExpansion.term(shape)
         if isinstance(out, SchurExpansion):
             return out + extra
-        return replace(out, expansion=out.expansion + extra)
+        return characters.HookResult(out.n, out.r, out.mu, out.expansion + extra, out.proven)
 
     monkeypatch.setattr(characters, name, broken)
 
