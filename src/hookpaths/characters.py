@@ -8,7 +8,7 @@ The main expansion is proven for r = 1 and mu in {(n), (n-1,1), (n-2,1,1),
 exploring those cases is the point of having the formula in executable form.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .paths import PATH_STEP_BOUND, binom2, enumerate_T, family_tally, gf_closed, path_hook, stats_T
 from .qpoly import (
@@ -44,35 +44,10 @@ def proven_inputs(n: int, r: int, mu: Partition) -> bool:
     return mu in proven
 
 
-class HookResult:
-    """A hook-component expansion plus its theorem-vs-conjecture status.
+class HookResult(namedtuple("HookResult", "n r mu expansion proven")):
+    """A hook-component expansion plus its theorem-vs-conjecture status."""
 
-    Immutable; equal when every field is.
-    """
-
-    __slots__ = ("n", "r", "mu", "expansion", "proven")
-
-    def __init__(self, n: int, r: int, mu: Partition, expansion: SchurExpansion, proven: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "expansion", expansion)
-        object.__setattr__(self, "proven", proven)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to HookResult.{name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete HookResult.{name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"HookResult({fields})"
+    __slots__ = ()
 
     def banner(self) -> str:
         status = "proven" if self.proven else "conjectural"

@@ -42,15 +42,13 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        if type(c) is int:
-            return cls._trusted({(0, 0, 0): c} if c else {})
-        return cls({(0, 0, 0): c})
+        c = int(c)
+        return cls._trusted({(0, 0, 0): c} if c else {})
 
     @classmethod
     def term(cls, coeff: int, eq: int = 0, et: int = 0, ez: int = 0) -> "LaurentPoly":
-        if type(coeff) is type(eq) is type(et) is type(ez) is int:
-            return cls._trusted({(eq, et, ez): coeff} if coeff else {})
-        return cls({(eq, et, ez): coeff})
+        c = int(coeff)
+        return cls._trusted({(int(eq), int(et), int(ez)): c} if c else {})
 
     @classmethod
     def _trusted(cls, terms: dict) -> "LaurentPoly":
@@ -182,10 +180,7 @@ class LaurentPoly:
         if len(single) == 1:
             # one term: shift the other side's exponents, which stay distinct
             ((d1, d2, d3), y), = single.items()
-            if y == 1:
-                out = {(a1 + d1, b1 + d2, c1 + d3): x for (a1, b1, c1), x in terms.items()}
-            else:
-                out = {(a1 + d1, b1 + d2, c1 + d3): x * y for (a1, b1, c1), x in terms.items()}
+            out = {(a1 + d1, b1 + d2, c1 + d3): x * y for (a1, b1, c1), x in terms.items()}
             return LaurentPoly._trusted(out)
         out = {}
         for (a1, b1, c1), x in self._terms.items():

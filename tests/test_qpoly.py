@@ -39,6 +39,8 @@ def test_canonical_form_drops_zeros():
     assert p - 2 * q == ZERO
     assert LaurentPoly.const(0).items() == [] and LaurentPoly.term(0, 1, 2, 3).items() == []
     assert LaurentPoly.term(True, eq=True).items() == [((1, 0, 0), 1)]
+    assert LaurentPoly.term("3", eq=2.0).items() == LaurentPoly({(2.0, 0, 0): "3"}).items() == [((2, 0, 0), 3)]
+    assert LaurentPoly.const(0.5).items() == LaurentPoly({(0, 0, 0): 0.5}).items() == []
     assert LaurentPoly.sum([q, 2 * z, -q]).items() == [((0, 0, 1), 2)]
 
 
