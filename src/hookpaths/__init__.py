@@ -28,7 +28,6 @@ from .paths import (
     gf_T,
     gf_closed,
     hat_gf,
-    stats_T,
 )
 from .schur import (
     SchurExpansion,

@@ -10,7 +10,8 @@ exploring those cases is the point of having the formula in executable form.
 
 from collections import Counter, namedtuple
 
-from .paths import PATH_STEP_BOUND, binom2, enumerate_T, family_tally, gf_closed, path_hook, stats_T
+from .paths import _family_grid, binom2, family_counts, family_tally, gf_closed, path_hook
+from .paths import enumerate_T  # noqa: F401  bench/test_bench.py traces it as characters.enumerate_T
 from .qpoly import (
     LaurentPoly,
     ZERO,
@@ -288,10 +289,9 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
     if n < 2:
         raise ValueError("identity checks need n >= 2")
     gf = gf_closed(n, 0)
-    expected = {
-        "plain": gf * q_power(c),
-        "area_ht": gf.substitute({"z": LaurentPoly.term(1, eq=1, ez=1)}) * q_power(c + 1),
-    }
+    # z -> qz: each term q^eq z^ez gains q^ez
+    gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf.items()})
+    expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
     for variant, want in expected.items():
         g = _default_g(variant, c)
         sums = [_alt_sum(n, j, g) for j in range(n)]
@@ -316,16 +316,12 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     Gaussian binomials (shape read off the major index); "path" re-indexes
     over staircase paths excluding the words that start north and finish
     with i-1 norths.  Empty below n = 5.
-    Sizes whose path family has more than 2^PATH_STEP_BOUND paths are
-    refused before either form runs.
+    Sizes whose (n, 0) path family is past the enumeration bound are
+    refused before either form runs, as the family itself would be.
     """
     if n < 2:
         raise ValueError("two_column_formula needs n >= 2")
-    if n - 2 > PATH_STEP_BOUND:
-        raise ValueError(
-            f"the two-column forms at n={n} sum over 2^{n - 2} paths, past the "
-            f"enumeration bound of 2^{PATH_STEP_BOUND}"
-        )
+    _family_grid(n, 0)
     counts = Counter()
     if form == "lifted":
         for k in range(1, n - 3):
@@ -338,14 +334,17 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
                     counts[(maj - i, 2) + (1,) * (k - 1)] += c
         return SchurExpansion(counts)
     if form == "path":
-        for gamma, (area, h) in zip(enumerate_T(n, 0), stats_T(n, 0)):
-            if h > n - 3:
-                continue
-            starts_north = gamma.word.startswith("N")
-            trailing = gamma.trailing_run("N")
-            for i in range(2, h + 1):
-                if starts_north and trailing >= i - 1:
-                    continue
-                counts[check_partition((area + h + 1 - i, 2) + (1,) * (n - 3 - h))] += 1
+        # a word of T(n, 0) of height h <= n-3 counts once for each i in 2..h,
+        # except the words N w N^(i-1) at that i; their middle w has gains
+        # n-3 down to i, so they are T(n-i, 0) with every north step raised by i-1
+        classes = [
+            (i, area, h, c) for (area, h), c in family_counts(n, 0).items() for i in range(2, h + 1)
+        ]
+        for i in range(2, n - 2):
+            for (area, h), c in family_counts(n - i, 0).items():
+                classes.append((i, area + (i - 1) * h + n - 2 + binom2(i), h + i, -c))
+        for i, area, h, c in classes:
+            if h <= n - 3:
+                counts[(area + h + 1 - i, 2) + (1,) * (n - 3 - h)] += c
         return SchurExpansion(counts)
     raise ValueError(f"unknown form {form!r}")

@@ -11,10 +11,9 @@ word), and n < 2 gives the empty family.
 Every sum over a whole family (gf_T, hat_gf, family_tally) reads it through
 family_counts, its number of paths per (area, ht) class, which costs
 polynomially in n; leading_run_counts splits those classes by the word's
-leading north or east run, for the Pieri sets.  enumerate_T, and the walks
-words_T and stats_T over family_blocks' split of the words, visit all
-2^(n-s-2) words; they serve the callers that need each path, and are the
-oracles for both.
+leading north or east run, for the Pieri sets.  enumerate_T, and the walk
+words_T over family_blocks' split of the words, visit all 2^(n-s-2) words;
+they serve the callers that need each path, and are the oracles for both.
 """
 
 from collections import Counter
@@ -228,18 +227,6 @@ def words_T(n: int, s: int):
         (head + word, area + da, ht + dh)
         for head, area, ht in heads
         for word, da, dh in block
-    )
-
-
-def stats_T(n: int, s: int):
-    """An iterator over (area, ht) of every path in the (n, s) family, in
-    enumerate_T's order, read off family_blocks without building the paths
-    or their words.  LatticePath.area/ht stay the per-word definition."""
-    heads, block = family_blocks(n, s)
-    return (
-        (area + da, ht + dh)
-        for _, area, ht in heads
-        for _, da, dh in block
     )
 
 

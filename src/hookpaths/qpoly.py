@@ -7,7 +7,6 @@ exponents are signed ints, and all operations are pure.
 
 from functools import lru_cache
 
-VARS = ("q", "t", "z")
 _VAR_INDEX = {"q": 0, "t": 1, "z": 2}
 
 
@@ -114,10 +113,6 @@ class LaurentPoly:
         """Top degree in one variable (0 for the zero polynomial)."""
         i = _VAR_INDEX[name]
         return max((e[i] for e in self._terms), default=0)
-
-    def min_deg(self, name: str) -> int:
-        i = _VAR_INDEX[name]
-        return min((e[i] for e in self._terms), default=0)
 
     def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
         """The coefficient of name**power, as a polynomial in the other variables."""
@@ -226,78 +221,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- substitution and specialization ------------------------------------
-
-    def substitute(self, rules: dict) -> "LaurentPoly":
-        """Simultaneous substitution of variables by monomials.
-
-        Each rule image must be a single monomial so that Laurent exponents
-        stay integral (e.g. z -> q*z, t -> z**-1, q -> q**-1).
-        """
-        unknown = set(rules) - set(VARS)
-        if unknown:
-            raise ValueError(f"unknown variables in substitution: {sorted(unknown)}")
-        images = []
-        for name in VARS:
-            img = rules.get(name)
-            if img is None:
-                images.append(None)
-                continue
-            if isinstance(img, int):
-                img = LaurentPoly.const(img)
-            if not isinstance(img, LaurentPoly) or not img.is_monomial():
-                raise ValueError(f"substitution image for {name} must be a monomial")
-            images.append(next(iter(img._terms.items())))
-        out = {}
-        for expo, c in self._terms.items():
-            coeff = c
-            new_expo = [0, 0, 0]
-            for i in range(3):
-                e = expo[i]
-                if e == 0:
-                    continue
-                if images[i] is None:
-                    new_expo[i] += e
-                    continue
-                img_expo, img_coeff = images[i]
-                if e >= 0:
-                    coeff *= img_coeff ** e
-                elif img_coeff in (1, -1):
-                    coeff *= img_coeff ** (-e)  # parity only matters
-                else:
-                    raise ValueError("negative exponent needs unit monomial image")
-                for j in range(3):
-                    new_expo[j] += img_expo[j] * e
-            key = tuple(new_expo)
-            out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(out)
-
-    def at_zero(self, name: str) -> "LaurentPoly":
-        """Set one variable to 0: keep exponent-0 terms, reject negative powers."""
-        i = _VAR_INDEX[name]
-        out = {}
-        for expo, c in self._terms.items():
-            if expo[i] < 0:
-                raise ValueError(f"cannot set {name}=0: negative exponent present")
-            if expo[i] == 0:
-                out[expo] = c
-        return LaurentPoly(out)
-
-    # -- the q-reversal ------------------------------------------------------
-
-    def rev_q(self) -> "LaurentPoly":
-        """Reverse the q-coefficients: p(q) -> p(1/q) * q**deg_q(p).
-
-        Only defined for plain polynomials in q (no t or z, no negative
-        q exponents).
-        """
-        if not self.uses_only({"q"}):
-            raise ValueError("rev_q needs a polynomial in q only")
-        if self.min_deg("q") < 0:
-            raise ValueError("rev_q needs nonnegative q exponents")
-        d = self.deg("q")
-        return LaurentPoly({(d - eq, 0, 0): c for (eq, _, _), c in self._terms.items()})
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -375,23 +298,17 @@ def gauss_binomial(n: int, k: int) -> LaurentPoly:
 
 
 def gauss_binomial_qinv(n: int, k: int) -> LaurentPoly:
-    """[n k] evaluated at q -> 1/q; a Laurent polynomial."""
-    return gauss_binomial(n, k).substitute({"q": q ** -1})
+    """[n k] evaluated at q -> 1/q; a Laurent polynomial.  [n k] is
+    palindromic of degree k(n-k), so this is q^(-k(n-k)) [n k]."""
+    return q_power(-k * (n - k)) * gauss_binomial(n, k)
 
 
-def q_pochhammer(z_arg: LaurentPoly, m: int, rising: bool = True) -> LaurentPoly:
-    """Product form of the q-Pochhammer symbol.
-
-    rising=True gives prod_{i=1..m} (1 + z_arg*q^i), the (-q*z_arg; q)_m
-    shape; rising=False gives the falling form prod_{i=0..m-1} (1 - z_arg*q^i).
-    """
+def q_pochhammer(z_arg: LaurentPoly, m: int) -> LaurentPoly:
+    """The rising q-Pochhammer product prod_{i=1..m} (1 + z_arg*q^i), the
+    (-q*z_arg; q)_m shape."""
     if m < 0:
         raise ValueError("q_pochhammer needs m >= 0")
     out = ONE
-    if rising:
-        for i in range(1, m + 1):
-            out = out * (ONE + z_arg * q_power(i))
-    else:
-        for i in range(m):
-            out = out * (ONE - z_arg * q_power(i))
+    for i in range(1, m + 1):
+        out = out * (ONE + z_arg * q_power(i))
     return out

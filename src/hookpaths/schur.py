@@ -234,8 +234,8 @@ def first_row_fingerprint(f: SchurExpansion, rest: Partition = ()) -> LaurentPol
     """sum of coeff * q^a over the indices (a,) + rest: rest = (b,) reads the
     two-row terms (a, b), rest = () the one-part terms (the empty partition
     as a = 0).  As s_(a)(q, 0) = q^a, s_()(q, 0) = 1 and every longer
-    s_lambda(q, 0) is 0, rest = () is the t = 0 evaluation
-    specialize2(f).at_zero("t") for coefficients free of t."""
+    s_lambda(q, 0) is 0, rest = () is the t = 0 evaluation of specialize2(f),
+    its t^0 coefficient, for coefficients free of t."""
     return LaurentPoly.sum(
         coeff * q_power(lam[0] if lam else 0)
         for lam, coeff in f._terms.items() if lam[1:] == rest

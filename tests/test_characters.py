@@ -130,7 +130,7 @@ def test_hrs_t0_against_hook_formula():
     for n in range(3, 9):
         table = ch.hrs_t0(n, 0)
         for mu in partitions_of(n):
-            lhs = specialize2(ch.hook_formula(n, 1, mu).expansion).at_zero("t")
+            lhs = specialize2(ch.hook_formula(n, 1, mu).expansion).coefficient_of("t", 0)
             assert lhs == table.coefficient(mu), (n, mu)
 
 
@@ -139,7 +139,7 @@ def test_hrs_t0_general_k_pairing():
         for k_pieri in range(0, n):
             table = ch.hrs_t0(n, n - 1 - k_pieri)
             for mu in partitions_of(n):
-                lhs = specialize2(ch.gl2_delta_mu(n, k_pieri, mu)).at_zero("t")
+                lhs = specialize2(ch.gl2_delta_mu(n, k_pieri, mu)).coefficient_of("t", 0)
                 assert lhs == table.coefficient(mu), (n, k_pieri, mu)
 
 
@@ -163,7 +163,7 @@ def test_f_one_part():
     for n in range(2, 10):
         for r in (1, 2):
             for j in range(n):
-                assert ch.f_one_part(n, r, j).min_deg("q") >= 0
+                assert all(eq >= 0 for (eq, _, _), _ in ch.f_one_part(n, r, j).items())
 
 
 def test_f_one_part_matches_pieri_fingerprints():
@@ -297,7 +297,9 @@ def test_two_column_forms():
     assert ch.two_column_formula(4, "lifted").is_zero()
     assert ch.two_column_formula(4, "path").is_zero()
     assert ch.two_column_formula(5, "path") == s((6, 2)) + s((4, 2))
-    for n in range(5, 10):
+    # the enumerated path form is the oracle up to n = 12; past it the class
+    # form answers to the lifted form alone
+    for n in (*range(5, 10), 15, 18, 22):
         lifted = ch.two_column_formula(n, "lifted")
         path = ch.two_column_formula(n, "path")
         assert lifted == path, n

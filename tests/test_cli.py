@@ -9,7 +9,7 @@ import pytest
 
 import hookpaths
 from hookpaths import cli, fixtures, paths, pierimaps
-from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, stats_T, words_T
+from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, words_T
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
 from hookpaths.shapes import hook_index, partition_str
@@ -75,9 +75,12 @@ def test_pieri_single_path(capsys):
 
 
 def test_two_column(capsys):
-    code, out = run_cli(capsys, "two-column", "--n", "6")
-    assert code == 0
-    assert "forms agree: True" in out
+    # n = 22 is the largest size the path bound lets through; both forms
+    # read class counts or Gaussian binomials there, not words
+    for n in ("6", "22"):
+        code, out = run_cli(capsys, "two-column", "--n", n)
+        assert code == 0
+        assert out.splitlines()[-1] == "# forms agree: True"
 
 
 def test_fixtures_output(capsys):
@@ -194,13 +197,12 @@ def test_oversized_path_families_are_refused(capsys):
             f"error ({command}): the (n=30, s=0) family has 2^28 paths, "
             "past the enumeration bound of 2^20\n"
         )
-    # the path form enumerates the same family, and both forms are refused
-    # before either runs: same bound
+    # two-column refuses the same (n, 0) family before either form runs
     code = cli.main(["two-column", "--n", "30"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == (
-        "error (two-column): the two-column forms at n=30 sum over 2^28 paths, "
+        "error (two-column): the (n=30, s=0) family has 2^28 paths, "
         "past the enumeration bound of 2^20\n"
     )
 
@@ -210,20 +212,22 @@ def test_path_bound_is_shared(monkeypatch, capsys):
     # refused under a bound of 4 steps, a 4-step one is not
     monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
     refusal = "the (n=7, s=0) family has 2^5 paths, past the enumeration bound of 2^4"
-    for fn in (enumerate_T, stats_T, words_T, gf_T, hat_gf):
+    for fn in (enumerate_T, words_T, gf_T, hat_gf):
         with pytest.raises(ValueError) as exc:
             fn(7, 0)
         assert str(exc.value) == refusal
         fn(6, 0)
-    for fn in (enumerate_T, stats_T, words_T, gf_T, gf_closed):
+    for fn in (enumerate_T, words_T, gf_T, gf_closed):
         assert fn(7, 1)  # 4 steps from start height 1
         with pytest.raises(ValueError, match="start height must be nonnegative"):
             fn(5, -1)
-    for command in ("gf", "paths"):
+    for command in ("gf", "paths", "two-column"):
         assert cli.main([command, "--n", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error ({command}): {refusal}\n"
         assert cli.main([command, "--n", "6"]) == 0
+        capsys.readouterr()
+    for command in ("gf", "paths"):
         assert cli.main([command, "--n", "7", "--s", "1"]) == 0
         capsys.readouterr()
 
