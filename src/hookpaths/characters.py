@@ -30,8 +30,6 @@ from .shapes import (
     partitions_of,
 )
 
-HRS_SIZE_BOUND = 9
-
 
 def proven_inputs(n: int, r: int, mu: Partition) -> bool:
     """The hypothesis list under which the hook-component formula is a theorem."""
@@ -175,10 +173,9 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
 
     Coefficient of s_mu: sum over tableaux of shape mu of
     q^(k*des' + binom(n-k,2) - maj') * [des k]_q, where the primes are
-    conjugate statistics.  An oracle, so bounded at n <= 9.
+    conjugate statistics.  The tableau tallies enumerate SYT, so
+    enumerate_SYT's SYT_SIZE_BOUND refuses n > 12.
     """
-    if n > HRS_SIZE_BOUND:
-        raise ValueError(f"hrs_t0 bound exceeded: n={n} > {HRS_SIZE_BOUND}")
     if k < 0:
         raise ValueError("hrs_t0 needs k >= 0")
     terms = {}

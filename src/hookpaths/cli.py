@@ -27,8 +27,7 @@ def _emit_json(obj) -> None:
 
 def cmd_expand(args) -> int:
     mu = parse_partition(args.mu)
-    n = args.n if args.n is not None else sum(mu)
-    result = characters.hook_formula(n, args.r, mu)
+    result = characters.hook_formula(sum(mu), args.r, mu)
     expansion = result.expansion
     if args.restrict:
         expansion = restrict(expansion, args.restrict)
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="hook-component Schur expansion")
     p.add_argument("--mu", required=True, help='partition, e.g. "1,1,1,1"')
-    p.add_argument("--n", type=int, default=None, help="size (defaults to |mu|)")
     p.add_argument("--r", type=int, default=1)
     p.add_argument(
         "--restrict",

@@ -10,25 +10,24 @@ return a hook tableau tau of shape (k+1, 1^(n-k-1)) as Des(tau) itself, the
 complement in 1..n-1 of the set a TaggedPath would carry.
 
 Membership in T+ and V depends only on a path's leading north or east run,
-against three runs that thresholds() reads off the descent set.  So the
-sets are read at three depths: pieri_tallies counts all five of T+, T-, V,
-W and V & T+ by (area - maj', ht) class, pairing descent classes with the
+against three runs that thresholds() reads off the descent set; for T+ and
+V that is one forced prefix of the word, member_prefix.  So the sets are
+read at two depths: pieri_tallies counts all five of T+, T-, V, W and
+V & T+ by (area - maj', ht) class, pairing descent classes with the
 leading-run classes of paths.leading_run_counts and building no path;
-plus_set and v_set build T+ and V member by member from each descent set's
-forced prefix, for the Pieri maps' image checks; build_sets builds every
-tagged path and is the oracle for both.
+build_sets builds every tagged path and is its oracle.
 """
 
 from collections import Counter, defaultdict, namedtuple
-from itertools import combinations, product
+from itertools import combinations
 from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    LatticePath, _family_grid, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook,
+    LatticePath, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook,
 )
 from .schur import SchurExpansion
-from .shapes import StdTableau, check_descents, hook_tableau_from_descents
+from .shapes import check_descents
 
 
 class TaggedPath:
@@ -62,10 +61,6 @@ class TaggedPath:
 
     def __repr__(self):
         return f"TaggedPath(descents={self.descents!r}, path={self.path!r})"
-
-    @property
-    def tableau(self) -> StdTableau:
-        return hook_tableau_from_descents(self.descents, self.path.n).conjugate()
 
 
 # p: norths before each east step; h: the leading east run (all easts if the
@@ -207,12 +202,23 @@ def thresholds(n: int, combo) -> tuple:
     return plus_north, inf, inf
 
 
+def member_prefix(n: int, descents, v: bool = False) -> tuple:
+    """The (step, run) prefix that puts a path of the (n, k) family, tagged
+    by the k-subset `descents`, in T+ (or in V when v is true): the tagged
+    path is a member exactly when its word begins with run copies of step.
+    A run of inf admits no path."""
+    plus_north, v_north, v_east = thresholds(n, tuple(sorted(descents)))
+    if not v:
+        return "N", plus_north
+    return ("N", v_north) if v_north != inf else ("E", v_east)
+
+
 PieriSets = namedtuple("PieriSets", "tplus tminus v w")
 
 
 def build_sets(n: int, k: int) -> PieriSets:
     """The tagged-path sets T+, T-, V, and W = T- \\ V for one (n, k), built
-    path by path: the oracle for plus_set, v_set and pieri_tallies.
+    path by path: the oracle for pieri_tallies and member_prefix.
 
     T+/T- split each tableau's path family by its leading north run; V
     collects the Pieri images of the minus map; W is the leftover measuring
@@ -237,44 +243,6 @@ def build_sets(n: int, k: int) -> PieriSets:
     return PieriSets(
         frozenset(tplus), frozenset(tminus), frozenset(v), frozenset(tminus - v)
     )
-
-
-def _begin_with(n: int, k: int, step: str, run) -> list:
-    """The paths of the (n, k) family whose word begins with `run` copies
-    of `step`, each built once from that forced prefix; the family and its
-    refusal are _family_grid's."""
-    length = _family_grid(n, k)[1]
-    if run > length:
-        return []
-    prefix, trusted = step * run, LatticePath._trusted
-    return [trusted(n, k, prefix + "".join(w)) for w in product("EN", repeat=length - run)]
-
-
-def _tagged(n: int, k: int, starts) -> frozenset:
-    """The tagged paths (d, path) where `starts(thresholds(n, d))` lists the
-    (step, run) prefixes that admit the path; descent sets with equal
-    prefixes share their paths."""
-    check_pieri_k(k, n)
-    groups = defaultdict(list)
-    for combo in combinations(range(1, n), k):
-        groups[starts(thresholds(n, combo))].append(frozenset(combo))
-    out = set()
-    for prefixes, descent_sets in groups.items():
-        paths = {path for step, run in prefixes for path in _begin_with(n, k, step, run)}
-        out.update(TaggedPath(d, path) for d in descent_sets for path in paths)
-    return frozenset(out)
-
-
-def plus_set(n: int, k: int) -> frozenset:
-    """T+, each member built once: the paths N^plus_north w of each
-    conjugate descent set."""
-    return _tagged(n, k, lambda t: (("N", t[0]),))
-
-
-def v_set(n: int, k: int) -> frozenset:
-    """V, each member built once: the paths N^v_north w and E^v_east w of
-    each conjugate descent set."""
-    return _tagged(n, k, lambda t: (("N", t[1]), ("E", t[2])))
 
 
 def pieri_tallies(n: int, k: int) -> dict:

@@ -109,11 +109,6 @@ class LaurentPoly:
                     return False
         return True
 
-    def deg(self, name: str) -> int:
-        """Top degree in one variable (0 for the zero polynomial)."""
-        i = _VAR_INDEX[name]
-        return max((e[i] for e in self._terms), default=0)
-
     def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
         """The coefficient of name**power, as a polynomial in the other variables."""
         i = _VAR_INDEX[name]

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 from . import characters, pierimaps
 from .characters import tally_hooks
@@ -229,13 +229,17 @@ def suite_bijections(max_n: int) -> list[VerifyReport]:
 
 def _check_pieri(n, minus):
     """The plus map (minus=False) or the minus map on every k: the hook law,
-    injectivity, and the image being the plus set or the V set."""
+    injectivity, and the image being the plus set or the V set -- each image
+    in the set by its descent set's member_prefix, and as many images as the
+    set has members."""
     m = int(minus)
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
     pieri_map = pierimaps.e_minus_map if minus else pierimaps.e_plus_map
     family = enumerate_T(n, 0)
-    target = pierimaps.v_set if minus else pierimaps.plus_set
+    target = "V" if minus else "plus"
     for k in range(m, n - 1):
+        length = n - k - 2
+        prefixes = {d: pierimaps.member_prefix(n, d, minus) for d in hook_descent_subsets(n, k)}
         domain = [gamma for gamma in family if in_domain(k, gamma)]
         images = set()
         for gamma in domain:
@@ -245,10 +249,14 @@ def _check_pieri(n, minus):
             want = hook_index(gamma.area() + ht + 1 - m, n - 2 - ht - k + m)
             if pierimaps.hook_of(tagged) != want:
                 return f"k={k} hook law fails on {gamma}"
+            step, run = prefixes.get(tagged.descents, ("N", inf))
+            path = tagged.path
+            if (path.n, path.s) != (n, k) or path.leading_run(step) < run:
+                return f"k={k} image of {gamma} is not in the {target} set"
         if len(images) != len(domain):
             return f"k={k} not injective"
-        if images != target(n, k):
-            return f"k={k} image is not the {'V' if minus else 'plus'} set"
+        if len(images) != sum(2 ** (length - run) for _, run in prefixes.values() if run <= length):
+            return f"k={k} image is not the {target} set"
     return None
 
 

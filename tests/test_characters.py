@@ -144,8 +144,8 @@ def test_hrs_t0_general_k_pairing():
 
 
 def test_hrs_t0_bound_and_gauss_cutoff():
-    with pytest.raises(ValueError):
-        ch.hrs_t0(10, 0)
+    with pytest.raises(ValueError, match="shape size 13 exceeds the enumeration bound 12"):
+        ch.hrs_t0(13, 0)
     # [des k] = 0 when k > des kills the term: k = n-1 leaves the column only
     for n in range(3, 7):
         table = ch.hrs_t0(n, n - 1)

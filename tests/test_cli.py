@@ -29,6 +29,13 @@ def test_expand_text(capsys):
     assert "s[6] + s[4,1] + s[3,1] + s[1,1,1]" in out
 
 
+def test_expand_takes_its_size_from_mu():
+    # the formula is stated at n = |mu|, so there is no --n to pass
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["expand", "--mu", "1,1,1,1", "--n", "4"])
+    assert exit_info.value.code == 2
+
+
 def test_expand_published_small_cases(capsys):
     _, out = run_cli(capsys, "expand", "--mu", "3,1")
     assert "s[3] + s[2] + s[1]" in out

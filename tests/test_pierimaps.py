@@ -89,7 +89,7 @@ def test_e_plus_k0_is_identity_tagging():
     for gamma in enumerate_T(6, 0):
         tagged = pm.e_plus_map(0, gamma)
         assert tagged.descents == frozenset()
-        assert tagged.tableau.shape == (1,) * 6
+        assert hook_tableau_from_descents(tagged.descents, 6).conjugate().shape == (1,) * 6
         assert tagged.path == gamma
 
 
@@ -163,7 +163,7 @@ def test_build_sets_structure():
             assert total == math.comb(n - 1, k) * 2 ** (n - k - 2)
             if n <= 7:
                 for tp in sets.tplus | sets.tminus:
-                    tableau = tp.tableau
+                    tableau = hook_tableau_from_descents(tp.descents, n).conjugate()
                     assert tableau.shape == (k + 1,) + (1,) * (n - k - 1)
                     assert tableau.conjugate().descent_set() == tp.descents
     # the top k leaves no gap
@@ -186,18 +186,40 @@ def tagged_tally(tagged_paths):
     return Counter((tp.path.area() - sum(tp.descents), tp.path.ht()) for tp in tagged_paths)
 
 
+def prefix_members(n, k, v=False):
+    """The tagged paths of the (n, k) families whose words begin with their
+    descent sets' member_prefix: T+, or V when v is true."""
+    family = enumerate_T(n, k)
+    out = set()
+    for combo in combinations(range(1, n), k):
+        d = frozenset(combo)
+        step, run = pm.member_prefix(n, d, v)
+        out.update(pm.TaggedPath(d, path) for path in family if path.leading_run(step) >= run)
+    return out
+
+
+def prefix_size(n, k, v=False):
+    """The number of tagged paths the member prefixes admit, 2^(length - run)
+    for each descent set whose run fits in the family's length."""
+    length = n - k - 2
+    runs = (pm.member_prefix(n, combo, v)[1] for combo in combinations(range(1, n), k))
+    return sum(2 ** (length - run) for run in runs if run <= length)
+
+
 def test_tallies_and_built_sets_match_the_oracle():
     for n in range(2, 11):
         for k in range(0, n - 1):
             sets = pm.build_sets(n, k)
+            assert prefix_members(n, k) == sets.tplus, (n, k)
+            assert prefix_members(n, k, v=True) == sets.v, (n, k)
+            assert prefix_size(n, k) == len(sets.tplus), (n, k)
+            assert prefix_size(n, k, v=True) == len(sets.v), (n, k)
             tallies = pm.pieri_tallies(n, k)
             assert tallies["tplus"] == tagged_tally(sets.tplus), (n, k)
             assert tallies["tminus"] == tagged_tally(sets.tminus), (n, k)
             assert tallies["v"] == tagged_tally(sets.v), (n, k)
             assert tallies["w"] == tagged_tally(sets.w), (n, k)
             assert tallies["v_plus"] == tagged_tally(sets.v & sets.tplus) == Counter(), (n, k)
-            assert pm.plus_set(n, k) == sets.tplus, (n, k)
-            assert pm.v_set(n, k) == sets.v, (n, k)
 
 
 def test_thresholds_by_hand():
@@ -240,8 +262,9 @@ def test_tallies_follow_the_oracle_where_v_meets_tplus(monkeypatch, membership):
 def test_tallies_match_the_built_sets_property(nk):
     n, k = nk
     tallies = pm.pieri_tallies(n, k)
-    assert tallies["tplus"] == tagged_tally(pm.plus_set(n, k))
-    assert tallies["v"] == tagged_tally(pm.v_set(n, k))
+    sets = pm.build_sets(n, k)
+    assert tallies["tplus"] == tagged_tally(sets.tplus)
+    assert tallies["v"] == tagged_tally(sets.v)
     assert not tallies["v_plus"]
     assert tallies["tminus"] == tallies["v"] + tallies["w"]
 
@@ -255,6 +278,8 @@ def test_tallies_past_the_oracle():
             assert size["tplus"] == sum(math.comb(n - 2, e) for e in range(k, n - 1)), (n, k)
             minus = sum(math.comb(n - 2, e) for e in range(k - 1, n - 2)) if k else 0
             assert size["v"] == minus, (n, k)
+            assert prefix_size(n, k) == size["tplus"], (n, k)
+            assert prefix_size(n, k, v=True) == size["v"], (n, k)
             assert size["tplus"] + size["tminus"] == math.comb(n - 1, k) * 2 ** (n - k - 2)
             assert not tallies["v_plus"], (n, k)
         assert not pm.pieri_tallies(n, n - 2)["w"], n

@@ -11,13 +11,6 @@ from hookpaths.pierimaps import TaggedPath
 from hookpaths.schur import SchurExpansion
 
 
-class StrayTagged(TaggedPath):
-    """Equal only to itself: an image outside every set of real tagged paths."""
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-
 class StrayPath(LatticePath):
     """Equal only to itself: an image outside every set of real paths."""
 
@@ -48,18 +41,44 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
     assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
 
 
-def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
-    plus, minus = pierimaps.e_plus_map, pierimaps.e_minus_map
+# at n = 6, k = 2 the plus map sends NEEE to ({3, 4}, NE); {2, 5} keeps the
+# major index, so the hook law holds, but T+ needs the prefix NN there, and
+# {0, 7} is no descent set at all
+@pytest.mark.parametrize("moved_to", [{2, 5}, {0, 7}])
+def test_pieri_check_reports_an_image_off_the_set(monkeypatch, moved_to):
+    plus = pierimaps.e_plus_map
 
-    def stray(pieri_map):
-        def stray_map(k, g):
-            tagged = pieri_map(k, g)
-            return StrayTagged(tagged.descents, tagged.path)
+    def moved(k, g):
+        tagged = plus(k, g)
+        if tagged.descents != {3, 4}:
+            return tagged
+        return TaggedPath(frozenset(moved_to), tagged.path)
 
-        return stray_map
+    monkeypatch.setattr(pierimaps, "e_plus_map", moved)
+    assert verify._check_pieri(6, False) == "k=2 image of NEEE is not in the plus set"
 
-    monkeypatch.setattr(pierimaps, "e_plus_map", stray(plus))
-    monkeypatch.setattr(pierimaps, "e_minus_map", stray(minus))
+
+def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
+    # N w from height 0 and w from height 1 share area and height, so the
+    # hook law and every prefix hold; the image is still not in T(4, 0)
+    plus = pierimaps.e_plus_map
+
+    def lifted(k, g):
+        tagged = plus(k, g)
+        path = tagged.path
+        if not path.word.startswith("N"):
+            return tagged
+        return TaggedPath(tagged.descents, LatticePath(path.n, path.s + 1, path.word[1:]))
+
+    monkeypatch.setattr(pierimaps, "e_plus_map", lifted)
+    assert verify._check_pieri(4, False) == "k=0 image of NE is not in the plus set"
+
+
+def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
+    # every image still lies in its set, but one member of the set is missed
+    plus, minus = pierimaps.plus_domain, pierimaps.minus_domain
+    monkeypatch.setattr(pierimaps, "plus_domain", lambda k, g: plus(k, g) and g.word != "EE")
+    monkeypatch.setattr(pierimaps, "minus_domain", lambda k, g: minus(k, g) and g.word != "NE")
     assert verify._check_pieri(4, False) == "k=0 image is not the plus set"
     assert verify._check_pieri(4, True) == "k=1 image is not the V set"
 
