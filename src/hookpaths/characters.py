@@ -10,7 +10,9 @@ exploring those cases is the point of having the formula in executable form.
 
 from collections import Counter, namedtuple
 
-from .paths import _family_grid, binom2, family_counts, family_tally, gf_closed, path_hook
+from .paths import (
+    _family_grid, add_shifted, binom2, family_counts, family_tally, gf_closed, path_hook,
+)
 from .paths import enumerate_T  # noqa: F401  bench/test_bench.py traces it as characters.enumerate_T
 from .qpoly import (
     LaurentPoly,
@@ -94,7 +96,7 @@ def family_hooks(n: int, families, context) -> SchurExpansion:
 def tally_hooks(n: int, tally, context) -> SchurExpansion:
     """The expansion sum of count * s_path_hook(n, a, ht) over a tally
     (a, ht) -> count; `context` names its terms in the guard's message."""
-    return SchurExpansion({path_hook(n, a, ht, context): c for (a, ht), c in tally.items()})
+    return SchurExpansion._trusted({path_hook(n, a, ht, context): c for (a, ht), c in tally.items()})
 
 
 def alternant_formula(n: int, r: int) -> SchurExpansion:
@@ -117,7 +119,7 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     for desp, majps in descent_tally(conjugate(mu)).items():
         for majp, c in majps.items():
             _add_gl2_terms(counts, r * binom2(n) - majp, max(n - 1, 0) - desp, c)
-    return SchurExpansion(counts)
+    return SchurExpansion._trusted(counts)
 
 
 def gl2_delta_en(n: int, k: int) -> SchurExpansion:
@@ -128,7 +130,7 @@ def gl2_delta_en(n: int, k: int) -> SchurExpansion:
     for majs in descent_tally((n - k,) + (1,) * k).values():
         for maj, c in majs.items():
             _add_gl2_terms(counts, maj, k, c)
-    return SchurExpansion(counts)
+    return SchurExpansion._trusted(counts)
 
 
 def _add_gl2_terms(counts: Counter, m: int, top: int, count: int) -> None:
@@ -143,7 +145,8 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
 
     The two-row terms come from paths of height k-2 and k-1, the one-row
     terms from heights k-1 and k; at k = n-1 each filter keeps only its
-    lower height.
+    lower height.  Each family's classes are cut to the heights k-2..k
+    before they are shifted.
     """
     mu = check_partition(mu)
     if sum(mu) != n:
@@ -152,13 +155,17 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
         raise ValueError(f"k={k} outside 0..{n - 1}")
     two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
     one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
+    tally = Counter()
+    for (m, s), shifts in _syt_families(n, mu, 0).items():
+        near = {cls: c for cls, c in family_counts(m, s).items() if k - 2 <= cls[1] <= k}
+        add_shifted(tally, near, shifts)
     counts = Counter()
-    for (d, h), c in family_tally(_syt_families(n, mu, 0)).items():
+    for (d, h), c in tally.items():
         if h in two_row_heights:
             _add_shape(counts, (k - 1 + d, 1), c)
         if h in one_row_heights:
             _add_shape(counts, (k + d,), c)
-    return SchurExpansion(counts)
+    return SchurExpansion._trusted(counts)
 
 
 def _add_shape(counts: Counter, raw, count: int = 1) -> None:
@@ -187,10 +194,10 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
                 continue
             for majp, count in majps.items():
                 expo = k * desp + binom2(n - k) - majp
-                for (eq, et, ez), c in gauss_binomial(des, k).items():
+                for (eq, et, ez), c in gauss_binomial(des, k)._terms.items():
                     coeff[eq + expo, et, ez] += count * c
-        terms[mu] = LaurentPoly(coeff)
-    return SchurExpansion(terms)
+        terms[mu] = LaurentPoly._trusted(dict(coeff))  # sums of positive terms
+    return SchurExpansion._trusted(terms)
 
 
 # -- one-part data and the inclusion-exclusion lifts -----------------------------
@@ -217,8 +224,8 @@ def one_part_fingerprints(G: SchurExpansion, i_max: int) -> list[LaurentPoly]:
 def lift_hooks(fs) -> LaurentPoly:
     """Rebuild the hook fingerprint from one-part data by the alternating
     double sum: sum_{j>=0} sum_{k=0}^{j} (-1)^k f_{j-k} q^-k t^j."""
-    return LaurentPoly.sum(
-        fs[j - k] * LaurentPoly.term(-1 if k % 2 else 1, eq=-k, et=j)
+    return LaurentPoly.shifted_sum(
+        (fs[j - k], -1 if k % 2 else 1, -k, j, 0)
         for j in range(len(fs))
         for k in range(j + 1)
     )
@@ -267,8 +274,8 @@ def _default_g(variant: str, c: int):
 
 
 def _alt_sum(n: int, j: int, g) -> LaurentPoly:
-    return LaurentPoly.sum(
-        gauss_binomial(n - 1, j + k) * LaurentPoly.term(-1 if k % 2 else 1, eq=g(j, k) - k)
+    return LaurentPoly.shifted_sum(
+        (gauss_binomial(n - 1, j + k), -1 if k % 2 else 1, g(j, k) - k, 0, 0)
         for k in range(n - j)
     )
 
@@ -287,7 +294,7 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
         raise ValueError("identity checks need n >= 2")
     gf = gf_closed(n, 0)
     # z -> qz: each term q^eq z^ez gains q^ez
-    gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf.items()})
+    gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf._terms.items()})
     expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
     for variant, want in expected.items():
         g = _default_g(variant, c)
@@ -295,9 +302,7 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
         for j, lhs in enumerate(sums):
             if lhs != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)):
                 return False
-        total = LaurentPoly.sum(
-            sums[j] * LaurentPoly.term(1, ez=j - 1) for j in range(1, n)
-        )
+        total = LaurentPoly.shifted_sum((sums[j], 1, 0, 0, j - 1) for j in range(1, n))
         if total != want:
             return False
     return True
@@ -327,7 +332,7 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
             with_one = q_power(binom2(m + 1)) * gauss_binomial(n - 2, m - 1)
             for i in range(2, m):
                 kept = with_one - q_power(n - 1 + binom2(m)) * gauss_binomial(n - 2 - i, m - i - 1)
-                for (maj, _, _), c in kept.items():
+                for (maj, _, _), c in kept._terms.items():
                     counts[(maj - i, 2) + (1,) * (k - 1)] += c
         return SchurExpansion(counts)
     if form == "path":

@@ -76,21 +76,18 @@ class LatticePath:
     def area(self) -> int:
         """Boxes of the staircase south-east of the path.
 
-        Rows below the start height count fully; a row crossed by a north
-        step at x = p contributes the n-2-row-p boxes to its east; rows at
-        or above the endpoint contribute nothing.  This reproduces the
-        empty-word convention area = binomial(n-1, 2).
+        Rows below the start height count fully, s(n-2) - binom(s, 2) boxes;
+        a row crossed by a north step at x = p contributes the n-2-row-p
+        boxes to its east, which is L - i for the step at word index i of a
+        word of length L = n-s-2; rows at or above the endpoint contribute
+        nothing.  This reproduces the empty-word convention area =
+        binomial(n-1, 2).
         """
-        n, y = self.n, self.s
-        total = sum(n - 2 - j for j in range(self.s))
-        x = 0
-        for step in self.word:
-            if step == "N":
-                total += n - 2 - y - x
-                y += 1
-            else:
-                x += 1
-        return total
+        word = self.word
+        length = len(word)
+        return self.s * (self.n - 2) - binom2(self.s) + sum(
+            length - i for i, step in enumerate(word) if step == "N"
+        )
 
     def east_count(self) -> int:
         return self.word.count("E")
@@ -344,7 +341,7 @@ def gf_closed(n: int, s: int) -> LaurentPoly:
     terms = {}
     for j in range(r + 1):
         shift, ez = binom2(s + j + 1) + s * (r - j), j + s
-        for (eq, _, _), c in gauss_binomial(r, j).items():
+        for (eq, _, _), c in gauss_binomial(r, j)._terms.items():
             terms[eq + shift, 0, ez] = c
     return LaurentPoly._trusted(terms)
 

@@ -84,29 +84,43 @@ def path_stats(path: LatticePath) -> PathStats:
 
 def _row_descents(n: int, counts, shift: int) -> set:
     """The descent n - i - c + shift for the i-th of the weakly increasing
-    step counts c: one rule encodes the Pieri maps' east steps (c = norths
-    before it) and the bijections' north steps (c = easts before it)."""
+    step counts c: the bijections' north steps, with c = easts before it.
+    The Pieri maps' east steps follow the same rule with c = norths before
+    it, which reads as n-1 less the step's word index."""
     return {n - i - c + shift for i, c in enumerate(counts, start=1)}
 
 
 def _tag(n: int, descents, word: str) -> TaggedPath:
-    """Pair a conjugate descent set with the path `word` in its family."""
-    descents = check_descents(descents, n)
+    """Pair a conjugate descent set with the path `word` in its family.
+    The maps build both, so only the range of the descents and the length
+    of the word are checked."""
+    if descents and (min(descents) < 1 or max(descents) > n - 1):
+        raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
     s = clamp_start(n, len(descents))
-    return TaggedPath(descents, LatticePath(n, s, word))
+    if len(word) != n - s - 2:
+        raise ValueError(f"word {word!r} invalid for (n={n}, s={s})")
+    return TaggedPath(frozenset(descents), LatticePath._trusted(n, s, word))
 
 
-def _drop_steps(word: str, easts: int, norths: int) -> str:
-    """Remove the first `easts` east steps and first `norths` north steps."""
+def _east_indices(word: str, count: int) -> list:
+    """The word indices of the first `count` east steps of `word`."""
     out = []
-    for ch in word:
-        if ch == "E" and easts:
-            easts -= 1
-        elif ch == "N" and norths:
-            norths -= 1
-        else:
-            out.append(ch)
-    return "".join(out)
+    i = -1
+    for _ in range(count):
+        i = word.index("E", i + 1)
+        out.append(i)
+    return out
+
+
+def _cut(word: str, indices) -> str:
+    """`word` without the steps at the increasing `indices`."""
+    pieces = []
+    start = 0
+    for i in indices:
+        pieces.append(word[start:i])
+        start = i + 1
+    pieces.append(word[start:])
+    return "".join(pieces)
 
 
 def check_pieri_k(k: int, n: int, low: int = 0) -> None:
@@ -131,7 +145,9 @@ def minus_domain(k: int, path: LatticePath) -> bool:
 def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     """Discard the first k east steps; the tableau records where they were.
 
-    Defined on the base paths where plus_domain(k, path) holds.
+    The east step at word index i records the descent n-1-i, so distinct
+    steps record distinct descents.  Defined on the base paths where
+    plus_domain(k, path) holds.
     """
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
@@ -139,16 +155,18 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     if not plus_domain(k, path):
         raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
     n = path.n
-    stats = path_stats(path)
-    descents = _row_descents(n, stats.p[:k], 0)
+    easts = _east_indices(path.word, k)
+    descents = {n - 1 - i for i in easts}
     if len(descents) != k:
         raise AssertionError("descent construction collided")
-    return _tag(n, descents, _drop_steps(path.word, easts=k, norths=0))
+    return _tag(n, descents, _cut(path.word, easts))
 
 
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     """Discard the first k-1 east steps and the first north step.
 
+    The east steps record their descents as in e_plus_map, and the first
+    north step, after a leading east run of h, records max(1, h-k+2).
     Defined on the base paths where minus_domain(k, path) holds; the
     all-east path is left out because its hook image has a single Pieri term
     already.
@@ -159,13 +177,15 @@ def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     check_pieri_k(k, n, 1)
     if not minus_domain(k, path):
         raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
-    stats = path_stats(path)
-    descents = _row_descents(n, stats.p[:k - 1], 0)
-    extra = max(1, stats.h - k + 2)
+    word = path.word
+    easts = _east_indices(word, k - 1)
+    descents = {n - 1 - i for i in easts}
+    h = word.index("N")  # the leading east run
+    extra = max(1, h - k + 2)
     if extra in descents:
         raise AssertionError("descent construction collided")
     descents.add(extra)
-    return _tag(n, descents, _drop_steps(path.word, easts=k - 1, norths=1))
+    return _tag(n, descents, _cut(word, sorted(easts + [h])))
 
 
 def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
@@ -290,7 +310,7 @@ def perp_via_paths(n: int, k: int) -> SchurExpansion:
             counts[hook_of(e_plus_map(k, path))] += 1
         if minus_domain(k, path):
             counts[hook_of(e_minus_map(k, path))] += 1
-    return SchurExpansion(counts)
+    return SchurExpansion._trusted(counts)
 
 
 # -- the difference formula ----------------------------------------------------

@@ -59,14 +59,22 @@ class LaurentPoly:
         return poly
 
     @classmethod
-    def sum(cls, polys) -> "LaurentPoly":
-        """The sum of an iterable of polynomials, accumulated in one dict
-        instead of copying a partial sum for every term."""
+    def shifted_sum(cls, terms) -> "LaurentPoly":
+        """The sum of c * q^eq t^et z^ez * poly over the (poly, c, eq, et, ez)
+        tuples of `terms`, accumulated in one dict: each term shifts poly's
+        exponents in place of building a monomial and a product."""
         out = {}
-        for p in polys:
-            for expo, c in p._terms.items():
-                out[expo] = out.get(expo, 0) + c
-        return cls._trusted({expo: c for expo, c in out.items() if c})
+        get = out.get
+        for poly, c, dq, dt, dz in terms:
+            for (eq, et, ez), x in poly._terms.items():
+                key = (eq + dq, et + dt, ez + dz)
+                out[key] = get(key, 0) + c * x
+        return cls._trusted({expo: x for expo, x in out.items() if x})
+
+    @classmethod
+    def sum(cls, polys) -> "LaurentPoly":
+        """The sum of an iterable of polynomials, accumulated in one dict."""
+        return cls.shifted_sum((p, 1, 0, 0, 0) for p in polys)
 
     @classmethod
     def var(cls, name: str) -> "LaurentPoly":

@@ -6,7 +6,7 @@ sum).  The empty partition acts as the multiplicative unit and is counted
 as a one-part (and hook) shape so the inclusion-exclusion lifts close up.
 """
 
-from .qpoly import LaurentPoly, ZERO, ONE, q_power
+from .qpoly import LaurentPoly, ZERO
 from .shapes import Partition, check_partition, conjugate, is_hook, normalize_shape
 
 
@@ -31,6 +31,20 @@ class SchurExpansion:
                 else:
                     canonical[lam] = coeff
         self._terms = canonical
+
+    @classmethod
+    def _trusted(cls, terms) -> "SchurExpansion":
+        """Internal constructor for a map whose keys are partitions that the
+        library built itself (hook_index, normalize_shape, partitions_of,
+        vertical_strips): int values become constants and zero values are
+        dropped.  Public input goes through __init__, which checks each
+        index."""
+        const = LaurentPoly.const
+        result = cls.__new__(cls)
+        result._terms = {
+            lam: const(c) if isinstance(c, int) else c for lam, c in terms.items() if c
+        }
+        return result
 
     @classmethod
     def zero(cls) -> "SchurExpansion":
@@ -211,7 +225,7 @@ def e_perp(k: int, f: SchurExpansion) -> SchurExpansion:
         for mu in vertical_strips(lam, k):
             prev = terms.get(mu)
             terms[mu] = coeff if prev is None else prev + coeff
-    return SchurExpansion(terms)
+    return SchurExpansion._trusted(terms)
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:
@@ -224,8 +238,8 @@ def psi(f: SchurExpansion) -> LaurentPoly:
 
     The empty partition maps to 1.  Injective on hook-supported expansions.
     """
-    return LaurentPoly.sum(
-        coeff * LaurentPoly.term(1, eq=lam[0], et=len(lam) - 1) if lam else coeff
+    return LaurentPoly.shifted_sum(
+        (coeff, 1, lam[0], len(lam) - 1, 0) if lam else (coeff, 1, 0, 0, 0)
         for lam, coeff in f._terms.items()
     )
 
@@ -236,8 +250,8 @@ def first_row_fingerprint(f: SchurExpansion, rest: Partition = ()) -> LaurentPol
     as a = 0).  As s_(a)(q, 0) = q^a, s_()(q, 0) = 1 and every longer
     s_lambda(q, 0) is 0, rest = () is the t = 0 evaluation of specialize2(f),
     its t^0 coefficient, for coefficients free of t."""
-    return LaurentPoly.sum(
-        coeff * q_power(lam[0] if lam else 0)
+    return LaurentPoly.shifted_sum(
+        (coeff, 1, lam[0] if lam else 0, 0, 0)
         for lam, coeff in f._terms.items() if lam[1:] == rest
     )
 
@@ -260,18 +274,13 @@ def specialize2(f: SchurExpansion) -> LaurentPoly:
     Indices of length > 2 vanish; s_(a) and s_(a,b) use the closed
     two-variable forms, which the semistandard oracle gates in the tests.
     """
-    return LaurentPoly.sum(coeff * _schur_qt(lam) for lam, coeff in f._terms.items())
-
-
-def _schur_qt(lam: Partition) -> LaurentPoly:
-    if len(lam) > 2:
-        return ZERO
-    if not lam:
-        return ONE
-    a = lam[0]
-    b = lam[1] if len(lam) == 2 else 0
-    # (qt)^b * h_{a-b}(q, t)
-    return LaurentPoly({(b + i, b + (a - b - i), 0): 1 for i in range(a - b + 1)})
+    terms = []
+    for lam, coeff in f._terms.items():
+        if len(lam) <= 2:
+            a, b = (lam + (0, 0))[:2]
+            # s_(a, b)(q, t) = (qt)^b * h_{a-b}(q, t): one shift per monomial
+            terms.extend((coeff, 1, b + i, a - i, 0) for i in range(a - b + 1))
+    return LaurentPoly.shifted_sum(terms)
 
 
 def ssyt_specialize_oracle(lam, m: int) -> LaurentPoly:

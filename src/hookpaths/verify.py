@@ -235,18 +235,17 @@ def _check_pieri(n, minus):
     m = int(minus)
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
     pieri_map = pierimaps.e_minus_map if minus else pierimaps.e_plus_map
-    family = enumerate_T(n, 0)
+    family = [(gamma, gamma.area(), gamma.ht()) for gamma in enumerate_T(n, 0)]
     target = "V" if minus else "plus"
     for k in range(m, n - 1):
         length = n - k - 2
         prefixes = {d: pierimaps.member_prefix(n, d, minus) for d in hook_descent_subsets(n, k)}
-        domain = [gamma for gamma in family if in_domain(k, gamma)]
+        domain = [stats for stats in family if in_domain(k, stats[0])]
         images = set()
-        for gamma in domain:
+        for gamma, area, ht in domain:
             tagged = pieri_map(k, gamma)
             images.add(tagged)
-            ht = gamma.ht()
-            want = hook_index(gamma.area() + ht + 1 - m, n - 2 - ht - k + m)
+            want = hook_index(area + ht + 1 - m, n - 2 - ht - k + m)
             if pierimaps.hook_of(tagged) != want:
                 return f"k={k} hook law fails on {gamma}"
             step, run = prefixes.get(tagged.descents, ("N", inf))

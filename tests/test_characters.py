@@ -485,3 +485,25 @@ def test_hook_formula_reproduces_whole_fixture_table():
     table = load_fixture()
     for mu, expected in table.items():
         assert ch.hook_formula(4, 1, mu).expansion == expected, mu
+
+
+def test_trusted_expansions_match_the_checked_constructor(monkeypatch):
+    # every map tally_hooks, gl2_delta_mu and e_perp hand to _trusted for
+    # n <= 8 builds the same expansion through __init__
+    trusted = SchurExpansion._trusted
+    handed = []
+
+    def recording(terms):
+        handed.append(dict(terms))
+        return trusted(terms)
+
+    monkeypatch.setattr(SchurExpansion, "_trusted", recording)
+    for n in range(2, 9):
+        for mu in partitions_of(n):
+            expansion = ch.hook_formula(n, 1, mu).expansion
+            for k in range(0, n):
+                ch.gl2_delta_mu(n, k, mu)
+                e_perp(k + 1, expansion)
+    assert len(handed) > 500
+    for terms in handed:
+        assert trusted(terms) == SchurExpansion(terms)

@@ -173,8 +173,8 @@ def test_the_cli_starts_without_the_heavy_stdlib():
 
 
 def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
-    # stats whose first two east steps give the same descent n-2
-    monkeypatch.setattr(pierimaps, "path_stats", lambda path: pierimaps.PathStats((1, 0), 0, ()))
+    # two east indices that are equal give the same descent n-2 twice
+    monkeypatch.setattr(pierimaps, "_east_indices", lambda word, count: [1, 1])
     code = cli.main(["pieri", "--n", "6", "--k", "2", "--path", "EENN"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

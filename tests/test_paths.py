@@ -335,8 +335,35 @@ def _area_by_box_counting(path):
     return total
 
 
+def _area_by_row_walk(path):
+    """The row walk area() replaced: full rows below the start, then each
+    north step at (x, y) adds the n-2-y-x boxes to its east."""
+    n, y = path.n, path.s
+    total = sum(n - 2 - j for j in range(path.s))
+    x = 0
+    for step in path.word:
+        if step == "N":
+            total += n - 2 - y - x
+            y += 1
+        else:
+            x += 1
+    return total
+
+
 def test_area_agrees_with_box_counting_oracle():
     for n in range(2, 11):
         for s in range(0, n - 1):
             for p in enumerate_T(n, s):
-                assert p.area() == _area_by_box_counting(p), p
+                assert p.area() == _area_by_box_counting(p) == _area_by_row_walk(p), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=22).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n - 2).flatmap(
+        lambda s: st.text("NE", min_size=n - s - 2, max_size=n - s - 2).map(
+            lambda word: LatticePath(n, s, word)
+        )
+    )
+))
+def test_area_agrees_with_row_walk_property(path):
+    assert path.area() == _area_by_row_walk(path)

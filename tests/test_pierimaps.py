@@ -121,6 +121,65 @@ def test_e_minus_hook_law_and_east_start_branch():
                     assert h - k + 2 in tagged.descents
 
 
+def _drop_steps(word, easts, norths):
+    """Remove the first `easts` east steps and first `norths` north steps."""
+    out = []
+    for ch in word:
+        if ch == "E" and easts:
+            easts -= 1
+        elif ch == "N" and norths:
+            norths -= 1
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def ref_plus_map(k, path):
+    """The plus map by its definition: descents from the norths before each
+    of the first k east steps, which are then dropped."""
+    n = path.n
+    descents = pm._row_descents(n, pm.path_stats(path).p[:k], 0)
+    assert len(descents) == k
+    return pm.TaggedPath(frozenset(descents), LatticePath(n, k, _drop_steps(path.word, k, 0)))
+
+
+def ref_minus_map(k, path):
+    """The minus map by its definition: the first k-1 east steps as in the
+    plus map, and the first north step after a leading east run h as the
+    descent max(1, h-k+2)."""
+    n = path.n
+    stats = pm.path_stats(path)
+    descents = pm._row_descents(n, stats.p[:k - 1], 0)
+    extra = max(1, stats.h - k + 2)
+    assert extra not in descents
+    return pm.TaggedPath(
+        frozenset(descents | {extra}), LatticePath(n, k, _drop_steps(path.word, k - 1, 1))
+    )
+
+
+def _maps_match_the_reference(gamma):
+    n = gamma.n
+    for k in range(0, n - 1):
+        if plus_domain(k, gamma):
+            assert pm.e_plus_map(k, gamma) == ref_plus_map(k, gamma), (k, gamma)
+        if minus_domain(k, gamma):
+            assert pm.e_minus_map(k, gamma) == ref_minus_map(k, gamma), (k, gamma)
+
+
+def test_maps_match_the_reference_exhaustively():
+    for n in range(2, 11):
+        for gamma in enumerate_T(n, 0):
+            _maps_match_the_reference(gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=22).flatmap(
+    lambda n: st.text("NE", min_size=n - 2, max_size=n - 2).map(lambda word: LatticePath(n, 0, word))
+))
+def test_maps_match_the_reference_property(gamma):
+    _maps_match_the_reference(gamma)
+
+
 def _defined(pieri_map, k, path):
     try:
         pieri_map(k, path)
@@ -150,6 +209,11 @@ def test_map_domain_errors():
         pm.e_plus_map(1, LatticePath(6, 2, "NE"))  # wrong start height
     with pytest.raises(ValueError):
         pm._tag(5, {5}, "")  # descents outside 1..n-1
+    with pytest.raises(ValueError, match=r"must lie in 1\.\.4"):
+        pm._tag(5, {0, 2}, "N")
+    with pytest.raises(ValueError, match="invalid for"):
+        pm._tag(5, {2, 3}, "")  # the (5, 2) family has one-step words
+    assert pm._tag(5, {1, 4}, "E") == pm.TaggedPath(frozenset({1, 4}), LatticePath(5, 2, "E"))
 
 
 def test_build_sets_structure():

@@ -63,6 +63,28 @@ def test_products_with_one_term_match_the_term_by_term_product(p, m):
         assert all(c for _, c in product.items())
 
 
+shifted_terms = st.lists(st.tuples(polys, coeffs, exponents, exponents, exponents), max_size=5)
+
+
+@given(shifted_terms)
+def test_shifted_sum_matches_the_sum_of_shifted_products(terms):
+    want = ZERO
+    for poly, c, eq, et, ez in terms:
+        want = want + LaurentPoly.term(c, eq, et, ez) * poly
+    got = LaurentPoly.shifted_sum(iter(terms))
+    assert got == want
+    assert all(c for _, c in got.items())
+    # every term next to its negative: the sum cancels to zero
+    cancelling = terms + [(poly, -c, eq, et, ez) for poly, c, eq, et, ez in terms]
+    assert LaurentPoly.shifted_sum(cancelling).is_zero()
+
+
+def test_shifted_sum_examples():
+    assert LaurentPoly.shifted_sum([]) == ZERO
+    assert LaurentPoly.shifted_sum([(q + t, 2, 1, 0, -1), (q**2, -2, -1, 1, -1)]) == 2 * q**2 * z**-1
+    assert LaurentPoly.shifted_sum([(ONE + z, 3, 0, 0, 0), (z, -3, 0, 0, 0)]) == 3
+
+
 @given(polys, polys, polys)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a

@@ -28,6 +28,14 @@ def test_expansion_canonical_form():
     assert g.support() == [(1, 1)]
 
 
+def test_trusted_expansion_drops_zeros_like_the_checked_constructor():
+    terms = {(2,): 0, (1,): ZERO, (1, 1): 3, (): q - q, (3, 1): t}
+    trusted = SchurExpansion._trusted(terms)
+    assert trusted == SchurExpansion(terms)
+    assert trusted.support() == [(3, 1), (1, 1)]
+    assert trusted.coefficient((1, 1)) == 3 * ONE
+
+
 def test_e_perp_figure_example():
     image = e_perp(2, s((4, 3, 1, 1)))
     assert image == s((3, 2, 1, 1)) + s((3, 3, 1)) + s((4, 2, 1)) + s((4, 3))
