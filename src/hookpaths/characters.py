@@ -24,9 +24,10 @@ from .qpoly import (
 from .schur import SchurExpansion, e_perp, first_row_fingerprint, restrict
 from .shapes import (
     Partition,
+    _descent_classes,
     check_partition,
+    check_syt_size,
     conjugate,
-    descent_tally,
     is_hook,
     normalize_shape,
     partitions_of,
@@ -80,9 +81,10 @@ def _syt_families(n: int, mu: Partition, base: int) -> dict:
     """The path families of the tableaux in SYT(mu), for family_tally: the
     class of conjugate statistics (des', maj') reads T(n, des') shifted by
     base - maj'."""
+    check_syt_size(n)  # before conjugate(mu), a tuple as long as mu's first part
     return {
-        (n, desp): {base - majp: c for majp, c in majps.items()}
-        for desp, majps in descent_tally(conjugate(mu)).items()
+        (n, desp): {base - majp: c for majp, c in majps}
+        for desp, majps in _descent_classes(conjugate(mu))
     }
 
 
@@ -115,9 +117,10 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     mu = check_partition(mu)
     if not is_hook(mu) or sum(mu) != n:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
+    check_syt_size(n)  # before conjugate(mu)
     counts = Counter()
-    for desp, majps in descent_tally(conjugate(mu)).items():
-        for majp, c in majps.items():
+    for desp, majps in _descent_classes(conjugate(mu)):
+        for majp, c in majps:
             _add_gl2_terms(counts, r * binom2(n) - majp, max(n - 1, 0) - desp, c)
     return SchurExpansion._trusted(counts)
 
@@ -126,9 +129,10 @@ def gl2_delta_en(n: int, k: int) -> SchurExpansion:
     """The elementary-pairing specialization, summed over SYT((n-k, 1^k))."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"k={k} outside 0..{n - 1}")
+    check_syt_size(n)  # before the hook (n-k, 1^k)
     counts = Counter()
-    for majs in descent_tally((n - k,) + (1,) * k).values():
-        for maj, c in majs.items():
+    for _, majs in _descent_classes((n - k,) + (1,) * k):
+        for maj, c in majs:
             _add_gl2_terms(counts, maj, k, c)
     return SchurExpansion._trusted(counts)
 
@@ -159,12 +163,12 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
     for (m, s), shifts in _syt_families(n, mu, 0).items():
         near = {cls: c for cls, c in family_counts(m, s).items() if k - 2 <= cls[1] <= k}
         add_shifted(tally, near, shifts)
-    counts = Counter()
+    counts = Counter()  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
     for (d, h), c in tally.items():
-        if h in two_row_heights:
-            _add_shape(counts, (k - 1 + d, 1), c)
-        if h in one_row_heights:
-            _add_shape(counts, (k + d,), c)
+        if h in two_row_heights and k - 1 + d >= 1:
+            counts[k - 1 + d, 1] += c
+        if h in one_row_heights and k + d >= 0:
+            counts[(k + d,) if k + d else ()] += c
     return SchurExpansion._trusted(counts)
 
 
@@ -187,16 +191,17 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
         raise ValueError("hrs_t0 needs k >= 0")
     terms = {}
     for mu in partitions_of(n):
-        coeff = Counter()
-        for desp, majps in descent_tally(conjugate(mu)).items():
+        coeff = {}
+        for desp, majps in _descent_classes(conjugate(mu)):
             des = max(n - 1, 0) - desp
             if des < k:  # [des k]_q = 0
                 continue
-            for majp, count in majps.items():
+            for majp, count in majps:
                 expo = k * desp + binom2(n - k) - majp
                 for (eq, et, ez), c in gauss_binomial(des, k)._terms.items():
-                    coeff[eq + expo, et, ez] += count * c
-        terms[mu] = LaurentPoly._trusted(dict(coeff))  # sums of positive terms
+                    key = (eq + expo, et, ez)
+                    coeff[key] = coeff.get(key, 0) + count * c
+        terms[mu] = LaurentPoly._trusted(coeff)  # sums of positive terms
     return SchurExpansion._trusted(terms)
 
 

@@ -24,7 +24,7 @@ from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    LatticePath, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook,
+    LatticePath, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook, words_T,
 )
 from .schur import SchurExpansion
 from .shapes import check_descents
@@ -112,17 +112,6 @@ def _east_indices(word: str, count: int) -> list:
     return out
 
 
-def _cut(word: str, indices) -> str:
-    """`word` without the steps at the increasing `indices`."""
-    pieces = []
-    start = 0
-    for i in indices:
-        pieces.append(word[start:i])
-        start = i + 1
-    pieces.append(word[start:])
-    return "".join(pieces)
-
-
 def check_pieri_k(k: int, n: int, low: int = 0) -> None:
     """Refuse a k outside low..n-2: the Pieri maps and sets at size n are
     defined for 0 <= k <= n-2, and the minus side and W need k >= 1."""
@@ -142,50 +131,69 @@ def minus_domain(k: int, path: LatticePath) -> bool:
     return k >= 1 and path.east_count() >= k - 1 and path.north_count() > 0
 
 
-def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
-    """Discard the first k east steps; the tableau records where they were.
+def plus_image(n: int, k: int, word: str) -> tuple:
+    """The plus map on a base word of size n, unchecked: (descents, image
+    word).  The first k east steps are discarded, and the one at word index
+    i records the descent n-1-i, so distinct steps record distinct
+    descents.  The caller keeps the word in plus_domain(k, .)."""
+    descents = frozenset(n - 1 - i for i in _east_indices(word, k))
+    if len(descents) != k:
+        raise AssertionError("descent construction collided")
+    return descents, word.replace("E", "", k)
 
-    The east step at word index i records the descent n-1-i, so distinct
-    steps record distinct descents.  Defined on the base paths where
-    plus_domain(k, path) holds.
-    """
+
+def minus_image(n: int, k: int, word: str) -> tuple:
+    """The minus map on a base word of size n, unchecked: (descents, image
+    word).  The first k-1 east steps record their descents as in plus_image,
+    and the first north step, after a leading east run of h, records
+    max(1, h-k+2); all k steps are discarded.  The caller keeps the word in
+    minus_domain(k, .)."""
+    descents = {n - 1 - i for i in _east_indices(word, k - 1)}
+    extra = max(1, word.index("N") - k + 2)
+    if extra in descents:
+        raise AssertionError("descent construction collided")
+    descents.add(extra)
+    return frozenset(descents), word.replace("N", "", 1).replace("E", "", k - 1)
+
+
+def image_reader(n: int, k: int):
+    """read(base, minus): the plus (minus=False) or minus kernel's image of a
+    base word as (descents, word, area, ht), (area, ht) read from a table of
+    T(n, k); an image word outside T(n, k) raises ValueError."""
+    table = {word: (area, ht) for word, area, ht in words_T(n, k)}
+
+    def read(base: str, minus: bool = False) -> tuple:
+        descents, word = (minus_image if minus else plus_image)(n, k, base)
+        if word not in table:
+            raise ValueError(f"k={k} image of {base} is not in T({n}, {k})")
+        return (descents, word) + table[word]
+
+    return read
+
+
+def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
+    """plus_image on a checked base path, as a TaggedPath: discard the first
+    k east steps; the tableau records where they were.  Defined on the base
+    paths where plus_domain(k, path) holds."""
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
     check_pieri_k(k, path.n)
     if not plus_domain(k, path):
         raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
-    n = path.n
-    easts = _east_indices(path.word, k)
-    descents = {n - 1 - i for i in easts}
-    if len(descents) != k:
-        raise AssertionError("descent construction collided")
-    return _tag(n, descents, _cut(path.word, easts))
+    return _tag(path.n, *plus_image(path.n, k, path.word))
 
 
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
-    """Discard the first k-1 east steps and the first north step.
-
-    The east steps record their descents as in e_plus_map, and the first
-    north step, after a leading east run of h, records max(1, h-k+2).
-    Defined on the base paths where minus_domain(k, path) holds; the
-    all-east path is left out because its hook image has a single Pieri term
-    already.
-    """
+    """minus_image on a checked base path, as a TaggedPath: discard the first
+    k-1 east steps and the first north step.  Defined on the base paths
+    where minus_domain(k, path) holds; the all-east path is left out because
+    its hook image has a single Pieri term already."""
     if path.s != 0:
         raise ValueError("e_minus_map expects a path starting at height 0")
-    n = path.n
-    check_pieri_k(k, n, 1)
+    check_pieri_k(k, path.n, 1)
     if not minus_domain(k, path):
         raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
-    word = path.word
-    easts = _east_indices(word, k - 1)
-    descents = {n - 1 - i for i in easts}
-    h = word.index("N")  # the leading east run
-    extra = max(1, h - k + 2)
-    if extra in descents:
-        raise AssertionError("descent construction collided")
-    descents.add(extra)
-    return _tag(n, descents, _cut(word, sorted(easts + [h])))
+    return _tag(path.n, *minus_image(path.n, k, path.word))
 
 
 def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
@@ -302,14 +310,16 @@ def pieri_tallies(n: int, k: int) -> dict:
 def perp_via_paths(n: int, k: int) -> SchurExpansion:
     """The adjoint Pieri rule computed path by path: each base path feeds a
     plus image and (off the all-east path) a minus image; out-of-domain paths
-    contribute nothing."""
+    contribute nothing.  image_reader reads each image; no path is tagged."""
     check_pieri_k(k, n)
+    read = image_reader(n, k)
     counts = Counter()
     for path in enumerate_T(n, 0):
-        if plus_domain(k, path):
-            counts[hook_of(e_plus_map(k, path))] += 1
+        images = [read(path.word)] if plus_domain(k, path) else []
         if minus_domain(k, path):
-            counts[hook_of(e_minus_map(k, path))] += 1
+            images.append(read(path.word, True))
+        for descents, _, area, ht in images:
+            counts[path_hook(n, area - sum(descents), ht, path)] += 1
     return SchurExpansion._trusted(counts)
 
 

@@ -9,6 +9,8 @@ as a one-part (and hook) shape so the inclusion-exclusion lifts close up.
 from .qpoly import LaurentPoly, ZERO
 from .shapes import Partition, check_partition, conjugate, is_hook, normalize_shape
 
+SPECIALIZE_BOUND = 2 ** 18  # specialize2's monomials; n = 12 at r = 14 needs about 7 * 10^4
+
 
 class SchurExpansion:
     """A finite map partition -> LaurentPoly, the coefficient of s_lambda."""
@@ -273,14 +275,13 @@ def specialize2(f: SchurExpansion) -> LaurentPoly:
 
     Indices of length > 2 vanish; s_(a) and s_(a,b) use the closed
     two-variable forms, which the semistandard oracle gates in the tests.
+    Over SPECIALIZE_BOUND monomials in all (a huge r) is refused first.
     """
-    terms = []
-    for lam, coeff in f._terms.items():
-        if len(lam) <= 2:
-            a, b = (lam + (0, 0))[:2]
-            # s_(a, b)(q, t) = (qt)^b * h_{a-b}(q, t): one shift per monomial
-            terms.extend((coeff, 1, b + i, a - i, 0) for i in range(a - b + 1))
-    return LaurentPoly.shifted_sum(terms)
+    rows = [((lam + (0, 0))[:2], coeff) for lam, coeff in f._terms.items() if len(lam) <= 2]
+    if sum(a - b + 1 for (a, b), _ in rows) > SPECIALIZE_BOUND:
+        raise ValueError(f"the two-variable evaluation exceeds the bound of {SPECIALIZE_BOUND} monomials")
+    # s_(a, b)(q, t) = (qt)^b * h_{a-b}(q, t): one shift per monomial
+    return LaurentPoly.shifted_sum((c, 1, b + i, a - i, 0) for (a, b), c in rows for i in range(a - b + 1))
 
 
 def ssyt_specialize_oracle(lam, m: int) -> LaurentPoly:

@@ -185,6 +185,12 @@ class StdTableau:
         return cls([piece.split(",") for piece in text.split("/")])
 
 
+def check_syt_size(n: int) -> None:
+    """Refuse shapes of more than SYT_SIZE_BOUND cells, which enumerate_SYT does not list."""
+    if n > SYT_SIZE_BOUND:
+        raise ValueError(f"shape size {n} exceeds the enumeration bound {SYT_SIZE_BOUND}")
+
+
 def enumerate_SYT(lam) -> list[StdTableau]:
     """All standard Young tableaux of the given shape, by backtracking.
 
@@ -193,8 +199,7 @@ def enumerate_SYT(lam) -> list[StdTableau]:
     """
     lam = check_partition(lam)
     n = sum(lam)
-    if n > SYT_SIZE_BOUND:
-        raise ValueError(f"shape size {n} exceeds the enumeration bound {SYT_SIZE_BOUND}")
+    check_syt_size(n)
     if n == 0:
         return [StdTableau(())]
     out = []
@@ -222,10 +227,10 @@ def enumerate_SYT(lam) -> list[StdTableau]:
 
 
 def descent_tally(lam) -> dict[int, Counter]:
-    """des -> {maj: number of standard tableaux of shape lam}, the character
-    formulas' one view of the tableau side.  Transposition is a bijection
-    SYT(lam) -> SYT(lam'), so descent_tally(conjugate(lam)) tallies the
-    conjugate statistics over SYT(lam).
+    """des -> {maj: number of standard tableaux of shape lam}, the tableau
+    side's (des, maj) tally.  Transposition is a bijection SYT(lam) ->
+    SYT(lam'), so descent_tally(conjugate(lam)) tallies the conjugate
+    statistics over SYT(lam).
 
     Each shape is enumerated once per process (SYT_SIZE_BOUND keeps the memo
     to the 272 partitions of n <= 12); every call gets fresh Counters.
@@ -235,7 +240,8 @@ def descent_tally(lam) -> dict[int, Counter]:
 
 @lru_cache(maxsize=None)
 def _descent_classes(lam: Partition) -> tuple:
-    """descent_tally's memo, frozen: ((des, ((maj, count), ...)), ...)."""
+    """descent_tally's memo, frozen: ((des, ((maj, count), ...)), ...), which
+    the character formulas iterate in place, with no copy."""
     tally = defaultdict(Counter)
     for descents in map(StdTableau.descent_set, enumerate_SYT(lam)):
         tally[len(descents)][sum(descents)] += 1

@@ -15,7 +15,7 @@ from math import comb, inf
 
 from . import characters, pierimaps
 from .characters import tally_hooks
-from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed
+from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed, path_hook
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, first_row_fingerprint, specialize2
 from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
@@ -228,29 +228,31 @@ def suite_bijections(max_n: int) -> list[VerifyReport]:
 
 
 def _check_pieri(n, minus):
-    """The plus map (minus=False) or the minus map on every k: the hook law,
-    injectivity, and the image being the plus set or the V set -- each image
-    in the set by its descent set's member_prefix, and as many images as the
-    set has members."""
+    """The plus map (minus=False) or the minus map on every k, by image_reader:
+    the hook law, injectivity, and the image being the plus set or the V set
+    -- each image in T(n, k), its descent set's member_prefix leading it,
+    and as many images as the set has members."""
     m = int(minus)
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
-    pieri_map = pierimaps.e_minus_map if minus else pierimaps.e_plus_map
     family = [(gamma, gamma.area(), gamma.ht()) for gamma in enumerate_T(n, 0)]
     target = "V" if minus else "plus"
     for k in range(m, n - 1):
         length = n - k - 2
+        read = pierimaps.image_reader(n, k)
         prefixes = {d: pierimaps.member_prefix(n, d, minus) for d in hook_descent_subsets(n, k)}
-        domain = [stats for stats in family if in_domain(k, stats[0])]
+        domain = [row for row in family if in_domain(k, row[0])]
         images = set()
         for gamma, area, ht in domain:
-            tagged = pieri_map(k, gamma)
-            images.add(tagged)
+            try:
+                descents, word, image_area, image_ht = read(gamma.word, minus)
+            except ValueError:  # the image word is off the (n, k) family
+                return f"k={k} image of {gamma} is not in the {target} set"
+            images.add((descents, word))
             want = hook_index(area + ht + 1 - m, n - 2 - ht - k + m)
-            if pierimaps.hook_of(tagged) != want:
+            if path_hook(n, image_area - sum(descents), image_ht, gamma) != want:
                 return f"k={k} hook law fails on {gamma}"
-            step, run = prefixes.get(tagged.descents, ("N", inf))
-            path = tagged.path
-            if (path.n, path.s) != (n, k) or path.leading_run(step) < run:
+            step, run = prefixes.get(descents, ("N", inf))
+            if len(word) - len(word.lstrip(step)) < run:
                 return f"k={k} image of {gamma} is not in the {target} set"
         if len(images) != len(domain):
             return f"k={k} not injective"

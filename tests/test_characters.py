@@ -54,13 +54,24 @@ def test_hook_result_is_an_immutable_record():
     assert result.proven
 
 
-def test_hook_formula_validation():
+def test_hook_formula_validation(monkeypatch):
     with pytest.raises(ValueError):
         ch.hook_formula(4, 1, (3, 2))  # not a partition of 4
     with pytest.raises(ValueError):
         ch.hook_formula(4, 0, (1, 1, 1, 1))
     with pytest.raises(ValueError):
         ch.hook_formula(1, 1, (1,))
+    # an oversized shape is refused before a tuple as long as one of its
+    # parts (mu's conjugate, the leg of (n-k, 1^k)) is built
+    monkeypatch.setattr(ch, "conjugate", lambda lam: pytest.fail("conjugate built"))
+    for formula in (
+        lambda: ch.hook_formula(13, 1, (13,)),
+        lambda: ch.gl2_nabla_hooks(13, 1, (13,)),
+        lambda: ch.gl2_delta_mu(13, 2, (13,)),
+        lambda: ch.gl2_delta_en(10 ** 12, 10 ** 12 - 1),
+    ):
+        with pytest.raises(ValueError, match="exceeds the enumeration bound 12"):
+            formula()
 
 
 def test_alternant_examples():

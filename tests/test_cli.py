@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hookpaths
 from hookpaths import cli, fixtures, paths, pierimaps
@@ -55,6 +58,10 @@ def test_expand_restrict_and_specialize(capsys):
     doc = json.loads(out)
     poly = LaurentPoly.from_json_obj(doc["specialized"])
     assert poly.coeff(eq=6) == 1  # top one-row term survives two variables
+    # at r = 10^18 the one-row index s_(a) has a + 1, about 3 * 10^18, monomials:
+    # refused before any is built
+    code, out = run_cli(capsys, "expand", "--mu", "2,1", "--r", str(10 ** 18), "--specialize", "2")
+    assert code == 2 and out == ""
 
 
 def test_expand_json_round_trip(capsys):
@@ -312,6 +319,20 @@ def test_pieri_output_matches_reference_rendering(capsys):
                 assert out == reference_pieri_output(n, k, as_json), (n, k, as_json)
 
 
+def test_pieri_output_matches_pinned_digests(capsys):
+    # the reference above is built from the maps under test; these digests
+    # of the same listings were taken before the maps were read by word
+    for argv, digest in (
+        (["pieri", "--n", "8", "--k", "2"],
+         "99d87710fd9fabdbbcaa6ec0780899a40fb7b561f4df7f6a2cfe8c29fd933efc"),
+        (["--json", "pieri", "--n", "8", "--k", "3"],
+         "c62e7bd99e6e5bf73f279a84463b96a0d4f63f068cea5edf3796109fd98c7e37"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_paths_listing_memory_does_not_grow_with_the_family(as_json):
     # 2^16 rows stream through a bounded block walk; one object per row
@@ -422,3 +443,58 @@ def test_verify_all_small_cap(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "all", "--max-n", "5")
     assert code == 0
     assert "fail" not in out.split("# ")[-1]
+
+
+# listings stay at n <= 14; sizes of 23 or more must be refused
+_LISTED = st.integers(-3, 14)
+_OVERSIZED = st.integers(23, 10 ** 12)
+_PARAMETER = st.integers(-3, 14) | st.integers(10 ** 6, 10 ** 18)  # s, k or r
+_NOT_AN_INT = st.sampled_from(["", "x", "1.5", "--3", "1e3"])
+
+
+@st.composite
+def _argv(draw):
+    """(argv, oversized): one command line over expand, paths, gf, pieri and
+    two-column, with malformed partitions, words and numbers among them."""
+    command = draw(st.sampled_from(["expand", "paths", "gf", "pieri", "two-column"]))
+    oversized = draw(st.booleans())
+    n = draw(_OVERSIZED if oversized else _LISTED)
+
+    def number(ints=_PARAMETER):  # one in eight is no integer at all
+        return str(draw(ints)) if draw(st.integers(0, 7)) else draw(_NOT_AN_INT)
+
+    argv = [command]
+    if command == "expand":
+        parts = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(lambda ps: sorted(ps, reverse=True))
+        parts |= st.lists(st.integers(-1, 4), max_size=4)  # mostly malformed
+        malformed = st.sampled_from(["", "x", "3,,1", "empty"])
+        mu = f"{n},1" if oversized else draw(parts.map(lambda ps: ",".join(map(str, ps))) | malformed)
+        argv += ["--mu", mu, "--r", number()]
+        argv += draw(st.sampled_from([[], ["--specialize", "2"], ["--restrict", "hooks"]]))
+    elif command in ("paths", "gf"):
+        # from a start height of 0 or below, an n of 23 or more is refused
+        argv += ["--n", number(st.just(n)), "--s", number(st.integers(-3, 0) if oversized else _PARAMETER)]
+    elif command == "pieri":
+        argv += ["--n", number(st.just(n)), "--k", number()]
+        word = st.text("NE", min_size=max(n - 2, 0), max_size=max(n - 2, 0))
+        path = draw(st.none() | st.text("NEx", max_size=16) | (st.nothing() if oversized else word))
+        argv += [] if path is None else ["--path", path]
+    else:
+        argv += ["--n", number(st.just(n))]
+    return draw(st.sampled_from([[], ["--json"]])) + argv, oversized
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_no_command_line_hangs_or_ends_in_a_traceback(case):
+    argv, oversized = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed number
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if oversized:
+        assert code == 2 and out.getvalue() == "", argv

@@ -158,12 +158,17 @@ def ref_minus_map(k, path):
 
 
 def _maps_match_the_reference(gamma):
+    # the public maps and, on the word alone, the kernels they wrap
     n = gamma.n
     for k in range(0, n - 1):
         if plus_domain(k, gamma):
-            assert pm.e_plus_map(k, gamma) == ref_plus_map(k, gamma), (k, gamma)
+            want = ref_plus_map(k, gamma)
+            assert pm.e_plus_map(k, gamma) == want, (k, gamma)
+            assert pm.plus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
         if minus_domain(k, gamma):
-            assert pm.e_minus_map(k, gamma) == ref_minus_map(k, gamma), (k, gamma)
+            want = ref_minus_map(k, gamma)
+            assert pm.e_minus_map(k, gamma) == want, (k, gamma)
+            assert pm.minus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
 
 
 def test_maps_match_the_reference_exhaustively():

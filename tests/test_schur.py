@@ -146,6 +146,8 @@ def test_specialize2_examples():
     assert specialize2(s((2, 1))) == q**2 * t + q * t**2
     assert specialize2(s((2,))) == q**2 + q * t + t**2
     assert specialize2(s(())) == ONE
+    with pytest.raises(ValueError, match="exceeds the bound of 262144 monomials"):
+        specialize2(s((2 ** 18,)))
 
 
 def test_ssyt_oracle_examples():

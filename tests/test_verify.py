@@ -7,7 +7,6 @@ import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
 from hookpaths.paths import LatticePath
-from hookpaths.pierimaps import TaggedPath
 from hookpaths.schur import SchurExpansion
 
 
@@ -27,50 +26,75 @@ def _shift_descents(monkeypatch, forward, inverse):
     monkeypatch.setattr(pierimaps, inverse, lambda *a: g(*a[:-1], {d - 10 for d in a[-1]}))
 
 
-def _flip_first_step(tagged):
-    path = tagged.path
-    flipped = {"E": "N", "N": "E"}[path.word[0]] + path.word[1:]
-    return TaggedPath(tagged.descents, LatticePath(path.n, path.s, flipped))
+def _flip_first_step(image):
+    """A map kernel's image with its word's first step flipped."""
+    descents, word = image
+    return descents, {"E": "N", "N": "E"}[word[0]] + word[1:]
 
 
 def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
-    plus, minus = pierimaps.e_plus_map, pierimaps.e_minus_map
-    monkeypatch.setattr(pierimaps, "e_plus_map", lambda k, g: _flip_first_step(plus(k, g)))
-    monkeypatch.setattr(pierimaps, "e_minus_map", lambda k, g: _flip_first_step(minus(k, g)))
+    plus, minus = pierimaps.plus_image, pierimaps.minus_image
+    monkeypatch.setattr(pierimaps, "plus_image", lambda n, k, w: _flip_first_step(plus(n, k, w)))
+    monkeypatch.setattr(pierimaps, "minus_image", lambda n, k, w: _flip_first_step(minus(n, k, w)))
     assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
     assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
+
+
+def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
+    # every descent one lower raises each minus image's hook arm by k; the
+    # minus map needs k >= 1, so the k = 0 instances still pass
+    minus = pierimaps.minus_image
+
+    def lowered(n, k, word):
+        descents, image = minus(n, k, word)
+        return frozenset(d - 1 for d in descents), image
+
+    monkeypatch.setattr(pierimaps, "minus_image", lowered)
+    assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
+    assert [line.split(" -- ")[0] for line in failed] == [
+        "[FAIL    ] pieri-paths check=perp n=3 k=1",
+        "[FAIL    ] pieri-paths check=perp n=4 k=1",
+        "[FAIL    ] pieri-paths check=perp n=4 k=2",
+    ]
+    assert all(" != " in line for line in failed), failed
+
+    # an image word one step short is off T(n, k): the instance names it
+    def shortened(n, k, word):
+        descents, image = minus(n, k, word)
+        return descents, image[1:]
+
+    monkeypatch.setattr(pierimaps, "minus_image", shortened)
+    assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
+    assert failed == ["[FAIL    ] pieri-paths check=perp n=4 k=1 -- exception: k=1 image of EN is not in T(4, 1)"]
 
 
 # at n = 6, k = 2 the plus map sends NEEE to ({3, 4}, NE); {2, 5} keeps the
 # major index, so the hook law holds, but T+ needs the prefix NN there, and
 # {0, 7} is no descent set at all
 def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
-    plus = pierimaps.e_plus_map
+    plus = pierimaps.plus_image
     for moved_to in ({2, 5}, {0, 7}):
 
-        def moved(k, g, moved_to=frozenset(moved_to)):
-            tagged = plus(k, g)
-            if tagged.descents != {3, 4}:
-                return tagged
-            return TaggedPath(moved_to, tagged.path)
+        def moved(n, k, word, moved_to=frozenset(moved_to)):
+            descents, image = plus(n, k, word)
+            return (moved_to if descents == {3, 4} else descents), image
 
-        monkeypatch.setattr(pierimaps, "e_plus_map", moved)
+        monkeypatch.setattr(pierimaps, "plus_image", moved)
         assert verify._check_pieri(6, False) == "k=2 image of NEEE is not in the plus set"
 
 
 def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
     # N w from height 0 and w from height 1 share area and height, so the
     # hook law and every prefix hold; the image is still not in T(4, 0)
-    plus = pierimaps.e_plus_map
+    plus = pierimaps.plus_image
 
-    def lifted(k, g):
-        tagged = plus(k, g)
-        path = tagged.path
-        if not path.word.startswith("N"):
-            return tagged
-        return TaggedPath(tagged.descents, LatticePath(path.n, path.s + 1, path.word[1:]))
+    def lifted(n, k, word):
+        descents, image = plus(n, k, word)
+        return descents, (image[1:] if image.startswith("N") else image)
 
-    monkeypatch.setattr(pierimaps, "e_plus_map", lifted)
+    monkeypatch.setattr(pierimaps, "plus_image", lifted)
     assert verify._check_pieri(4, False) == "k=0 image of NE is not in the plus set"
 
 
