@@ -13,7 +13,7 @@ from .shapes import (
     Partition,
     StdTableau,
     conjugate,
-    descent_tally,
+    descent_classes,
     enumerate_SYT,
     hook_tableau_from_descents,
     is_hook,

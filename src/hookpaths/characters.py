@@ -24,10 +24,10 @@ from .qpoly import (
 from .schur import SchurExpansion, e_perp, first_row_fingerprint, restrict
 from .shapes import (
     Partition,
-    _descent_classes,
     check_partition,
     check_syt_size,
     conjugate,
+    descent_classes,
     is_hook,
     normalize_shape,
     partitions_of,
@@ -84,7 +84,7 @@ def _syt_families(n: int, mu: Partition, base: int) -> dict:
     check_syt_size(n)  # before conjugate(mu), a tuple as long as mu's first part
     return {
         (n, desp): {base - majp: c for majp, c in majps}
-        for desp, majps in _descent_classes(conjugate(mu))
+        for desp, majps in descent_classes(conjugate(mu))
     }
 
 
@@ -119,7 +119,7 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
     check_syt_size(n)  # before conjugate(mu)
     counts = Counter()
-    for desp, majps in _descent_classes(conjugate(mu)):
+    for desp, majps in descent_classes(conjugate(mu)):
         for majp, c in majps:
             _add_gl2_terms(counts, r * binom2(n) - majp, max(n - 1, 0) - desp, c)
     return SchurExpansion._trusted(counts)
@@ -131,7 +131,7 @@ def gl2_delta_en(n: int, k: int) -> SchurExpansion:
         raise ValueError(f"k={k} outside 0..{n - 1}")
     check_syt_size(n)  # before the hook (n-k, 1^k)
     counts = Counter()
-    for _, majs in _descent_classes((n - k,) + (1,) * k):
+    for _, majs in descent_classes((n - k,) + (1,) * k):
         for maj, c in majs:
             _add_gl2_terms(counts, maj, k, c)
     return SchurExpansion._trusted(counts)
@@ -185,14 +185,15 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
     Coefficient of s_mu: sum over tableaux of shape mu of
     q^(k*des' + binom(n-k,2) - maj') * [des k]_q, where the primes are
     conjugate statistics.  The tableau tallies enumerate SYT, so
-    enumerate_SYT's SYT_SIZE_BOUND refuses n > 12.
+    SYT_SIZE_BOUND refuses n > 12, before any conjugate is built.
     """
     if k < 0:
         raise ValueError("hrs_t0 needs k >= 0")
+    check_syt_size(n)  # before conjugate((n,)), a tuple of n ones
     terms = {}
     for mu in partitions_of(n):
         coeff = {}
-        for desp, majps in _descent_classes(conjugate(mu)):
+        for desp, majps in descent_classes(conjugate(mu)):
             des = max(n - 1, 0) - desp
             if des < k:  # [des k]_q = 0
                 continue

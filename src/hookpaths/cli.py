@@ -14,7 +14,8 @@ import sys
 from . import characters, pierimaps, verify
 from .fixtures import load_fixture
 from .paths import (
-    LatticePath, _family_grid, family_blocks, family_counts, gf_T, gf_closed, path_hook, words_T,
+    PATH_STEP_BOUND, LatticePath, _family_grid, family_blocks, family_counts, gf_T, gf_closed,
+    path_hook, words_T,
 )
 from .paths import enumerate_T  # noqa: F401  bench/test_bench.py traces it as cli.enumerate_T
 from .schur import restrict, specialize2
@@ -50,6 +51,8 @@ def cmd_expand(args) -> int:
 def cmd_paths(args) -> int:
     n, s = args.n, args.s
     grid = _family_grid(n, s)  # refuses an oversized family before any output
+    if n > PATH_STEP_BOUND + 2:  # even a one-word family's row is n wide
+        raise ValueError(f"n={n} is past the listing bound of {PATH_STEP_BOUND + 2}: rows are n wide")
     length = grid[1] if grid else 0
     heads, block = family_blocks(n, s)
     if grid and not length:  # the family of the empty word lists it as "eps"
@@ -109,13 +112,11 @@ def cmd_pieri(args) -> int:
     pierimaps.check_pieri_k(k, n)
     if args.path is not None:
         gamma = LatticePath.parse(n, 0, args.path)
-        rows = [(gamma, gamma.area(), gamma.ht())]
+        rows = [(gamma.word, gamma.area(), gamma.ht())]
     else:
-        rows = ((LatticePath(n, 0, word), area, ht) for word, area, ht in words_T(n, 0))
-    sides = (
-        ("plus", pierimaps.plus_domain, pierimaps.e_plus_map),
-        ("minus", pierimaps.minus_domain, pierimaps.e_minus_map),
-    )
+        rows = words_T(n, 0)
+    read = pierimaps.image_reader(n, k)
+    sides = (("plus", pierimaps.plus_domain, False), ("minus", pierimaps.minus_domain, True))
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -123,16 +124,14 @@ def cmd_pieri(args) -> int:
         lead, sep = f"# adjoint Pieri images for n={n} k={k}\n", ""
     # each base path's entry is written once its images are known, and the
     # header with the first one: a map that fails on it leaves stdout empty
-    for gamma, area, ht in rows:
-        word = str(gamma)
+    for word, area, ht in rows:
         images = {}  # side -> (descents, image word, hook)
-        for side, in_domain, pieri_map in sides:
-            if in_domain(k, gamma):
-                tagged = pieri_map(k, gamma)
-                images[side] = (
-                    sorted(tagged.descents), str(tagged.path),
-                    partition_str(pierimaps.hook_of(tagged)),
-                )
+        for side, in_domain, minus in sides:
+            if in_domain(k, word):
+                descents, image, image_area, image_ht = read(word, minus)
+                hook = path_hook(n, image_area - sum(descents), image_ht, word)
+                images[side] = (sorted(descents), image or "eps", partition_str(hook))
+        word = word or "eps"
         if args.json:  # json.dumps(indent=1, sort_keys=True) two levels deep
             text = f'  {{\n   "area": {area},\n   "ht": {ht},\n'
             for side in ("minus", "plus"):

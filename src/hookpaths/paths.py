@@ -89,12 +89,6 @@ class LatticePath:
             length - i for i, step in enumerate(word) if step == "N"
         )
 
-    def east_count(self) -> int:
-        return self.word.count("E")
-
-    def north_count(self) -> int:
-        return self.word.count("N")
-
     def leading_run(self, step: str) -> int:
         k = 0
         for ch in self.word:
@@ -135,8 +129,8 @@ class LatticePath:
 
 
 def _family_grid(n: int, s: int):
-    """The clamped start height and word length of the (n, s) family, or
-    None for the empty family (n < 2).
+    """(clamped start height, word length, area of the rows below the start)
+    of the (n, s) family, or None for the empty family (n < 2).
 
     Refuses a negative start height, and families of words longer than
     PATH_STEP_BOUND steps: a family doubles with every step.
@@ -152,7 +146,7 @@ def _family_grid(n: int, s: int):
             f"the (n={n}, s={s}) family has 2^{length} paths, past the "
             f"enumeration bound of 2^{PATH_STEP_BOUND}"
         )
-    return s, length
+    return s, length, s * (n - 2) - binom2(s)
 
 
 def enumerate_T(n: int, s: int) -> list[LatticePath]:
@@ -165,7 +159,7 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
     grid = _family_grid(n, s)
     if grid is None:
         return []
-    s, length = grid
+    s, length, _ = grid
     trusted = LatticePath._trusted
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
@@ -185,34 +179,32 @@ def family_blocks(n: int, s: int):
     last b = min(WALK_BLOCK_STEPS, L) steps add the same (delta area,
     delta ht) whatever prefix they follow.  `block` lists those
     b-step suffixes once, as (word, delta area, delta ht) in lexicographic
-    order (E < N); `heads` yields each (word, area, ht) of the first L - b
+    order (E < N); `heads` lists each (word, area, ht) of the first L - b
     steps in the same order, starting from the start row's statistics.  The
     family is every head followed by every block entry, in enumerate_T's
-    order, and the split holds 2^b block entries, not 2^L words.  The family
+    order: 2^(L-b) heads and 2^b block entries, not 2^L words.  The family
     and its refusal are _family_grid's; n < 2 gives no heads.
     """
     grid = _family_grid(n, s)
     if grid is None:
-        return iter(()), []
-    s, length = grid
+        return [], []
+    s, length, area = grid
     steps = min(WALK_BLOCK_STEPS, length)
-    block = [("", 0, 0)]
-    for gain in range(steps, 0, -1):  # the step of gain g adds g to the area
+    heads = _walk([("", area, s)], range(length, steps, -1))
+    return heads, _walk([("", 0, 0)], range(steps, 0, -1))
+
+
+def _walk(level: list, gains) -> list:
+    """Extend every (word, area, ht) of `level` by one step per gain, E
+    before N: the step of gain g keeps the statistics (E) or adds g to the
+    area and 1 to the height (N), so lexicographic order is kept."""
+    for gain in gains:
         nxt = []
         extend = nxt.extend
-        for word, area, ht in block:
+        for word, area, ht in level:
             extend(((word + "E", area, ht), (word + "N", area + gain, ht + 1)))
-        block = nxt
-    return _heads(s * (n - 2) - binom2(s), s, length, steps), block
-
-
-def _heads(area: int, ht: int, length: int, steps: int):
-    """(word, area, ht) of every prefix of the first length - steps steps,
-    whose north steps gain length down to steps + 1."""
-    gains = range(length, steps, -1)
-    for head in product("EN", repeat=length - steps):
-        gain = sum(g for g, step in zip(gains, head) if step == "N")
-        yield "".join(head), area + gain, ht + head.count("N")
+        level = nxt
+    return level
 
 
 def words_T(n: int, s: int):
@@ -240,8 +232,8 @@ def family_counts(n: int, s: int) -> dict:
     grid = _family_grid(n, s)
     if grid is None:
         return {}
-    s, length = grid
-    return _extend({(s * (n - 2) - binom2(s), s): 1}, length)
+    s, length, area = grid
+    return _extend({(area, s): 1}, length)
 
 
 def _extend(level: dict, steps: int) -> dict:
@@ -272,8 +264,7 @@ def leading_run_counts(n: int, s: int) -> dict:
     grid = _family_grid(n, s)
     if grid is None:
         return {}
-    s, length = grid
-    area, ht = s * (n - 2) - binom2(s), s
+    ht, length, area = grid
     if not length:
         return {(0, 0): {(area, ht): 1}}
     out = {}
@@ -391,7 +382,7 @@ def filter_paths(n: int, s: int, predicate: str, **params) -> list[LatticePath]:
         return [p for p in paths if p.ht() == h]
     if predicate == "at_least_k_easts":
         k = params["k"]
-        return [p for p in paths if p.east_count() >= k]
+        return [p for p in paths if p.word.count("E") >= k]
     if predicate == "starts_with_east":
         return [p for p in paths if p.word.startswith("E")]
     if predicate == "starts_north_ends_exact_norths":

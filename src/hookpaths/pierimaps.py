@@ -16,6 +16,11 @@ read at two depths: pieri_tallies counts all five of T+, T-, V, W and
 V & T+ by (area - maj', ht) class, pairing descent classes with the
 leading-run classes of paths.leading_run_counts and building no path;
 build_sets builds every tagged path and is its oracle.
+
+The maps are word kernels, plus_image and minus_image, on the base words
+plus_domain and minus_domain admit; the library reads each image through
+image_reader and builds no path.  e_plus_map, e_minus_map, TaggedPath and
+hook_of are their checked public form, which the tests compare against.
 """
 
 from collections import Counter, defaultdict, namedtuple
@@ -24,7 +29,8 @@ from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    LatticePath, add_shifted, clamp_start, enumerate_T, leading_run_counts, path_hook, words_T,
+    LatticePath, add_shifted, clamp_start, enumerate_T, family_blocks, leading_run_counts, path_hook,
+    words_T,
 )
 from .schur import SchurExpansion
 from .shapes import check_descents
@@ -119,16 +125,16 @@ def check_pieri_k(k: int, n: int, low: int = 0) -> None:
         raise ValueError(f"k={k} outside {low}..{n - 2}")
 
 
-def plus_domain(k: int, path: LatticePath) -> bool:
-    """Whether the base path lies in the domain of e_plus_map(k, .): it has
-    at least k east steps."""
-    return path.east_count() >= k
+def plus_domain(k: int, word: str) -> bool:
+    """Whether the base word lies in the domain of the plus map at k: it
+    has at least k east steps."""
+    return word.count("E") >= k
 
 
-def minus_domain(k: int, path: LatticePath) -> bool:
-    """Whether the base path lies in the domain of e_minus_map(k, .): k >= 1,
-    at least k-1 east steps, and not the all-east path."""
-    return k >= 1 and path.east_count() >= k - 1 and path.north_count() > 0
+def minus_domain(k: int, word: str) -> bool:
+    """Whether the base word lies in the domain of the minus map at k:
+    k >= 1, at least k-1 east steps, and not the all-east word."""
+    return k >= 1 and word.count("E") >= k - 1 and "N" in word
 
 
 def plus_image(n: int, k: int, word: str) -> tuple:
@@ -158,15 +164,18 @@ def minus_image(n: int, k: int, word: str) -> tuple:
 
 def image_reader(n: int, k: int):
     """read(base, minus): the plus (minus=False) or minus kernel's image of a
-    base word as (descents, word, area, ht), (area, ht) read from a table of
-    T(n, k); an image word outside T(n, k) raises ValueError."""
-    table = {word: (area, ht) for word, area, ht in words_T(n, k)}
+    base word as (descents, word, area, ht), its head's and its suffix's
+    statistics looked up apart in family_blocks' split of T(n, k), so no
+    table holds all of T(n, k).  An image outside T(n, k) raises ValueError."""
+    heads, block = ({word: (area, ht) for word, area, ht in part} for part in family_blocks(n, k))
+    cut = len(next(iter(heads)))
 
     def read(base: str, minus: bool = False) -> tuple:
         descents, word = (minus_image if minus else plus_image)(n, k, base)
-        if word not in table:
+        head, tail = heads.get(word[:cut]), block.get(word[cut:])
+        if head is None or tail is None:
             raise ValueError(f"k={k} image of {base} is not in T({n}, {k})")
-        return (descents, word) + table[word]
+        return descents, word, head[0] + tail[0], head[1] + tail[1]
 
     return read
 
@@ -174,11 +183,11 @@ def image_reader(n: int, k: int):
 def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     """plus_image on a checked base path, as a TaggedPath: discard the first
     k east steps; the tableau records where they were.  Defined on the base
-    paths where plus_domain(k, path) holds."""
+    paths where plus_domain(k, path.word) holds."""
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
     check_pieri_k(k, path.n)
-    if not plus_domain(k, path):
+    if not plus_domain(k, path.word):
         raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
     return _tag(path.n, *plus_image(path.n, k, path.word))
 
@@ -186,12 +195,12 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     """minus_image on a checked base path, as a TaggedPath: discard the first
     k-1 east steps and the first north step.  Defined on the base paths
-    where minus_domain(k, path) holds; the all-east path is left out because
-    its hook image has a single Pieri term already."""
+    where minus_domain(k, path.word) holds; the all-east path is left out
+    because its hook image has a single Pieri term already."""
     if path.s != 0:
         raise ValueError("e_minus_map expects a path starting at height 0")
     check_pieri_k(k, path.n, 1)
-    if not minus_domain(k, path):
+    if not minus_domain(k, path.word):
         raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
     return _tag(path.n, *minus_image(path.n, k, path.word))
 
@@ -308,18 +317,18 @@ def pieri_tallies(n: int, k: int) -> dict:
 
 
 def perp_via_paths(n: int, k: int) -> SchurExpansion:
-    """The adjoint Pieri rule computed path by path: each base path feeds a
-    plus image and (off the all-east path) a minus image; out-of-domain paths
-    contribute nothing.  image_reader reads each image; no path is tagged."""
+    """The adjoint Pieri rule computed path by path: each base word feeds a
+    plus image and (off the all-east word) a minus image; out-of-domain words
+    contribute nothing.  image_reader reads each image; no path is built."""
     check_pieri_k(k, n)
     read = image_reader(n, k)
     counts = Counter()
-    for path in enumerate_T(n, 0):
-        images = [read(path.word)] if plus_domain(k, path) else []
-        if minus_domain(k, path):
-            images.append(read(path.word, True))
+    for word, _, _ in words_T(n, 0):
+        images = [read(word)] if plus_domain(k, word) else []
+        if minus_domain(k, word):
+            images.append(read(word, True))
         for descents, _, area, ht in images:
-            counts[path_hook(n, area - sum(descents), ht, path)] += 1
+            counts[path_hook(n, area - sum(descents), ht, word)] += 1
     return SchurExpansion._trusted(counts)
 
 

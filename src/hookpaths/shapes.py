@@ -226,22 +226,20 @@ def enumerate_SYT(lam) -> list[StdTableau]:
     return out
 
 
-def descent_tally(lam) -> dict[int, Counter]:
-    """des -> {maj: number of standard tableaux of shape lam}, the tableau
-    side's (des, maj) tally.  Transposition is a bijection SYT(lam) ->
-    SYT(lam'), so descent_tally(conjugate(lam)) tallies the conjugate
-    statistics over SYT(lam).
-
-    Each shape is enumerated once per process (SYT_SIZE_BOUND keeps the memo
-    to the 272 partitions of n <= 12); every call gets fresh Counters.
-    """
-    return {des: Counter(dict(majs)) for des, majs in _descent_classes(check_partition(lam))}
+def descent_classes(lam) -> tuple:
+    """The (des, maj) tally of SYT(lam), frozen: ((des, ((maj, count), ...)),
+    ...).  Transposition is a bijection SYT(lam) -> SYT(lam'), so
+    descent_classes(conjugate(lam)) tallies the conjugate statistics.
+    Refuses a non-partition and shapes past SYT_SIZE_BOUND cells; each shape
+    is tallied once per process, and every call hands out the same tuples."""
+    lam = check_partition(lam)
+    check_syt_size(sum(lam))
+    return _descent_classes(lam)
 
 
 @lru_cache(maxsize=None)
 def _descent_classes(lam: Partition) -> tuple:
-    """descent_tally's memo, frozen: ((des, ((maj, count), ...)), ...), which
-    the character formulas iterate in place, with no copy."""
+    """descent_classes' memo, for a checked partition."""
     tally = defaultdict(Counter)
     for descents in map(StdTableau.descent_set, enumerate_SYT(lam)):
         tally[len(descents)][sum(descents)] += 1

@@ -15,7 +15,7 @@ from math import comb, inf
 
 from . import characters, pierimaps
 from .characters import tally_hooks
-from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed, path_hook
+from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed, path_hook, words_T
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, first_row_fingerprint, specialize2
 from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
@@ -234,7 +234,7 @@ def _check_pieri(n, minus):
     and as many images as the set has members."""
     m = int(minus)
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
-    family = [(gamma, gamma.area(), gamma.ht()) for gamma in enumerate_T(n, 0)]
+    family = list(words_T(n, 0))
     target = "V" if minus else "plus"
     for k in range(m, n - 1):
         length = n - k - 2
@@ -244,7 +244,7 @@ def _check_pieri(n, minus):
         images = set()
         for gamma, area, ht in domain:
             try:
-                descents, word, image_area, image_ht = read(gamma.word, minus)
+                descents, word, image_area, image_ht = read(gamma, minus)
             except ValueError:  # the image word is off the (n, k) family
                 return f"k={k} image of {gamma} is not in the {target} set"
             images.add((descents, word))

@@ -62,13 +62,15 @@ def test_hook_formula_validation(monkeypatch):
     with pytest.raises(ValueError):
         ch.hook_formula(1, 1, (1,))
     # an oversized shape is refused before a tuple as long as one of its
-    # parts (mu's conjugate, the leg of (n-k, 1^k)) is built
+    # parts (mu's conjugate, the leg of (n-k, 1^k), the conjugate of (n,))
+    # is built
     monkeypatch.setattr(ch, "conjugate", lambda lam: pytest.fail("conjugate built"))
     for formula in (
         lambda: ch.hook_formula(13, 1, (13,)),
         lambda: ch.gl2_nabla_hooks(13, 1, (13,)),
         lambda: ch.gl2_delta_mu(13, 2, (13,)),
         lambda: ch.gl2_delta_en(10 ** 12, 10 ** 12 - 1),
+        lambda: ch.hrs_t0(10 ** 9, 0),
     ):
         with pytest.raises(ValueError, match="exceeds the enumeration bound 12"):
             formula()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hookpaths
-from hookpaths import cli, fixtures, paths, pierimaps
+from hookpaths import cli, fixtures, paths, pierimaps, verify
 from hookpaths.paths import enumerate_T, gf_T, gf_closed, hat_gf, words_T
 from hookpaths.qpoly import LaurentPoly
 from hookpaths.schur import SchurExpansion
@@ -221,6 +221,19 @@ def test_oversized_path_families_are_refused(capsys):
     )
 
 
+def test_paths_refuses_rows_wider_than_the_listing_bound(capsys):
+    # a one-word family past n = 22 still pads its row to n columns
+    refusal = "is past the listing bound of 22: rows are n wide"
+    for n, s in ((23, 21), (10 ** 9, 10 ** 9 - 2), (10 ** 9, 10 ** 9)):
+        for argv in ([], ["--json"]):
+            code = cli.main(argv + ["paths", "--n", str(n), "--s", str(s)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error (paths): n={n} {refusal}\n"
+    code, out = run_cli(capsys, "paths", "--n", "22", "--s", "20")
+    assert code == 0 and out == reference_paths_output(22, 20, False)
+
+
 def test_path_bound_is_shared(monkeypatch, capsys):
     # one bound behind every path family consumer: a 5-step family is
     # refused under a bound of 4 steps, a 4-step one is not
@@ -286,7 +299,7 @@ def reference_pieri_output(n, k, as_json):
     for gamma in enumerate_T(n, 0):
         entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
         for side, in_domain, pieri_map in sides:
-            if in_domain(k, gamma):
+            if in_domain(k, gamma.word):
                 tagged = pieri_map(k, gamma)
                 entry[side] = {
                     "descents": sorted(tagged.descents),
@@ -331,6 +344,35 @@ def test_pieri_output_matches_pinned_digests(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
+    # the constructors wrapped as test_pierimaps wraps TaggedPath's, and the
+    # trusted path constructor too
+    built = []
+    for cls in (pierimaps.TaggedPath, paths.LatticePath):
+        def counting_init(self, *args, init=cls.__dict__["__init__"]):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    trusted = paths.LatticePath._trusted
+
+    def counting_trusted(*args):
+        built.append(args)
+        return trusted(*args)
+
+    monkeypatch.setattr(paths.LatticePath, "_trusted", staticmethod(counting_trusted))
+    pierimaps.e_plus_map(2, paths.LatticePath(8, 0, "NENEEE"))
+    assert len(built) == 3  # the base path, its image and the tagged pair
+    built.clear()
+    for argv in (["pieri", "--n", "8", "--k", "2"], ["--json", "pieri", "--n", "8", "--k", "2"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out
+    # the map checks and the perp sum read the same way
+    assert verify._check_pieri(6, False) is None and verify._check_pieri(6, True) is None
+    pierimaps.perp_via_paths(6, 2)
+    assert built == []
 
 
 @pytest.mark.parametrize("as_json", [False, True])
@@ -472,8 +514,12 @@ def _argv(draw):
         argv += ["--mu", mu, "--r", number()]
         argv += draw(st.sampled_from([[], ["--specialize", "2"], ["--restrict", "hooks"]]))
     elif command in ("paths", "gf"):
-        # from a start height of 0 or below, an n of 23 or more is refused
-        argv += ["--n", number(st.just(n)), "--s", number(st.integers(-3, 0) if oversized else _PARAMETER)]
+        # an n of 23 or more is refused: by gf from a start height of 0 or
+        # below, and by paths from any start height
+        heights = _PARAMETER
+        if oversized:
+            heights = st.integers(-3, 0) if command == "gf" else st.integers(-3, n) | st.integers(n - 22, n)
+        argv += ["--n", number(st.just(n)), "--s", number(heights)]
     elif command == "pieri":
         argv += ["--n", number(st.just(n)), "--k", number()]
         word = st.text("NE", min_size=max(n - 2, 0), max_size=max(n - 2, 0))

@@ -97,7 +97,7 @@ def test_e_plus_hook_law():
     for n in range(3, 11):
         for k in range(0, n - 1):
             for gamma in enumerate_T(n, 0):
-                if not plus_domain(k, gamma):
+                if not plus_domain(k, gamma.word):
                     continue
                 want = (gamma.area() + gamma.ht() + 1,) + (1,) * (
                     n - 2 - gamma.ht() - k
@@ -109,7 +109,7 @@ def test_e_minus_hook_law_and_east_start_branch():
     for n in range(3, 11):
         for k in range(1, n - 1):
             for gamma in enumerate_T(n, 0):
-                if not minus_domain(k, gamma):
+                if not minus_domain(k, gamma.word):
                     continue
                 tagged = pm.e_minus_map(k, gamma)
                 arm = gamma.area() + gamma.ht()
@@ -161,11 +161,11 @@ def _maps_match_the_reference(gamma):
     # the public maps and, on the word alone, the kernels they wrap
     n = gamma.n
     for k in range(0, n - 1):
-        if plus_domain(k, gamma):
+        if plus_domain(k, gamma.word):
             want = ref_plus_map(k, gamma)
             assert pm.e_plus_map(k, gamma) == want, (k, gamma)
             assert pm.plus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
-        if minus_domain(k, gamma):
+        if minus_domain(k, gamma.word):
             want = ref_minus_map(k, gamma)
             assert pm.e_minus_map(k, gamma) == want, (k, gamma)
             assert pm.minus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
@@ -197,10 +197,34 @@ def test_domain_predicates_match_the_maps():
     for n in range(2, 10):
         for gamma in enumerate_T(n, 0):
             for k in range(0, n - 1):
-                assert plus_domain(k, gamma) == _defined(pm.e_plus_map, k, gamma), (k, gamma)
+                assert plus_domain(k, gamma.word) == _defined(pm.e_plus_map, k, gamma), (k, gamma)
             for k in range(1, n - 1):
-                assert minus_domain(k, gamma) == _defined(pm.e_minus_map, k, gamma), (k, gamma)
-    assert not minus_domain(0, LatticePath(6, 0, "NNEE"))  # the minus map needs k >= 1
+                assert minus_domain(k, gamma.word) == _defined(pm.e_minus_map, k, gamma), (k, gamma)
+    assert not minus_domain(0, "NNEE")  # the minus map needs k >= 1
+
+
+def test_image_reader_reads_split_families(monkeypatch):
+    # past WALK_BLOCK_STEPS steps T(n, k) splits into heads and a suffix
+    # block, which the reader looks an image's statistics up in apart
+    n = 13
+    for k in range(0, n - 1):
+        read = pm.image_reader(n, k)
+        for gamma in enumerate_T(n, 0):
+            for minus, in_domain in ((False, plus_domain), (True, minus_domain)):
+                if in_domain(k, gamma.word):
+                    descents, word, area, ht = read(gamma.word, minus)
+                    image = LatticePath(n, k, word)
+                    assert (area, ht) == (image.area(), image.ht()), (k, gamma, minus)
+    # an image a step short or long is off T(n, k) whichever part it spoils
+    plus = pm.plus_image
+    for spoil in (lambda word: word[1:], lambda word: word[:-1], lambda word: word + "E"):
+        def spoiled(n, k, word, spoil=spoil):
+            descents, image = plus(n, k, word)
+            return descents, spoil(image)
+
+        monkeypatch.setattr(pm, "plus_image", spoiled)
+        with pytest.raises(ValueError, match=r"k=0 image of NEEENEEEENE is not in T\(13, 0\)"):
+            pm.image_reader(n, 0)("NEEENEEEENE")
 
 
 def test_map_domain_errors():
@@ -359,12 +383,12 @@ def test_bijectivity_onto_plus_and_v():
         for k in range(0, n - 1):
             sets = pm.build_sets(n, k)
             family = enumerate_T(n, 0)
-            domain_plus = [g for g in family if plus_domain(k, g)]
+            domain_plus = [g for g in family if plus_domain(k, g.word)]
             image_plus = {pm.e_plus_map(k, g) for g in domain_plus}
             assert len(image_plus) == len(domain_plus)
             assert image_plus == set(sets.tplus)
             if k >= 1:
-                domain_minus = [g for g in family if minus_domain(k, g)]
+                domain_minus = [g for g in family if minus_domain(k, g.word)]
                 image_minus = {pm.e_minus_map(k, g) for g in domain_minus}
                 assert len(image_minus) == len(domain_minus)
                 assert image_minus == set(sets.v)
@@ -575,7 +599,7 @@ def test_descent_encoding_round_trip():
             for shift in (0, 1):
                 descents = pm._row_descents(n, counts, shift)
                 assert len(descents) == len(counts)
-                assert pm._path_from_descents(n, descents, shift, gamma.east_count()) == gamma
+                assert pm._path_from_descents(n, descents, shift, gamma.word.count("E")) == gamma
 
 
 def test_phi_round_trip_exhaustive():

@@ -9,7 +9,7 @@ from hookpaths.shapes import (
     StdTableau,
     check_partition,
     conjugate,
-    descent_tally,
+    descent_classes,
     enumerate_SYT,
     hook_tableau_from_descents,
     is_hook,
@@ -173,8 +173,8 @@ def test_descent_tally_obeys_the_q_hook_length_formula():
             cols = conjugate(lam)
             majs = LaurentPoly.sum(
                 c * q_power(maj)
-                for by_maj in descent_tally(lam).values()
-                for maj, c in by_maj.items()
+                for _, by_maj in descent_classes(lam)
+                for maj, c in by_maj
             )
             for i, row in enumerate(lam):
                 for j in range(row):
@@ -188,24 +188,22 @@ def test_descent_tally_of_the_conjugate_is_the_complement():
     # bijection SYT(lam) -> SYT(lam')
     for n in range(0, 11):
         for lam in partitions_of(n):
-            complement = {}
-            for des, by_maj in descent_tally(lam).items():
-                complement[max(n - 1, 0) - des] = {
-                    n * (n - 1) // 2 - maj: c for maj, c in by_maj.items()
-                }
-            assert descent_tally(conjugate(lam)) == complement, lam
+            complement = {
+                max(n - 1, 0) - des: {n * (n - 1) // 2 - maj: c for maj, c in by_maj}
+                for des, by_maj in descent_classes(lam)
+            }
+            conj = {des: dict(by_maj) for des, by_maj in descent_classes(conjugate(lam))}
+            assert conj == complement, lam
 
 
-def test_descent_tally_memo_hands_out_fresh_counters():
-    first = descent_tally([3, 2, 1])  # a list still works
-    expected = {des: dict(by_maj) for des, by_maj in first.items()}
-    first[2][5] += 100
-    first[3].clear()
-    del first[2]
-    again = descent_tally((3, 2, 1))
-    assert {des: dict(by_maj) for des, by_maj in again.items()} == expected
-    assert again == descent_tally([3, 2, 1])
-    assert sum(c for by_maj in again.values() for c in by_maj.values()) == 16
+def test_descent_class_memo_is_checked_and_shared():
+    classes = descent_classes([3, 2, 1])  # a list still works
+    assert classes is descent_classes((3, 2, 1))
+    assert sum(c for _, by_maj in classes for _, c in by_maj) == 16
+    with pytest.raises(ValueError, match="weakly decrease"):
+        descent_classes((1, 2))
+    with pytest.raises(ValueError, match=f"exceeds the enumeration bound {SYT_SIZE_BOUND}"):
+        descent_classes((SYT_SIZE_BOUND + 1,))
 
 
 def test_hook_tableau_from_descents():

@@ -101,8 +101,8 @@ def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
 def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
     # every image still lies in its set, but one member of the set is missed
     plus, minus = pierimaps.plus_domain, pierimaps.minus_domain
-    monkeypatch.setattr(pierimaps, "plus_domain", lambda k, g: plus(k, g) and g.word != "EE")
-    monkeypatch.setattr(pierimaps, "minus_domain", lambda k, g: minus(k, g) and g.word != "NE")
+    monkeypatch.setattr(pierimaps, "plus_domain", lambda k, word: plus(k, word) and word != "EE")
+    monkeypatch.setattr(pierimaps, "minus_domain", lambda k, word: minus(k, word) and word != "NE")
     assert verify._check_pieri(4, False) == "k=0 image is not the plus set"
     assert verify._check_pieri(4, True) == "k=1 image is not the V set"
 
