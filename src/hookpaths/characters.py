@@ -184,8 +184,8 @@ def hrs_t0(n: int, k: int) -> SchurExpansion:
 
     Coefficient of s_mu: sum over tableaux of shape mu of
     q^(k*des' + binom(n-k,2) - maj') * [des k]_q, where the primes are
-    conjugate statistics.  The tableau tallies enumerate SYT, so
-    SYT_SIZE_BOUND refuses n > 12, before any conjugate is built.
+    conjugate statistics.  SYT_SIZE_BOUND refuses n > 12, before any
+    conjugate is built.
     """
     if k < 0:
         raise ValueError("hrs_t0 needs k >= 0")

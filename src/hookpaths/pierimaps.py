@@ -21,6 +21,12 @@ The maps are word kernels, plus_image and minus_image, on the base words
 plus_domain and minus_domain admit; the library reads each image through
 image_reader and builds no path.  e_plus_map, e_minus_map, TaggedPath and
 hook_of are their checked public form, which the tests compare against.
+
+The three bijections are word kernels as well: north_descents reads one
+descent off each north step of a base word, and descents_word writes the
+word back from its descents.  phi_map, omega_map, beta_map and their
+inverses are checked wrappers over the two; verify's bijection checks call
+the kernels on the words of words_T(n, 0) and build no path.
 """
 
 from collections import Counter, defaultdict, namedtuple
@@ -88,12 +94,25 @@ def path_stats(path: LatticePath) -> PathStats:
     return PathStats(tuple(p), path.leading_run("E"), tuple(n_steps))
 
 
-def _row_descents(n: int, counts, shift: int) -> set:
-    """The descent n - i - c + shift for the i-th of the weakly increasing
-    step counts c: the bijections' north steps, with c = easts before it.
-    The Pieri maps' east steps follow the same rule with c = norths before
-    it, which reads as n-1 less the step's word index."""
-    return {n - i - c + shift for i, c in enumerate(counts, start=1)}
+def north_descents(n: int, word: str, shift: int) -> frozenset:
+    """The bijections' descents of a base word of size n: the north step at
+    word index i records n-1-i+shift.  The Pieri maps' east steps record
+    n-1-i the same way (_east_indices)."""
+    return frozenset(n - 1 - i + shift for i, step in enumerate(word) if step == "N")
+
+
+def descents_word(n: int, descents, shift: int, easts: int) -> str:
+    """Invert north_descents: the word of len(descents) + easts steps with a
+    north step at index n-1+shift-d for each descent d.  A descent whose
+    north step falls off the word raises."""
+    length = len(descents) + easts
+    word = ["E"] * length
+    for d in descents:
+        i = n - 1 + shift - d
+        if not 0 <= i < length:
+            raise ValueError(f"descent {d} puts a north step off the {length}-step word")
+        word[i] = "N"
+    return "".join(word)
 
 
 def _tag(n: int, descents, word: str) -> TaggedPath:
@@ -239,12 +258,12 @@ def thresholds(n: int, combo) -> tuple:
     return plus_north, inf, inf
 
 
-def member_prefix(n: int, descents, v: bool = False) -> tuple:
+def member_prefix(n: int, combo, v: bool = False) -> tuple:
     """The (step, run) prefix that puts a path of the (n, k) family, tagged
-    by the k-subset `descents`, in T+ (or in V when v is true): the tagged
-    path is a member exactly when its word begins with run copies of step.
-    A run of inf admits no path."""
-    plus_north, v_north, v_east = thresholds(n, tuple(sorted(descents)))
+    by the k-subset `combo` (a sorted tuple, as thresholds takes), in T+ (or
+    in V when v is true): the tagged path is a member exactly when its word
+    begins with run copies of step.  A run of inf admits no path."""
+    plus_north, v_north, v_east = thresholds(n, combo)
     if not v:
         return "N", plus_north
     return ("N", v_north) if v_north != inf else ("E", v_east)
@@ -319,17 +338,18 @@ def pieri_tallies(n: int, k: int) -> dict:
 def perp_via_paths(n: int, k: int) -> SchurExpansion:
     """The adjoint Pieri rule computed path by path: each base word feeds a
     plus image and (off the all-east word) a minus image; out-of-domain words
-    contribute nothing.  image_reader reads each image; no path is built."""
+    contribute nothing.  image_reader reads each image, and the images are
+    counted by (area - maj', ht) class; no path is built."""
     check_pieri_k(k, n)
     read = image_reader(n, k)
-    counts = Counter()
+    tally = Counter()
     for word, _, _ in words_T(n, 0):
         images = [read(word)] if plus_domain(k, word) else []
         if minus_domain(k, word):
             images.append(read(word, True))
         for descents, _, area, ht in images:
-            counts[path_hook(n, area - sum(descents), ht, word)] += 1
-    return SchurExpansion._trusted(counts)
+            tally[area - sum(descents), ht] += 1
+    return tally_hooks(n, tally, "a Pieri image")
 
 
 # -- the difference formula ----------------------------------------------------
@@ -428,14 +448,14 @@ def phi_map(k: int, path: LatticePath) -> frozenset:
         raise ValueError("phi_map expects a base path starting with an east step")
     if path.ht() != n - k - 3:
         raise ValueError(f"phi_map expects height {n - k - 3}, got {path.ht()}")
-    return frozenset(_row_descents(n, path_stats(path).n_steps, 1) | {1, 2})
+    return north_descents(n, path.word, 1) | {1, 2}
 
 
 def phi_inverse(k: int, n: int, descents) -> LatticePath:
     descents = _hook_descents(k, n, descents)
     if not {1, 2} <= descents:
         raise ValueError("descent set must contain {1, 2}")
-    return _path_from_descents(n, descents - {1, 2}, 1, k + 1)
+    return LatticePath(n, 0, descents_word(n, descents - {1, 2}, 1, k + 1))
 
 
 def omega_map(k: int, j: int, path: LatticePath) -> frozenset:
@@ -448,17 +468,17 @@ def omega_map(k: int, j: int, path: LatticePath) -> frozenset:
         raise ValueError(f"omega_map expects height {n - k - 3}, got {path.ht()}")
     if path.trailing_run("N") != j:
         raise ValueError(f"path must end with exactly {j} north steps")
-    descents = _row_descents(n, path_stats(path).n_steps, 0)
+    descents = north_descents(n, path.word, 0)
     if j + 2 in descents:
         raise AssertionError("descent construction collided")
-    return frozenset(descents | {1, j + 2})
+    return descents | {1, j + 2}
 
 
 def omega_inverse(k: int, j: int, n: int, descents) -> LatticePath:
     descents = _hook_descents(k, n, descents)
     if not (set(range(1, j + 3)) | {n - 1}) <= descents:
         raise ValueError(f"descent set must contain 1..{j + 2} and {n - 1}")
-    return _path_from_descents(n, descents - {1, j + 2}, 0, k + 1)
+    return LatticePath(n, 0, descents_word(n, descents - {1, j + 2}, 0, k + 1))
 
 
 def beta_map(d: int, n: int, descents) -> LatticePath:
@@ -467,30 +487,11 @@ def beta_map(d: int, n: int, descents) -> LatticePath:
     descents = _hook_descents(d, n, descents)
     if 1 not in descents:
         raise ValueError("beta_map needs 1 in the descent set")
-    return _path_from_descents(n, descents - {1}, 0, d)
+    return LatticePath(n, 0, descents_word(n, descents - {1}, 0, d))
 
 
 def beta_inverse(d: int, path: LatticePath) -> frozenset:
     n = path.n
     if path.s != 0 or path.ht() != n - d - 2:
         raise ValueError(f"beta_inverse expects a base path of height {n - d - 2}")
-    return frozenset(_row_descents(n, path_stats(path).n_steps, 0) | {1})
-
-
-def _path_from_descents(n: int, descents, shift: int, total_easts: int) -> LatticePath:
-    """Invert _row_descents: the base-family word whose i-th north step is
-    preceded by n - i - d + shift east steps, d the i-th largest descent, and
-    which has total_easts east steps."""
-    word = []
-    prev = 0
-    for i, d in enumerate(sorted(descents, reverse=True), start=1):
-        count = n - i - d + shift
-        if count < prev:
-            raise ValueError("east counts must be weakly increasing")
-        word.append("E" * (count - prev))
-        word.append("N")
-        prev = count
-    if prev > total_easts:
-        raise ValueError("east counts exceed the grid width")
-    word.append("E" * (total_easts - prev))
-    return LatticePath(n, 0, "".join(word))
+    return north_descents(n, path.word, 0) | {1}

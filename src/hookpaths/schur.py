@@ -6,8 +6,10 @@ sum).  The empty partition acts as the multiplicative unit and is counted
 as a one-part (and hook) shape so the inclusion-exclusion lifts close up.
 """
 
+from itertools import groupby
+
 from .qpoly import LaurentPoly, ZERO
-from .shapes import Partition, check_partition, conjugate, is_hook, normalize_shape
+from .shapes import Partition, check_partition, conjugate, is_hook
 
 SPECIALIZE_BOUND = 2 ** 18  # specialize2's monomials; n = 12 at r = 14 needs about 7 * 10^4
 
@@ -189,29 +191,22 @@ def restrict(f: SchurExpansion, cls) -> SchurExpansion:
 
 
 def vertical_strips(lam: Partition, k: int) -> list[Partition]:
-    """Partitions mu <= lam with lam/mu a vertical strip of k boxes."""
-    lam = tuple(lam)
-    rows = len(lam)
+    """Partitions mu <= lam with lam/mu a vertical strip of k boxes.  A run
+    of equal parts can lose boxes only from its last rows, so a strip is how
+    many boxes each run loses; parts of 0 drop off the end."""
+    runs = [(p, len(list(rows))) for p, rows in groupby(lam)]
     out = []
 
-    def rec(i, removed, prev, acc):
-        if removed > k:
+    def rec(i, left, acc):
+        if i == len(runs):
+            if not left:
+                out.append(acc)
             return
-        if i == rows:
-            if removed == k:
-                shape = normalize_shape(acc)
-                if shape is not None:
-                    out.append(shape)
-            return
-        for delta in (0, 1):
-            part = lam[i] - delta
-            if part < 0 or part > prev:
-                continue
-            acc.append(part)
-            rec(i + 1, removed + delta, part, acc)
-            acc.pop()
+        p, m = runs[i]
+        for lost in range(min(m, left) + 1):
+            rec(i + 1, left - lost, acc + (p,) * (m - lost) + (p - 1,) * (lost if p > 1 else 0))
 
-    rec(0, 0, lam[0] if lam else 0, [])
+    rec(0, k, ())
     return out
 
 

@@ -7,7 +7,6 @@ row and entries strictly increase along rows and up columns.
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations
 
 Partition = tuple[int, ...]
 
@@ -239,11 +238,33 @@ def descent_classes(lam) -> tuple:
 
 @lru_cache(maxsize=None)
 def _descent_classes(lam: Partition) -> tuple:
-    """descent_classes' memo, for a checked partition."""
-    tally = defaultdict(Counter)
-    for descents in map(StdTableau.descent_set, enumerate_SYT(lam)):
-        tally[len(descents)][sum(descents)] += 1
-    return tuple((des, tuple(majs.items())) for des, majs in tally.items())
+    """descent_classes' memo, for a checked partition, by a walk over the
+    filled subshapes: each (subshape, row of its largest entry v) holds the
+    (des, maj) tally of its fillings, and placing v+1 in a row above v's adds
+    the descent v.  A tally keys (des, maj) as des * width + maj."""
+    n = sum(lam)
+    width = n * (n - 1) // 2 + 1
+    level = {((1,) + (0,) * (len(lam) - 1), 0): {0: 1}}  # 1 in the bottom row
+    for v in range(1, n):
+        nxt = {}
+        for (shape, last), tally in level.items():
+            for r, filled in enumerate(shape):
+                if filled < lam[r] and (not r or shape[r - 1] > filled):
+                    key = (shape[:r] + (filled + 1,) + shape[r + 1:], r)
+                    gain = width + v if r > last else 0
+                    into = nxt.setdefault(key, {})
+                    for dm, c in tally.items():
+                        into[dm + gain] = into.get(dm + gain, 0) + c
+                if not filled:  # the rows above an empty row are empty too
+                    break
+        level = nxt
+    total = Counter()
+    for tally in level.values():
+        total.update(tally)
+    classes = defaultdict(list)
+    for dm in sorted(total):
+        classes[dm // width].append((dm % width, total[dm]))
+    return tuple((des, tuple(majs)) for des, majs in classes.items())
 
 
 def check_descents(descents, n: int) -> frozenset:
@@ -271,8 +292,3 @@ def hook_tableau_from_descents(S, n: int) -> StdTableau:
     return StdTableau._trusted(
         (arm,) + tuple((e,) for e in leg), (len(arm),) + (1,) * len(leg), row_of
     )
-
-
-def hook_descent_subsets(n: int, k: int):
-    """All k-element descent sets of hook tableaux of size n."""
-    return (frozenset(c) for c in combinations(range(1, n), k))

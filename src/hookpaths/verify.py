@@ -9,16 +9,15 @@ scrutiny rather than assertion.
 
 import time
 from collections import Counter
-from functools import partial
 from itertools import combinations
 from math import comb, inf
 
 from . import characters, pierimaps
 from .characters import tally_hooks
-from .paths import binom2, enumerate_T, family_tally, gf_T, gf_closed, path_hook, words_T
+from .paths import binom2, family_tally, gf_T, gf_closed, words_T
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
 from .schur import e_perp, first_row_fingerprint, specialize2
-from .shapes import hook_descent_subsets, hook_index, make_hook, partitions_of, partition_str
+from .shapes import make_hook, partitions_of, partition_str
 
 
 class VerifyReport:
@@ -239,7 +238,10 @@ def _check_pieri(n, minus):
     for k in range(m, n - 1):
         length = n - k - 2
         read = pierimaps.image_reader(n, k)
-        prefixes = {d: pierimaps.member_prefix(n, d, minus) for d in hook_descent_subsets(n, k)}
+        prefixes = {
+            frozenset(combo): pierimaps.member_prefix(n, combo, minus)
+            for combo in combinations(range(1, n), k)
+        }
         domain = [row for row in family if in_domain(k, row[0])]
         images = set()
         for gamma, area, ht in domain:
@@ -248,8 +250,8 @@ def _check_pieri(n, minus):
             except ValueError:  # the image word is off the (n, k) family
                 return f"k={k} image of {gamma} is not in the {target} set"
             images.add((descents, word))
-            want = hook_index(area + ht + 1 - m, n - 2 - ht - k + m)
-            if path_hook(n, image_area - sum(descents), image_ht, gamma) != want:
+            # the hook law: the image's hook is (area + ht + 1 - m, 1^(n-2-ht-k+m))
+            if image_ht != ht + k - m or image_area - sum(descents) + image_ht != area + ht - m:
                 return f"k={k} hook law fails on {gamma}"
             step, run = prefixes.get(descents, ("N", inf))
             if len(word) - len(word.lstrip(step)) < run:
@@ -283,14 +285,29 @@ def _shown(x):
     return sorted(x) if isinstance(x, frozenset) else x
 
 
+def _height_slices(n):
+    """The words of T(n, 0) by height, each slice as {word: area}."""
+    slices = {}
+    for word, area, ht in words_T(n, 0):
+        slices.setdefault(ht, {})[word] = area
+    return slices
+
+
+def _trailing_norths(word):
+    return len(word) - len(word.rstrip("N"))
+
+
 def _check_phi(n):
-    east_start = [p for p in enumerate_T(n, 0) if p.word.startswith("E")]
+    slices = _height_slices(n)
     for k in range(0, n - 2):
+        h = n - k - 3
+        areas = slices[h]
         witness = _bijects(
-            f"k={k}", [p for p in east_start if p.ht() == n - k - 3],
-            partial(pierimaps.phi_map, k), partial(pierimaps.phi_inverse, k, n),
-            lambda gamma, d: gamma.area() + gamma.ht() + 1 == sum(d) - len(d),
-            [d for d in hook_descent_subsets(n, n - k - 1) if {1, 2} <= d],
+            f"k={k}", [w for w in areas if w.startswith("E")],
+            lambda w: pierimaps.north_descents(n, w, 1) | {1, 2},
+            lambda d: pierimaps.descents_word(n, d - {1, 2}, 1, k + 1),
+            lambda w, d: areas[w] + h + 1 == sum(d) - len(d),
+            [frozenset((1, 2) + c) for c in combinations(range(3, n), h)],
         )
         if witness:
             return witness
@@ -298,37 +315,45 @@ def _check_phi(n):
 
 
 def _check_omega(n):
-    north_start = [p for p in enumerate_T(n, 0) if p.word.startswith("N")]
+    slices = _height_slices(n)
     for k in range(0, n - 2):
         h = n - k - 3
-        for j in range(0, h + 1):
-            domain = [p for p in north_start if p.trailing_run("N") == j and p.ht() == h]
-            if j == h:
-                # a north-start path of height h always carries k+1 >= 1
-                # east steps, so its trailing run is < h; the descent-set
-                # characterization is only meaningful below that edge
-                if domain:
-                    return f"k={k} j={j} unexpected all-north domain"
-                continue
+        areas = slices[h]
+        by_run = {}  # trailing north run -> the north-start words of height h
+        for w in areas:
+            if w.startswith("N"):
+                by_run.setdefault(_trailing_norths(w), []).append(w)
+        for j in range(0, h):
+            fixed = (*range(1, j + 3), n - 1)
             witness = _bijects(
-                f"k={k} j={j}", domain,
-                partial(pierimaps.omega_map, k, j), partial(pierimaps.omega_inverse, k, j, n),
-                lambda gamma, d: gamma.area() + gamma.ht() + 1 == sum(d) - (j + 2),
-                [d for d in hook_descent_subsets(n, n - k - 1) if set(range(1, j + 3)) | {n - 1} <= d],
+                f"k={k} j={j}", by_run.get(j, []),
+                lambda w: pierimaps.north_descents(n, w, 0) | {1, j + 2},
+                lambda d: pierimaps.descents_word(n, d - {1, j + 2}, 0, k + 1),
+                lambda w, d: areas[w] + h + 1 == sum(d) - (j + 2),
+                [frozenset(fixed + c) for c in combinations(range(j + 3, n - 1), h - j - 1)],
             )
             if witness:
                 return witness
+        # a north-start word of height h always carries k+1 >= 1 east steps,
+        # so its trailing run is < h; the descent-set characterization is
+        # only meaningful below that edge
+        if h in by_run:
+            return f"k={k} j={h} unexpected all-north domain"
     return None
 
 
 def _check_beta(n):
-    family = enumerate_T(n, 0)
+    slices = _height_slices(n)
     for d in range(0, n - 1):
+        h = n - d - 2
+        areas = slices[h]
         witness = _bijects(
-            f"d={d}", [s for s in hook_descent_subsets(n, n - d - 1) if 1 in s],
-            partial(pierimaps.beta_map, d, n), partial(pierimaps.beta_inverse, d),
-            lambda s, gamma: sum(s) == gamma.area() + gamma.ht() + 1,
-            [p for p in family if p.ht() == n - d - 2],
+            f"d={d}", [frozenset((1,) + c) for c in combinations(range(2, n), h)],
+            lambda s: pierimaps.descents_word(n, s - {1}, 0, d),
+            lambda w: pierimaps.north_descents(n, w, 0) | {1},
+            # an image off the slice fails the image check instead
+            lambda s, w: w not in areas or sum(s) == areas[w] + h + 1,
+            areas,
         )
         if witness:
             return witness
@@ -336,14 +361,13 @@ def _check_beta(n):
 
 
 def _check_slice(n):
-    family = enumerate_T(n, 0)
-    for h in range(0, n - 1):
-        slice_paths = {p for p in family if p.ht() == h}
-        blocks = [{p for p in slice_paths if p.word.startswith("E")}] + [
-            {p for p in slice_paths if p.word.startswith("N") and p.trailing_run("N") == j}
+    for h, areas in sorted(_height_slices(n).items()):
+        slice_words = set(areas)
+        blocks = [{w for w in slice_words if w.startswith("E")}] + [
+            {w for w in slice_words if w.startswith("N") and _trailing_norths(w) == j}
             for j in range(0, h + 1)
         ]
-        if set().union(*blocks) != slice_paths or sum(map(len, blocks)) != len(slice_paths):
+        if set().union(*blocks) != slice_words or sum(map(len, blocks)) != len(slice_words):
             return f"h={h} east/north blocks do not partition the slice"
     return None
 

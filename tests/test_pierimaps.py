@@ -121,6 +121,13 @@ def test_e_minus_hook_law_and_east_start_branch():
                     assert h - k + 2 in tagged.descents
 
 
+def row_descents(n, counts, shift):
+    """The descent n - i - c + shift for the i-th of the weakly increasing
+    step counts c: the bijections' north steps, with c = easts before it,
+    and the Pieri maps' east steps, with c = norths before it."""
+    return {n - i - c + shift for i, c in enumerate(counts, start=1)}
+
+
 def _drop_steps(word, easts, norths):
     """Remove the first `easts` east steps and first `norths` north steps."""
     out = []
@@ -138,7 +145,7 @@ def ref_plus_map(k, path):
     """The plus map by its definition: descents from the norths before each
     of the first k east steps, which are then dropped."""
     n = path.n
-    descents = pm._row_descents(n, pm.path_stats(path).p[:k], 0)
+    descents = row_descents(n, pm.path_stats(path).p[:k], 0)
     assert len(descents) == k
     return pm.TaggedPath(frozenset(descents), LatticePath(n, k, _drop_steps(path.word, k, 0)))
 
@@ -149,7 +156,7 @@ def ref_minus_map(k, path):
     descent max(1, h-k+2)."""
     n = path.n
     stats = pm.path_stats(path)
-    descents = pm._row_descents(n, stats.p[:k - 1], 0)
+    descents = row_descents(n, stats.p[:k - 1], 0)
     extra = max(1, stats.h - k + 2)
     assert extra not in descents
     return pm.TaggedPath(
@@ -286,7 +293,7 @@ def prefix_members(n, k, v=False):
     out = set()
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
-        step, run = pm.member_prefix(n, d, v)
+        step, run = pm.member_prefix(n, combo, v)
         out.update(pm.TaggedPath(d, path) for path in family if path.leading_run(step) >= run)
     return out
 
@@ -592,14 +599,20 @@ def test_beta_figure_example_and_statistic():
 
 
 def test_descent_encoding_round_trip():
-    # one rule, both shifts: the bijections' inverse undoes their encoding
+    # one rule, both shifts: north_descents is the row rule over the easts
+    # before each north step, and descents_word undoes it
     for n in range(2, 10):
         for gamma in enumerate_T(n, 0):
             counts = pm.path_stats(gamma).n_steps
             for shift in (0, 1):
-                descents = pm._row_descents(n, counts, shift)
+                descents = pm.north_descents(n, gamma.word, shift)
+                assert descents == row_descents(n, counts, shift)
                 assert len(descents) == len(counts)
-                assert pm._path_from_descents(n, descents, shift, gamma.word.count("E")) == gamma
+                assert pm.descents_word(n, descents, shift, gamma.word.count("E")) == gamma.word
+    # a descent whose north step would fall before or past the word
+    for descents in ({5}, {1}):
+        with pytest.raises(ValueError, match="off the 2-step word"):
+            pm.descents_word(5, descents, 0, 1)
 
 
 def test_phi_round_trip_exhaustive():

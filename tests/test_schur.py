@@ -16,7 +16,7 @@ from hookpaths.schur import (
     ssyt_specialize_oracle,
     vertical_strips,
 )
-from hookpaths.shapes import partitions_of
+from hookpaths.shapes import normalize_shape, partitions_of
 
 s = SchurExpansion.term
 
@@ -71,6 +71,41 @@ def test_vertical_strips_only_one_box_per_row():
     assert set(vertical_strips((2, 2), 1)) == {(2, 1)}
     assert vertical_strips((1, 1), 2) == [()]
     assert vertical_strips((2, 2), 3) == []
+
+
+def vertical_strips_by_rows(lam, k):
+    """Every way to take 0 or 1 box from each row, kept when k boxes went
+    and the rows still weakly decrease: 2^rows choices."""
+    rows = len(lam)
+    out = []
+
+    def rec(i, removed, prev, acc):
+        if removed > k:
+            return
+        if i == rows:
+            if removed == k:
+                shape = normalize_shape(acc)
+                if shape is not None:
+                    out.append(shape)
+            return
+        for delta in (0, 1):
+            part = lam[i] - delta
+            if part < 0 or part > prev:
+                continue
+            acc.append(part)
+            rec(i + 1, removed + delta, part, acc)
+            acc.pop()
+
+    rec(0, 0, lam[0] if lam else 0, [])
+    return out
+
+
+def test_vertical_strips_by_runs_match_the_row_by_row_reference():
+    # the same strips, in the same order
+    for n in range(0, 12):
+        for lam in partitions_of(n):
+            for k in range(0, n + 2):
+                assert vertical_strips(lam, k) == vertical_strips_by_rows(lam, k), (lam, k)
 
 
 def test_omega():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from hookpaths.shapes import (
     SYT_SIZE_BOUND,
     StdTableau,
+    _descent_classes,
     check_partition,
     conjugate,
     descent_classes,
@@ -19,7 +21,7 @@ from hookpaths.shapes import (
     partition_str,
     partitions_of,
 )
-from hookpaths.qpoly import LaurentPoly, q_factorial, q_int, q_power
+from hookpaths.qpoly import LaurentPoly, gauss_binomial, q_factorial, q_int, q_power
 
 
 def hook_length_count(shape):
@@ -194,6 +196,86 @@ def test_descent_tally_of_the_conjugate_is_the_complement():
             }
             conj = {des: dict(by_maj) for des, by_maj in descent_classes(conjugate(lam))}
             assert conj == complement, lam
+
+
+def class_dict(classes):
+    """descent_classes' frozen tuples as {(des, maj): count}."""
+    return {(des, maj): c for des, by_maj in classes for maj, c in by_maj}
+
+
+def test_descent_classes_match_the_enumerated_tableaux():
+    # the subshape walk against SYT(lam) listed one by one
+    for n in range(0, 11):
+        for lam in partitions_of(n):
+            enumerated = Counter((len(d), sum(d)) for d in map(StdTableau.descent_set, enumerate_SYT(lam)))
+            assert class_dict(descent_classes(lam)) == enumerated, lam
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def hook_content(lam, k):
+    """s_lam(1, q, ..., q^k) as a list of coefficients in q, by the
+    hook-content formula q^b(lam) prod_u (1 - q^(k+1+c(u))) / (1 - q^h(u))."""
+    if len(lam) > k + 1:  # a cell of content -(k+1): the factor 1 - q^0
+        return [0]
+    cols = conjugate(lam)
+    poly = [0] * sum(i * part for i, part in enumerate(lam)) + [1]
+    hooks = []
+    for i, row in enumerate(lam):
+        for j in range(row):
+            poly = _times(poly, [1] + [0] * (k + j - i) + [-1])
+            hooks.append((row - j) + (cols[j] - i) - 1)
+    for h in hooks:  # divide by 1 - q^h; every quotient is a polynomial
+        for e in range(h, len(poly)):
+            poly[e] += poly[e - h]
+    return poly
+
+
+def stanley_tally(lam):
+    """{(des, maj): count} over SYT(lam) from Stanley's identity: the
+    coefficients of t^0..t^(n-1) in prod_{i=0}^{n} (1 - t q^i) times
+    sum_k s_lam(1, q, ..., q^k) t^k (EC2 7.19.11)."""
+    n = sum(lam)
+    series = Counter()
+    for k in range(n):
+        for e, c in enumerate(hook_content(lam, k)):
+            series[k, e] += c
+    for i in range(n + 1):
+        nxt = Counter(series)
+        for (d, e), c in series.items():
+            if d + 1 < n:
+                nxt[d + 1, e + i] -= c
+        series = nxt
+    return {key: c for key, c in series.items() if c}
+
+
+def test_descent_classes_match_stanleys_hook_content_form():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            assert class_dict(descent_classes(lam)) == stanley_tally(lam), lam
+
+
+def test_hook_descent_classes_are_gaussian_binomials():
+    # a hook tableau's descents are its leg entries less one: any k-subset
+    # of 1..n-1, so maj runs over q^binom(k+1, 2) [n-1 k]_q
+    for n in range(1, 12):
+        for k in range(0, n):
+            ((des, by_maj),) = descent_classes((n - k,) + (1,) * k)
+            majs = LaurentPoly.sum(c * q_power(maj) for maj, c in by_maj)
+            assert des == k and majs == q_power(k * (k + 1) // 2) * gauss_binomial(n - 1, k), (n, k)
+
+
+def test_descent_classes_reach_past_the_enumeration_bound():
+    # the memo itself has no bound: the n = 21 staircase has f = 1,100,742,656
+    staircase = (6, 5, 4, 3, 2, 1)
+    total = sum(c for _, by_maj in _descent_classes(staircase) for _, c in by_maj)
+    assert total == hook_length_count(staircase) == 1_100_742_656
 
 
 def test_descent_class_memo_is_checked_and_shared():

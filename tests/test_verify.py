@@ -6,24 +6,26 @@ instance that raises must fail the same way without ending the run."""
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
-from hookpaths.paths import LatticePath
 from hookpaths.schur import SchurExpansion
 
 
-class StrayPath(LatticePath):
-    """Equal only to itself: an image outside every set of real paths."""
+class StrayWord(str):
+    """Hashed by identity, so no set or table of real words finds it: an
+    image outside every set of real words."""
 
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
 
-def _shift_descents(monkeypatch, forward, inverse):
-    """Shift every descent a bijection returns by 10, and back in its inverse:
-    the round trip still holds, the major index does not."""
-    f, g = getattr(pierimaps, forward), getattr(pierimaps, inverse)
-    monkeypatch.setattr(pierimaps, forward, lambda *a: frozenset(d + 10 for d in f(*a)))
-    monkeypatch.setattr(pierimaps, inverse, lambda *a: g(*a[:-1], {d - 10 for d in a[-1]}))
+def _shift_descents(monkeypatch):
+    """Shift every descent the bijections' word kernel reads by 10, and back
+    in its inverse: the round trip still holds, the major index does not."""
+    f, g = pierimaps.north_descents, pierimaps.descents_word
+    monkeypatch.setattr(pierimaps, "north_descents", lambda *a: frozenset(d + 10 for d in f(*a)))
+    monkeypatch.setattr(
+        pierimaps, "descents_word", lambda n, d, *a: g(n, {x - 10 for x in d}, *a)
+    )
 
 
 def _flip_first_step(image):
@@ -108,34 +110,23 @@ def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
 
 
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
-    inverse = pierimaps.phi_inverse
-
-    def reversed_inverse(k, n, descents):
-        path = inverse(k, n, descents)
-        return LatticePath(path.n, path.s, path.word[::-1])
-
-    monkeypatch.setattr(pierimaps, "phi_inverse", reversed_inverse)
+    inverse = pierimaps.descents_word
+    monkeypatch.setattr(pierimaps, "descents_word", lambda *a: inverse(*a)[::-1])
     assert verify._check_phi(4) == "k=0 round trip fails on EN"
 
 
 def test_omega_check_reports_a_broken_statistic(monkeypatch):
-    _shift_descents(monkeypatch, "omega_map", "omega_inverse")
+    _shift_descents(monkeypatch)
     assert verify._check_omega(4) == "k=0 j=0 statistic fails on NE"
-    _shift_descents(monkeypatch, "phi_map", "phi_inverse")
     assert verify._check_phi(4) == "k=0 statistic fails on EN"
 
 
 def test_beta_check_reports_an_image_mismatch(monkeypatch):
-    forward = pierimaps.beta_map
-
-    def stray(d, n, descents):
-        path = forward(d, n, descents)
-        return StrayPath(path.n, path.s, path.word)
-
-    monkeypatch.setattr(pierimaps, "beta_map", stray)
+    forward = pierimaps.descents_word
+    monkeypatch.setattr(pierimaps, "descents_word", lambda *a: StrayWord(forward(*a)))
     assert verify._check_beta(3) == "d=0 image mismatch"
     # a descent set in a witness reads as its sorted list
-    monkeypatch.setattr(pierimaps, "beta_inverse", lambda d, g: frozenset())
+    monkeypatch.setattr(pierimaps, "north_descents", lambda n, word, shift: frozenset())
     assert verify._check_beta(3) == "d=0 round trip fails on [1, 2]"
 
 
