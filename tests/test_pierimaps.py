@@ -609,8 +609,8 @@ def test_descent_encoding_round_trip():
                 assert descents == row_descents(n, counts, shift)
                 assert len(descents) == len(counts)
                 assert pm.descents_word(n, descents, shift, gamma.word.count("E")) == gamma.word
-    # a descent whose north step would fall before or past the word
-    for descents in ({5}, {1}):
+    # a descent whose north step would fall just before or just past the word
+    for descents in ({5}, {2}):
         with pytest.raises(ValueError, match="off the 2-step word"):
             pm.descents_word(5, descents, 0, 1)
 

@@ -41,6 +41,22 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
     assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
     assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
 
+    # one step higher and one box less keeps the arm; only the leg is off
+    monkeypatch.undo()
+    reader = pierimaps.image_reader
+
+    def skewed(n, k):
+        read = reader(n, k)
+
+        def skewed_read(base, minus=False):
+            descents, word, area, ht = read(base, minus)
+            return descents, word, area - 1, ht + 1
+
+        return skewed_read
+
+    monkeypatch.setattr(pierimaps, "image_reader", skewed)
+    assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
+
 
 def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
     # every descent one lower raises each minus image's hook arm by k; the
