@@ -11,7 +11,7 @@ exploring those cases is the point of having the formula in executable form.
 from collections import Counter, namedtuple
 
 from .paths import (
-    _family_grid, add_shifted, binom2, family_counts, family_tally, gf_closed, path_hook,
+    _family_grid, binom2, family_counts, family_tally, gf_closed, path_hook,
 )
 from .paths import enumerate_T  # noqa: F401  bench/test_bench.py traces it as characters.enumerate_T
 from .qpoly import (
@@ -145,31 +145,44 @@ def _add_gl2_terms(counts: Counter, m: int, top: int, count: int) -> None:
 
 
 def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
-    """Height-filtered path form of the adjoint-Pieri specialization.
+    """The adjoint-Pieri specialization at one k: gl2_delta_mu_by_k's entry
+    k, after the partition, sum and k checks."""
+    mu = _partition_of(n, mu)
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k={k} outside 0..{n - 1}")
+    return gl2_delta_mu_by_k(n, mu)[k]
 
-    The two-row terms come from paths of height k-2 and k-1, the one-row
-    terms from heights k-1 and k; at k = n-1 each filter keeps only its
-    lower height.  Each family's classes are cut to the heights k-2..k
-    before they are shifted.
-    """
+
+def gl2_delta_mu_by_k(n: int, mu) -> list:
+    """Height-filtered path form of the adjoint-Pieri specialization for each
+    k = 0..n-1, from one fold of mu's path families grouped by height: k's
+    two-row terms read heights k-2 and k-1, its one-row terms k-1 and k, and
+    at k = n-1 each keeps only the lower."""
+    mu = _partition_of(n, mu)
+    by_height = {}
+    for (d, h), c in family_tally(_syt_families(n, mu, 0)).items():
+        by_height.setdefault(h, []).append((d, c))
+    out = []
+    for k in range(n):
+        counts = Counter()  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
+        for h in (k - 2,) if k == n - 1 else (k - 2, k - 1):
+            for d, c in by_height.get(h, ()):
+                if k - 1 + d >= 1:
+                    counts[k - 1 + d, 1] += c
+        for h in (k - 1,) if k == n - 1 else (k - 1, k):
+            for d, c in by_height.get(h, ()):
+                if k + d >= 0:
+                    counts[(k + d,) if k + d else ()] += c
+        out.append(SchurExpansion._trusted(counts))
+    return out
+
+
+def _partition_of(n: int, mu) -> Partition:
+    """mu as a checked partition of n."""
     mu = check_partition(mu)
     if sum(mu) != n:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k={k} outside 0..{n - 1}")
-    two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
-    one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
-    tally = Counter()
-    for (m, s), shifts in _syt_families(n, mu, 0).items():
-        near = {cls: c for cls, c in family_counts(m, s).items() if k - 2 <= cls[1] <= k}
-        add_shifted(tally, near, shifts)
-    counts = Counter()  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
-    for (d, h), c in tally.items():
-        if h in two_row_heights and k - 1 + d >= 1:
-            counts[k - 1 + d, 1] += c
-        if h in one_row_heights and k + d >= 0:
-            counts[(k + d,) if k + d else ()] += c
-    return SchurExpansion._trusted(counts)
+    return mu
 
 
 def _add_shape(counts: Counter, raw, count: int = 1) -> None:
@@ -180,30 +193,39 @@ def _add_shape(counts: Counter, raw, count: int = 1) -> None:
 
 
 def hrs_t0(n: int, k: int) -> SchurExpansion:
-    """The t=0 character over all shapes of n, exact in q.
+    """The t=0 character over all shapes of n, exact in q: hrs_t0_by_k's
+    table k, and 0 past the last.  SYT_SIZE_BOUND refuses n > 12 first."""
+    if k < 0:
+        raise ValueError("hrs_t0 needs k >= 0")
+    check_syt_size(n)
+    return hrs_t0_by_k(n)[k] if k <= max(n - 1, 0) else SchurExpansion.zero()
+
+
+def hrs_t0_by_k(n: int) -> list:
+    """[hrs_t0(n, k) for k = 0..max(n-1, 0)], reading each shape's conjugate
+    descent classes once.
 
     Coefficient of s_mu: sum over tableaux of shape mu of
     q^(k*des' + binom(n-k,2) - maj') * [des k]_q, where the primes are
-    conjugate statistics.  SYT_SIZE_BOUND refuses n > 12, before any
-    conjugate is built.
+    conjugate statistics.
     """
-    if k < 0:
-        raise ValueError("hrs_t0 needs k >= 0")
     check_syt_size(n)  # before conjugate((n,)), a tuple of n ones
-    terms = {}
+    tables = [{} for _ in range(max(n, 1))]
     for mu in partitions_of(n):
-        coeff = {}
+        coeffs = [{} for _ in tables]
         for desp, majps in descent_classes(conjugate(mu)):
             des = max(n - 1, 0) - desp
-            if des < k:  # [des k]_q = 0
-                continue
-            for majp, count in majps:
-                expo = k * desp + binom2(n - k) - majp
-                for (eq, et, ez), c in gauss_binomial(des, k)._terms.items():
-                    key = (eq + expo, et, ez)
-                    coeff[key] = coeff.get(key, 0) + count * c
-        terms[mu] = LaurentPoly._trusted(coeff)  # sums of positive terms
-    return SchurExpansion._trusted(terms)
+            for k in range(des + 1):  # [des k]_q = 0 past k = des
+                coeff = coeffs[k]
+                gauss = gauss_binomial(des, k)._terms.items()
+                for majp, count in majps:
+                    expo = k * desp + binom2(n - k) - majp
+                    for (eq, et, ez), c in gauss:
+                        key = (eq + expo, et, ez)
+                        coeff[key] = coeff.get(key, 0) + count * c
+        for table, coeff in zip(tables, coeffs):
+            table[mu] = LaurentPoly._trusted(coeff)  # sums of positive terms
+    return [SchurExpansion._trusted(terms) for terms in tables]
 
 
 # -- one-part data and the inclusion-exclusion lifts -----------------------------

@@ -153,8 +153,15 @@ def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
     # at t = 0 only the one-row terms survive: first_row_fingerprint reads them
     out = []
     for n in range(2, max_n + 1):
+        shared = {}  # n's t = 0 tables and each mu's delta-mu list, built by the first reader
+
+        def read(key, build, shared=shared):
+            if key not in shared:
+                shared[key] = build()
+            return shared[key]
+
         def against_hooks(n=n):
-            table = characters.hrs_t0(n, 0)
+            table = read("tables", lambda: characters.hrs_t0_by_k(n))[0]
             for mu in partitions_of(n):
                 lhs = first_row_fingerprint(characters.hook_formula(n, 1, mu).expansion)
                 if lhs != table.coefficient(mu):
@@ -165,10 +172,10 @@ def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
 
         for k_pieri in range(0, n):
             def against_delta(n=n, k_pieri=k_pieri):
-                table = characters.hrs_t0(n, n - 1 - k_pieri)
+                table = read("tables", lambda: characters.hrs_t0_by_k(n))[n - 1 - k_pieri]
                 for mu in partitions_of(n):
-                    lhs = first_row_fingerprint(characters.gl2_delta_mu(n, k_pieri, mu))
-                    if lhs != table.coefficient(mu):
+                    delta = read(mu, lambda: characters.gl2_delta_mu_by_k(n, mu))[k_pieri]
+                    if first_row_fingerprint(delta) != table.coefficient(mu):
                         return f"mu={partition_str(mu)}"
                 return None
 

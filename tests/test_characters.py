@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hookpaths import characters as ch
-from hookpaths.paths import LatticePath, binom2, enumerate_T, path_hook
-from hookpaths.qpoly import ONE, ZERO, gauss_binomial, q, q_power
+from hookpaths.paths import LatticePath, add_shifted, binom2, enumerate_T, family_counts, path_hook
+from hookpaths.qpoly import ONE, ZERO, LaurentPoly, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, first_row_fingerprint, psi, restrict, specialize2
 from hookpaths.shapes import (
     check_partition,
+    conjugate,
+    descent_classes,
     enumerate_SYT,
     hook_index,
     is_hook,
@@ -163,6 +166,40 @@ def test_hrs_t0_bound_and_gauss_cutoff():
     for n in range(3, 7):
         table = ch.hrs_t0(n, n - 1)
         assert table.support() == [(1,) * n]
+
+
+def test_gl2_delta_mu_refuses_in_order(monkeypatch):
+    # partition, then sum, then k range, then the size bound before any
+    # conjugate: each input below breaks every later check as well
+    monkeypatch.setattr(ch, "conjugate", lambda lam: pytest.fail("conjugate built"))
+    monkeypatch.setattr(ch, "gl2_delta_mu_by_k", lambda n, mu: pytest.fail("kernel called"))
+    for args, message in (
+        ((13, 99, (3, 4)), "partition parts must weakly decrease"),
+        ((13, 99, (3,)), r"mu=\(3,\) is not a partition of n=13"),
+        ((13, 99, (13,)), "k=99 outside 0..12"),
+        ((3, -1, (2, 1)), "k=-1 outside 0..2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ch.gl2_delta_mu(*args)
+    monkeypatch.undo()
+    monkeypatch.setattr(ch, "conjugate", lambda lam: pytest.fail("conjugate built"))
+    with pytest.raises(ValueError, match="exceeds the enumeration bound 12"):
+        ch.gl2_delta_mu(13, 2, (13,))
+
+
+def test_hrs_t0_past_the_last_table_builds_nothing(monkeypatch):
+    # every [des k]_q is 0 once k > n-1, so the wrapper answers 0 without
+    # reading a table; the size bound still comes first
+    monkeypatch.setattr(ch, "hrs_t0_by_k", lambda n: pytest.fail("tables built"))
+    for n, k in ((5, 5), (5, 10 ** 9), (1, 1), (0, 1)):
+        assert ch.hrs_t0(n, k).is_zero(), (n, k)
+    with pytest.raises(ValueError, match="exceeds the enumeration bound 12"):
+        ch.hrs_t0(13, 10 ** 9)
+    with pytest.raises(ValueError, match="k >= 0"):
+        ch.hrs_t0(10 ** 9, -1)
+    monkeypatch.undo()
+    assert ch.hrs_t0(0, 0) == s(()) and ch.hrs_t0(1, 0) == s((1,))
+    assert len(ch.hrs_t0_by_k(0)) == len(ch.hrs_t0_by_k(1)) == 1 and len(ch.hrs_t0_by_k(6)) == 6
 
 
 def test_f_one_part():
@@ -428,17 +465,86 @@ def reference_two_column_lifted(n):
 def reference_hrs_t0(n, k):
     out = SchurExpansion.zero()
     for mu in partitions_of(n):
-        coeff = ZERO
-        for tau in enumerate_SYT(mu):
-            binom_factor = gauss_binomial(tau.des(), k)
-            if binom_factor.is_zero():
-                continue
-            conj = tau.conjugate()
-            expo = k * conj.des() + binom2(n - k) - conj.maj()
-            coeff = coeff + q_power(expo) * binom_factor
+        coeff = reference_hrs_t0_coefficient(n, k, mu)
         if not coeff.is_zero():
             out = out + SchurExpansion.term(mu, coeff)
     return out
+
+
+def reference_hrs_t0_coefficient(n, k, mu):
+    coeff = ZERO
+    for tau in enumerate_SYT(mu):
+        binom_factor = gauss_binomial(tau.des(), k)
+        if binom_factor.is_zero():
+            continue
+        conj = tau.conjugate()
+        expo = k * conj.des() + binom2(n - k) - conj.maj()
+        coeff = coeff + q_power(expo) * binom_factor
+    return coeff
+
+
+# -- per-k folds: one k at a time over the same class tallies, as the formulas
+# ran before their per-shape kernels -----------------------------------------
+
+
+def fold_gl2_delta_mu(n, k, mu):
+    two_row_heights = {k - 2} if k == n - 1 else {k - 2, k - 1}
+    one_row_heights = {k - 1} if k == n - 1 else {k - 1, k}
+    tally = Counter()
+    for (m, start), shifts in ch._syt_families(n, mu, 0).items():
+        near = {cls: c for cls, c in family_counts(m, start).items() if k - 2 <= cls[1] <= k}
+        add_shifted(tally, near, shifts)
+    counts = Counter()
+    for (d, h), c in tally.items():
+        if h in two_row_heights and k - 1 + d >= 1:
+            counts[k - 1 + d, 1] += c
+        if h in one_row_heights and k + d >= 0:
+            counts[(k + d,) if k + d else ()] += c
+    return SchurExpansion(counts)
+
+
+def fold_hrs_t0(n, k):
+    terms = {}
+    for mu in partitions_of(n):
+        coeff = {}
+        for desp, majps in descent_classes(conjugate(mu)):
+            des = max(n - 1, 0) - desp
+            if des < k:  # [des k]_q = 0
+                continue
+            for majp, count in majps:
+                expo = k * desp + binom2(n - k) - majp
+                for (eq, et, ez), c in gauss_binomial(des, k)._terms.items():
+                    key = (eq + expo, et, ez)
+                    coeff[key] = coeff.get(key, 0) + count * c
+        terms[mu] = LaurentPoly(coeff)
+    return SchurExpansion(terms)
+
+
+def test_per_shape_kernels_match_the_per_k_folds():
+    for n in range(0, 11):
+        for mu in partitions_of(n):
+            assert ch.gl2_delta_mu_by_k(n, mu) == [fold_gl2_delta_mu(n, k, mu) for k in range(n)], mu
+        assert ch.hrs_t0_by_k(n) == [fold_hrs_t0(n, k) for k in range(max(n, 1))], n
+
+
+_SHAPES = st.integers(0, 8).flatmap(lambda n: st.sampled_from(list(partitions_of(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHAPES)
+def test_delta_mu_kernel_matches_enumeration(mu):
+    n = sum(mu)
+    assert ch.gl2_delta_mu_by_k(n, mu) == [reference_gl2_delta_mu(n, k, mu) for k in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHAPES)
+def test_t0_kernel_matches_enumeration(mu):
+    n = sum(mu)
+    tables = ch.hrs_t0_by_k(n)
+    assert [table.coefficient(mu) for table in tables] == [
+        reference_hrs_t0_coefficient(n, k, mu) for k in range(len(tables))
+    ]
 
 
 def test_formulas_match_reference_folds():

@@ -159,32 +159,52 @@ def test_a_reported_instance_that_raises_fails_and_the_run_goes_on(monkeypatch, 
 
 
 def _add_term(monkeypatch, name, shape):
-    """Add s_shape to the expansion characters.<name> gives for mu = (2, 1)."""
+    """Add s_shape to the expansion characters.<name> gives for mu = (2, 1),
+    and to every k's expansion where <name> is the per-shape kernel."""
     formula = getattr(characters, name)
+    extra = SchurExpansion.term(shape)
 
-    def broken(n, a, mu):
-        out = formula(n, a, mu)
-        if mu != (2, 1):
+    def broken(n, *args):
+        out = formula(n, *args)
+        if args[-1] != (2, 1):
             return out
-        extra = SchurExpansion.term(shape)
-        if isinstance(out, SchurExpansion):
-            return out + extra
+        if isinstance(out, list):
+            return [expansion + extra for expansion in out]
         return characters.HookResult(out.n, out.r, out.mu, out.expansion + extra, out.proven)
 
     monkeypatch.setattr(characters, name, broken)
 
 
 @pytest.mark.parametrize("name, shape, checks", [
-    ("gl2_delta_mu", (3,), ["check=delta-mu n=3 k=0", "check=delta-mu n=3 k=1", "check=delta-mu n=3 k=2"]),
+    ("gl2_delta_mu_by_k", (3,), ["check=delta-mu n=3 k=0", "check=delta-mu n=3 k=1", "check=delta-mu n=3 k=2"]),
     ("hook_formula", (3,), ["check=hook-formula n=3"]),
     # s_(2,1)(q, 0) = 0, so the t = 0 character does not see it
-    ("gl2_delta_mu", (2, 1), []),
+    ("gl2_delta_mu_by_k", (2, 1), []),
     ("hook_formula", (2, 1), []),
 ])
 def test_hrs_t0_checks_see_exactly_the_one_row_terms(monkeypatch, name, shape, checks):
     _add_term(monkeypatch, name, shape)
     failures = [r.line() for r in verify.suite_hrs_t0(3) if r.status != "pass"]
     assert failures == [f"[FAIL    ] hrs-t0 {check} -- mu=2,1" for check in checks]
+
+
+def test_a_raising_kernel_fails_each_of_its_n_delta_instances(monkeypatch):
+    # the per-n data is built by its first reader, inside that reader's
+    # instance, so a kernel that raises fails every delta-mu instance of its
+    # n and leaves the other n alone
+    kernel = characters.gl2_delta_mu_by_k
+
+    def boom(n, mu):
+        if n == 3:
+            raise RuntimeError("boom")
+        return kernel(n, mu)
+
+    monkeypatch.setattr(characters, "gl2_delta_mu_by_k", boom)
+    reports = verify.suite_hrs_t0(3)
+    assert [r.line() for r in reports if r.status != "pass"] == [
+        f"[FAIL    ] hrs-t0 check=delta-mu n=3 k={k} -- exception: boom" for k in range(3)
+    ]
+    assert [r.params["n"] for r in reports if r.status == "pass"] == [2, 2, 2, 3]
 
 
 def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
