@@ -21,7 +21,7 @@ from .qpoly import (
     gauss_binomial_qinv,
     q_power,
 )
-from .schur import SchurExpansion, e_perp, first_row_fingerprint, restrict
+from .schur import SchurExpansion, e_perp_by_k, first_row_fingerprint, restrict
 from .shapes import (
     Partition,
     check_partition,
@@ -246,7 +246,7 @@ def one_part_fingerprints(G: SchurExpansion, i_max: int) -> list[LaurentPoly]:
     reads as q^0: the closed one-part formula assigns it 1.  Read off the
     alternant's Pieri images, this is the oracle for the closed form
     f_one_part."""
-    return [first_row_fingerprint(e_perp(i, G)) for i in range(i_max + 1)]
+    return [first_row_fingerprint(image) for image in e_perp_by_k(G, i_max)]
 
 
 def lift_hooks(fs) -> LaurentPoly:
@@ -275,8 +275,8 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
     own = restrict(G, f"V{b}")
     i_max = max((len(lam) for lam in G.support()), default=0) + 2
     fs = [
-        first_row_fingerprint(e_perp(i, G), (b,)) - first_row_fingerprint(e_perp(i, own), (b,))
-        for i in range(i_max + 1)
+        first_row_fingerprint(image, (b,)) - first_row_fingerprint(own_image, (b,))
+        for image, own_image in zip(e_perp_by_k(G, i_max), e_perp_by_k(own, i_max))
     ]
     return lift_hooks(fs)
 

@@ -18,9 +18,11 @@ leading-run classes of paths.leading_run_counts and building no path;
 build_sets builds every tagged path and is its oracle.
 
 The maps are word kernels, plus_image and minus_image, on the base words
-plus_domain and minus_domain admit; the library reads each image through
-image_reader and builds no path.  e_plus_map, e_minus_map, TaggedPath and
-hook_of are their checked public form, which the tests compare against.
+plus_domain and minus_domain admit; each scans a base word once and maps it
+at every k of a range.  image_reader reads one k's images, and
+perp_via_paths_by_k every k's, with image_stats; no path is built.
+e_plus_map, e_minus_map, TaggedPath and hook_of are their checked public
+form, which the tests compare against.
 
 The three bijections are word kernels as well: north_descents reads one
 descent off each north step of a base word, and descents_word writes the
@@ -97,7 +99,7 @@ def path_stats(path: LatticePath) -> PathStats:
 def north_descents(n: int, word: str, shift: int) -> frozenset:
     """The bijections' descents of a base word of size n: the north step at
     word index i records n-1-i+shift.  The Pieri maps' east steps record
-    n-1-i the same way (_east_indices)."""
+    n-1-i the same way (_east_descents)."""
     return frozenset(n - 1 - i + shift for i, step in enumerate(word) if step == "N")
 
 
@@ -127,13 +129,18 @@ def _tag(n: int, descents, word: str) -> TaggedPath:
     return TaggedPath(frozenset(descents), LatticePath._trusted(n, s, word))
 
 
-def _east_indices(word: str, count: int) -> list:
-    """The word indices of the first `count` east steps of `word`."""
+def _east_descents(n: int, word: str, count: int) -> list:
+    """The descents n-1-i that the first `count` east steps of a word of
+    size n record, i being each step's word index, read off the north runs
+    before them.  Distinct steps record distinct descents."""
+    runs = word.split("E", count)
+    if len(runs) <= count:
+        raise ValueError(f"{word!r} has fewer than {count} east steps")
     out = []
-    i = -1
-    for _ in range(count):
-        i = word.index("E", i + 1)
-        out.append(i)
+    d = n
+    for run in runs[:-1]:
+        d -= len(run) + 1
+        out.append(d)
     return out
 
 
@@ -156,45 +163,76 @@ def minus_domain(k: int, word: str) -> bool:
     return k >= 1 and word.count("E") >= k - 1 and "N" in word
 
 
-def plus_image(n: int, k: int, word: str) -> tuple:
-    """The plus map on a base word of size n, unchecked: (descents, image
-    word).  The first k east steps are discarded, and the one at word index
-    i records the descent n-1-i, so distinct steps record distinct
-    descents.  The caller keeps the word in plus_domain(k, .)."""
-    descents = frozenset(n - 1 - i for i in _east_indices(word, k))
-    if len(descents) != k:
-        raise AssertionError("descent construction collided")
-    return descents, word.replace("E", "", k)
+def plus_image(n: int, ks, word: str) -> list:
+    """The plus map on a base word of size n at each k of the increasing
+    sequence ks, unchecked: [(descents, image word) per k].  One scan reads
+    the descents of the word's first max(ks) east steps (_east_descents);
+    at k the first k record theirs and are discarded.  The caller keeps the
+    word in plus_domain(k, .) for every k of ks."""
+    if not ks:
+        return []
+    marks = _east_descents(n, word, ks[-1])
+    images = []
+    for k in ks:
+        descents = frozenset(marks[:k])
+        if len(descents) != k:
+            raise AssertionError("descent construction collided")
+        images.append((descents, word.replace("E", "", k)))
+    return images
 
 
-def minus_image(n: int, k: int, word: str) -> tuple:
-    """The minus map on a base word of size n, unchecked: (descents, image
-    word).  The first k-1 east steps record their descents as in plus_image,
-    and the first north step, after a leading east run of h, records
-    max(1, h-k+2); all k steps are discarded.  The caller keeps the word in
-    minus_domain(k, .)."""
-    descents = {n - 1 - i for i in _east_indices(word, k - 1)}
-    extra = max(1, word.index("N") - k + 2)
-    if extra in descents:
-        raise AssertionError("descent construction collided")
-    descents.add(extra)
-    return frozenset(descents), word.replace("N", "", 1).replace("E", "", k - 1)
+def minus_image(n: int, ks, word: str) -> list:
+    """The minus map on a base word of size n at each k of the increasing
+    sequence ks, unchecked: [(descents, image word) per k].  One scan reads
+    the descents of the word's first max(ks)-1 east steps and finds its
+    first north step; at k the first k-1 east steps record theirs as in
+    plus_image, and the first north step, after a leading east run of h,
+    records max(1, h-k+2); all k steps are discarded.  The caller keeps the
+    word in minus_domain(k, .) for every k of ks."""
+    if not ks:
+        return []
+    marks = _east_descents(n, word, ks[-1] - 1)
+    h = word.index("N")
+    rest = word.replace("N", "", 1)
+    images = []
+    for k in ks:
+        descents = marks[:k - 1]
+        extra = max(1, h - k + 2)
+        if extra in descents:
+            raise AssertionError("descent construction collided")
+        descents.append(extra)
+        images.append((frozenset(descents), rest.replace("E", "", k - 1)))
+    return images
+
+
+def image_stats(n: int, k: int):
+    """stats(base, image) -> (area, ht) of the image word of a base word in
+    T(n, k), its head's and its suffix's statistics looked up apart in
+    family_blocks' split of T(n, k), so no table holds all of T(n, k).  An
+    image outside T(n, k) raises ValueError."""
+    heads, block = ({word: (area, ht) for word, area, ht in part} for part in family_blocks(n, k))
+    cut = len(next(iter(heads)))
+
+    def stats(base: str, word: str) -> tuple:
+        head, tail = heads.get(word[:cut]), block.get(word[cut:])
+        if head is None or tail is None:
+            raise ValueError(f"k={k} image of {base} is not in T({n}, {k})")
+        return head[0] + tail[0], head[1] + tail[1]
+
+    return stats
 
 
 def image_reader(n: int, k: int):
     """read(base, minus): the plus (minus=False) or minus kernel's image of a
-    base word as (descents, word, area, ht), its head's and its suffix's
-    statistics looked up apart in family_blocks' split of T(n, k), so no
-    table holds all of T(n, k).  An image outside T(n, k) raises ValueError."""
-    heads, block = ({word: (area, ht) for word, area, ht in part} for part in family_blocks(n, k))
-    cut = len(next(iter(heads)))
+    base word at k as (descents, word, area, ht), its statistics read by
+    image_stats.  An image outside T(n, k) raises ValueError."""
+    stats = image_stats(n, k)
+    ks = (k,)
 
     def read(base: str, minus: bool = False) -> tuple:
-        descents, word = (minus_image if minus else plus_image)(n, k, base)
-        head, tail = heads.get(word[:cut]), block.get(word[cut:])
-        if head is None or tail is None:
-            raise ValueError(f"k={k} image of {base} is not in T({n}, {k})")
-        return descents, word, head[0] + tail[0], head[1] + tail[1]
+        (descents, word), = (minus_image if minus else plus_image)(n, ks, base)
+        area, ht = stats(base, word)
+        return descents, word, area, ht
 
     return read
 
@@ -208,7 +246,7 @@ def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     check_pieri_k(k, path.n)
     if not plus_domain(k, path.word):
         raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
-    return _tag(path.n, *plus_image(path.n, k, path.word))
+    return _tag(path.n, *plus_image(path.n, (k,), path.word)[0])
 
 
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
@@ -221,7 +259,7 @@ def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     check_pieri_k(k, path.n, 1)
     if not minus_domain(k, path.word):
         raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
-    return _tag(path.n, *minus_image(path.n, k, path.word))
+    return _tag(path.n, *minus_image(path.n, (k,), path.word)[0])
 
 
 def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
@@ -317,7 +355,7 @@ def pieri_tallies(n: int, k: int) -> dict:
     for combo in combinations(range(1, n), k):
         classes[thresholds(n, combo)][-sum(combo)] += 1
     runs = leading_run_counts(n, k)
-    shifts = defaultdict(Counter)  # (set, run class) -> {-maj': count}
+    shifts = defaultdict(dict)  # (set, run class) -> {-maj': count}
     for (plus_north, v_north, v_east), majps in classes.items():
         for j, r in runs:
             plus = j >= plus_north
@@ -328,28 +366,48 @@ def pieri_tallies(n: int, k: int) -> dict:
             elif not plus:
                 names.append("w")
             for name in names:
-                shifts[name, (j, r)].update(majps)
+                shift = shifts[name, (j, r)]
+                for majp, count in majps.items():
+                    shift[majp] = shift.get(majp, 0) + count
     tallies = {name: Counter() for name in ("tplus", "tminus", "v", "w", "v_plus")}
     for (name, run), majps in shifts.items():
         add_shifted(tallies[name], runs[run], majps)
     return tallies
 
 
-def perp_via_paths(n: int, k: int) -> SchurExpansion:
-    """The adjoint Pieri rule computed path by path: each base word feeds a
-    plus image and (off the all-east word) a minus image; out-of-domain words
-    contribute nothing.  image_reader reads each image, and the images are
-    counted by (area - maj', ht) class; no path is built."""
-    check_pieri_k(k, n)
-    read = image_reader(n, k)
-    tally = Counter()
+def perp_via_paths_by_k(n: int) -> list:
+    """[perp_via_paths(n, k) for k in 0..n-2]: the adjoint Pieri rule
+    computed path by path.  Each base word is scanned once per side for its
+    plus images and (off the all-east word) its minus images at every k of
+    its domain; out-of-domain words contribute nothing.  image_stats reads
+    each image, and the images are counted by (area - maj', ht) class; no
+    path is built.  Where an image falls outside T(n, k), entry k is that
+    ValueError in place of an expansion, and the other entries still hold."""
+    ks = range(0, n - 1)
+    stats = [image_stats(n, k) for k in ks]
+    tallies = [Counter() for _ in ks]
+    errors = {}
     for word, _, _ in words_T(n, 0):
-        images = [read(word)] if plus_domain(k, word) else []
-        if minus_domain(k, word):
-            images.append(read(word, True))
-        for descents, _, area, ht in images:
-            tally[area - sum(descents), ht] += 1
-    return tally_hooks(n, tally, "a Pieri image")
+        for kernel, in_domain in ((plus_image, plus_domain), (minus_image, minus_domain)):
+            domain = [k for k in ks if in_domain(k, word)]
+            for k, (descents, image) in zip(domain, kernel(n, domain, word)):
+                try:
+                    area, ht = stats[k](word, image)
+                except ValueError as exc:
+                    errors.setdefault(k, exc)
+                    continue
+                tallies[k][area - sum(descents), ht] += 1
+    return [errors.get(k) or tally_hooks(n, tally, "a Pieri image") for k, tally in zip(ks, tallies)]
+
+
+def perp_via_paths(n: int, k: int) -> SchurExpansion:
+    """The adjoint Pieri rule computed path by path at one k: entry k of
+    perp_via_paths_by_k, raising its ValueError for an image off T(n, k)."""
+    check_pieri_k(k, n)
+    perp = perp_via_paths_by_k(n)[k]
+    if isinstance(perp, ValueError):
+        raise perp
+    return perp
 
 
 # -- the difference formula ----------------------------------------------------

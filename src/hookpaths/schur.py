@@ -40,7 +40,7 @@ class SchurExpansion:
     def _trusted(cls, terms) -> "SchurExpansion":
         """Internal constructor for a map whose keys are partitions that the
         library built itself (hook_index, normalize_shape, partitions_of,
-        vertical_strips): int values become constants and zero values are
+        strips_by_size): int values become constants and zero values are
         dropped.  Public input goes through __init__, which checks each
         index."""
         const = LaurentPoly.const
@@ -190,39 +190,51 @@ def restrict(f: SchurExpansion, cls) -> SchurExpansion:
 # -- the adjoint Pieri operator and friends -----------------------------------
 
 
+def strips_by_size(lam: Partition, top: int) -> list[list[Partition]]:
+    """strips[j] lists the partitions mu <= lam with lam/mu a vertical strip
+    of j boxes, for j = 0..top, from one walk.  A run of equal parts can
+    lose boxes only from its last rows, so a strip is how many boxes each
+    run loses; parts of 0 drop off the end.  Each size lists its strips in
+    the same order as a walk of that size alone."""
+    level = [(0, ())]  # (boxes lost, the parts kept so far)
+    for p, rows in groupby(lam):
+        m = len(list(rows))
+        level = [
+            (lost + more, acc + (p,) * (m - more) + (p - 1,) * (more if p > 1 else 0))
+            for lost, acc in level
+            for more in range(min(m, top - lost) + 1)
+        ]
+    strips = [[] for _ in range(top + 1)]
+    for lost, mu in level:
+        strips[lost].append(mu)
+    return strips
+
+
 def vertical_strips(lam: Partition, k: int) -> list[Partition]:
-    """Partitions mu <= lam with lam/mu a vertical strip of k boxes.  A run
-    of equal parts can lose boxes only from its last rows, so a strip is how
-    many boxes each run loses; parts of 0 drop off the end."""
-    runs = [(p, len(list(rows))) for p, rows in groupby(lam)]
-    out = []
+    """Partitions mu <= lam with lam/mu a vertical strip of k boxes: the
+    exact-size entry of strips_by_size."""
+    return strips_by_size(lam, k)[k]
 
-    def rec(i, left, acc):
-        if i == len(runs):
-            if not left:
-                out.append(acc)
-            return
-        p, m = runs[i]
-        for lost in range(min(m, left) + 1):
-            rec(i + 1, left - lost, acc + (p,) * (m - lost) + (p - 1,) * (lost if p > 1 else 0))
 
-    rec(0, k, ())
-    return out
+def e_perp_by_k(f: SchurExpansion, top: int) -> list[SchurExpansion]:
+    """[e_perp(k, f) for k in 0..top], walking each index's vertical strips
+    once (strips_by_size) and adding each strip into the image of its size."""
+    if top < 0:
+        raise ValueError("e_perp needs k >= 0")
+    images = [{} for _ in range(top + 1)]
+    for lam, coeff in f._terms.items():
+        for terms, strips in zip(images, strips_by_size(lam, top)):
+            for mu in strips:
+                prev = terms.get(mu)
+                terms[mu] = coeff if prev is None else prev + coeff
+    return [SchurExpansion._trusted(terms) for terms in images]
 
 
 def e_perp(k: int, f: SchurExpansion) -> SchurExpansion:
     """Linear extension of the adjoint dual Pieri rule: delete a vertical
-    strip of k boxes in every way (at most one box per row)."""
-    if k < 0:
-        raise ValueError("e_perp needs k >= 0")
-    if k == 0:
-        return f
-    terms = {}
-    for lam, coeff in f._terms.items():
-        for mu in vertical_strips(lam, k):
-            prev = terms.get(mu)
-            terms[mu] = coeff if prev is None else prev + coeff
-    return SchurExpansion._trusted(terms)
+    strip of k boxes in every way (at most one box per row).  The one-k
+    entry of e_perp_by_k."""
+    return e_perp_by_k(f, k)[k]
 
 
 def omega(f: SchurExpansion) -> SchurExpansion:

@@ -16,7 +16,7 @@ from . import characters, pierimaps
 from .characters import tally_hooks
 from .paths import binom2, family_tally, gf_T, gf_closed, words_T
 from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
-from .schur import e_perp, first_row_fingerprint, specialize2
+from .schur import e_perp_by_k, first_row_fingerprint, specialize2
 from .shapes import make_hook, partitions_of, partition_str
 
 
@@ -149,16 +149,25 @@ def suite_restriction2(max_n: int) -> list[VerifyReport]:
     return out
 
 
+def _first_reader():
+    """read(key, build): build() at a key's first read, inside the instance
+    that reads it first, and the same value after.  A suite makes one per n,
+    so an n's shared data is dropped at the next n."""
+    shared = {}
+
+    def read(key, build):
+        if key not in shared:
+            shared[key] = build()
+        return shared[key]
+
+    return read
+
+
 def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
     # at t = 0 only the one-row terms survive: first_row_fingerprint reads them
     out = []
     for n in range(2, max_n + 1):
-        shared = {}  # n's t = 0 tables and each mu's delta-mu list, built by the first reader
-
-        def read(key, build, shared=shared):
-            if key not in shared:
-                shared[key] = build()
-            return shared[key]
+        read = _first_reader()  # n's t = 0 tables and each mu's delta-mu list
 
         def against_hooks(n=n):
             table = read("tables", lambda: characters.hrs_t0_by_k(n))[0]
@@ -189,10 +198,14 @@ def suite_pieri_paths(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         alternant = characters.alternant_formula(n, 1)
+        read = _first_reader()  # both sides' images at every k of n
+
         for k in range(0, n - 1):
             def equality(n=n, k=k):
-                lhs = pierimaps.perp_via_paths(n, k)
-                rhs = e_perp(k, alternant)
+                lhs = read("paths", lambda: pierimaps.perp_via_paths_by_k(n))[k]
+                if isinstance(lhs, ValueError):  # an image of this k is off T(n, k)
+                    raise lhs
+                rhs = read("strips", lambda: e_perp_by_k(alternant, n - 2))[k]
                 return None if lhs == rhs else f"{lhs} != {rhs}"
 
             out.append(_timed("pieri-paths", {"check": "perp", "n": n, "k": k}, equality))
@@ -234,26 +247,33 @@ def suite_bijections(max_n: int) -> list[VerifyReport]:
 
 
 def _check_pieri(n, minus):
-    """The plus map (minus=False) or the minus map on every k, by image_reader:
-    the hook law, injectivity, and the image being the plus set or the V set
-    -- each image in T(n, k), its descent set's member_prefix leading it,
-    and as many images as the set has members."""
+    """The plus map (minus=False) or the minus map on every k: the hook law,
+    injectivity, and the image being the plus set or the V set -- each image
+    in T(n, k), its descent set's member_prefix leading it, and as many
+    images as the set has members.  The kernel scans each base word once
+    for its images at every k of its domain; each k is then checked in
+    turn, its images in word order, each read by image_stats."""
     m = int(minus)
+    kernel = pierimaps.minus_image if minus else pierimaps.plus_image
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
-    family = list(words_T(n, 0))
+    ks = range(m, n - 1)
+    domains = {k: [] for k in ks}  # k -> [(base word, area, ht, descents, image word)]
+    for gamma, area, ht in words_T(n, 0):
+        domain = [k for k in ks if in_domain(k, gamma)]
+        for k, image in zip(domain, kernel(n, domain, gamma)):
+            domains[k].append((gamma, area, ht, *image))
     target = "V" if minus else "plus"
-    for k in range(m, n - 1):
+    for k, domain in domains.items():
         length = n - k - 2
-        read = pierimaps.image_reader(n, k)
+        stats = pierimaps.image_stats(n, k)
         prefixes = {
             frozenset(combo): pierimaps.member_prefix(n, combo, minus)
             for combo in combinations(range(1, n), k)
         }
-        domain = [row for row in family if in_domain(k, row[0])]
         images = set()
-        for gamma, area, ht in domain:
+        for gamma, area, ht, descents, word in domain:
             try:
-                descents, word, image_area, image_ht = read(gamma, minus)
+                image_area, image_ht = stats(gamma, word)
             except ValueError:  # the image word is off the (n, k) family
                 return f"k={k} image of {gamma} is not in the {target} set"
             images.add((descents, word))

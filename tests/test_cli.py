@@ -180,8 +180,8 @@ def test_the_cli_starts_without_the_heavy_stdlib():
 
 
 def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
-    # two east indices that are equal give the same descent n-2 twice
-    monkeypatch.setattr(pierimaps, "_east_indices", lambda word, count: [1, 1])
+    # two east steps that record the same descent n-2
+    monkeypatch.setattr(pierimaps, "_east_descents", lambda n, word, count: [n - 2] * count)
     code = cli.main(["pieri", "--n", "6", "--k", "2", "--path", "EENN"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -344,6 +344,19 @@ def test_pieri_output_matches_pinned_digests(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # every listing of n <= 12 at every k, hashed in order; taken before the
+    # map kernels took a range of k
+    for argv, digest in (
+        ([], "81f945b40257cc418710e4c275f13269d42c71119e2659c3910fda136dd683e6"),
+        (["--json"], "dbfacb58178774f432e0e3e94cc4e8d98be5c74cb7f2f84cbf95a729ace93a7d"),
+    ):
+        sweep = hashlib.sha256()
+        for n in range(2, 13):
+            for k in range(0, n - 1):
+                code, out = run_cli(capsys, *argv, "pieri", "--n", str(n), "--k", str(k))
+                assert code == 0
+                sweep.update(out.encode())
+        assert sweep.hexdigest() == digest, argv
 
 
 def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):

@@ -171,11 +171,11 @@ def _maps_match_the_reference(gamma):
         if plus_domain(k, gamma.word):
             want = ref_plus_map(k, gamma)
             assert pm.e_plus_map(k, gamma) == want, (k, gamma)
-            assert pm.plus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
+            assert pm.plus_image(n, (k,), gamma.word) == [(want.descents, want.path.word)], (k, gamma)
         if minus_domain(k, gamma.word):
             want = ref_minus_map(k, gamma)
             assert pm.e_minus_map(k, gamma) == want, (k, gamma)
-            assert pm.minus_image(n, k, gamma.word) == (want.descents, want.path.word), (k, gamma)
+            assert pm.minus_image(n, (k,), gamma.word) == [(want.descents, want.path.word)], (k, gamma)
 
 
 def test_maps_match_the_reference_exhaustively():
@@ -190,6 +190,48 @@ def test_maps_match_the_reference_exhaustively():
 ))
 def test_maps_match_the_reference_property(gamma):
     _maps_match_the_reference(gamma)
+
+
+def _range_kernels_match_the_maps(gamma, mask=-1):
+    # each kernel at the ks of its domain that `mask` keeps, in one call,
+    # against its public map at each k alone
+    n, word = gamma.n, gamma.word
+    sides = ((pm.plus_image, pm.e_plus_map, plus_domain), (pm.minus_image, pm.e_minus_map, minus_domain))
+    for kernel, pieri_map, in_domain in sides:
+        ks = [k for k in range(0, n - 1) if in_domain(k, word) and mask >> k & 1]
+        want = [pieri_map(k, gamma) for k in ks]
+        assert kernel(n, ks, word) == [(t.descents, t.path.word) for t in want], (ks, gamma)
+
+
+def test_range_kernels_match_the_maps_exhaustively():
+    for n in range(2, 11):
+        for gamma in enumerate_T(n, 0):
+            _range_kernels_match_the_maps(gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=22).flatmap(
+    lambda n: st.tuples(
+        st.text("NE", min_size=n - 2, max_size=n - 2).map(lambda word: LatticePath(n, 0, word)),
+        st.integers(min_value=0, max_value=2 ** (n - 1) - 1),
+    )
+))
+def test_range_kernels_match_the_maps_property(case):
+    _range_kernels_match_the_maps(*case)
+
+
+def test_minus_kernel_refuses_a_colliding_descent(monkeypatch):
+    # at NE and k = 2 the first north step records 1; an east step that
+    # recorded 1 as well would give the tableau one descent too few
+    monkeypatch.setattr(pm, "_east_descents", lambda n, word, count: [1] * count)
+    with pytest.raises(AssertionError, match="descent construction collided"):
+        pm.minus_image(4, (2,), "NE")
+
+
+def test_east_descents_refuse_a_word_short_of_east_steps():
+    assert pm._east_descents(6, "NENE", 2) == [4, 2]
+    with pytest.raises(ValueError, match="fewer than 3 east steps"):
+        pm._east_descents(6, "NENE", 3)
 
 
 def _defined(pieri_map, k, path):
@@ -225,13 +267,27 @@ def test_image_reader_reads_split_families(monkeypatch):
     # an image a step short or long is off T(n, k) whichever part it spoils
     plus = pm.plus_image
     for spoil in (lambda word: word[1:], lambda word: word[:-1], lambda word: word + "E"):
-        def spoiled(n, k, word, spoil=spoil):
-            descents, image = plus(n, k, word)
-            return descents, spoil(image)
+        def spoiled(n, ks, word, spoil=spoil):
+            return [(descents, spoil(image)) for descents, image in plus(n, ks, word)]
 
         monkeypatch.setattr(pm, "plus_image", spoiled)
         with pytest.raises(ValueError, match=r"k=0 image of NEEENEEEENE is not in T\(13, 0\)"):
             pm.image_reader(n, 0)("NEEENEEEENE")
+
+
+def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
+    # the minus image of EN at k = 1, a step short, is off T(4, 1); k = 0
+    # has no minus images and k = 2's are already empty
+    minus = pm.minus_image
+    monkeypatch.setattr(pm, "minus_image", lambda n, ks, word: [
+        (descents, image[1:]) for descents, image in minus(n, ks, word)
+    ])
+    perps = pm.perp_via_paths_by_k(4)
+    assert [isinstance(perp, ValueError) for perp in perps] == [False, True, False]
+    assert str(perps[1]) == "k=1 image of EN is not in T(4, 1)"
+    with pytest.raises(ValueError, match=r"k=1 image of EN is not in T\(4, 1\)"):
+        pm.perp_via_paths(4, 1)
+    assert pm.perp_via_paths(4, 2) == perps[2]
 
 
 def test_map_domain_errors():

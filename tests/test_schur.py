@@ -7,6 +7,7 @@ from hookpaths.qpoly import ONE, ZERO, q, t, z
 from hookpaths.schur import (
     SchurExpansion,
     e_perp,
+    e_perp_by_k,
     first_row_fingerprint,
     omega,
     psi,
@@ -106,6 +107,47 @@ def test_vertical_strips_by_runs_match_the_row_by_row_reference():
         for lam in partitions_of(n):
             for k in range(0, n + 2):
                 assert vertical_strips(lam, k) == vertical_strips_by_rows(lam, k), (lam, k)
+
+
+def fold_e_perp(k, f):
+    """e_perp at one k, folded over the row-by-row strips: the reference
+    for e_perp_by_k."""
+    out = SchurExpansion()
+    for lam, coeff in f.items():
+        for mu in vertical_strips_by_rows(lam, k):
+            out = out + s(mu, coeff)
+    return out
+
+
+def test_e_perp_by_k_matches_the_per_k_fold():
+    # every partition of size <= 8, alone and all of a size together with
+    # distinct coefficients, so strips of different indices land together
+    for n in range(0, 9):
+        shapes = partitions_of(n)
+        together = SchurExpansion({lam: q ** i + t for i, lam in enumerate(shapes)})
+        for f in [s(lam) for lam in shapes] + [together]:
+            images = e_perp_by_k(f, n + 1)
+            assert len(images) == n + 2
+            for k, image in enumerate(images):
+                assert image == fold_e_perp(k, f) == e_perp(k, f), (f, k)
+    with pytest.raises(ValueError):
+        e_perp_by_k(s((2, 1)), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([lam for n in range(9) for lam in partitions_of(n)]),
+                  st.integers(-3, 3), st.integers(0, 2)),
+        max_size=6,
+    ),
+    st.integers(0, 9),
+)
+def test_e_perp_by_k_matches_the_per_k_fold_property(terms, top):
+    f = SchurExpansion()
+    for lam, c, j in terms:
+        f = f + s(lam, c * q ** j)
+    assert e_perp_by_k(f, top) == [fold_e_perp(k, f) for k in range(top + 1)]
 
 
 def test_omega():

@@ -29,32 +29,38 @@ def _shift_descents(monkeypatch):
 
 
 def _flip_first_step(image):
-    """A map kernel's image with its word's first step flipped."""
+    """A map kernel's image with its word's first step flipped; an empty
+    word has none to flip."""
     descents, word = image
-    return descents, {"E": "N", "N": "E"}[word[0]] + word[1:]
+    return descents, {"E": "N", "N": "E"}[word[0]] + word[1:] if word else word
+
+
+def _each_image(kernel, spoil):
+    """A range kernel that hands spoil(n, k, (descents, word)) on as its image at each k."""
+    return lambda n, ks, word: [spoil(n, k, image) for k, image in zip(ks, kernel(n, ks, word))]
 
 
 def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
-    plus, minus = pierimaps.plus_image, pierimaps.minus_image
-    monkeypatch.setattr(pierimaps, "plus_image", lambda n, k, w: _flip_first_step(plus(n, k, w)))
-    monkeypatch.setattr(pierimaps, "minus_image", lambda n, k, w: _flip_first_step(minus(n, k, w)))
+    for name in ("plus_image", "minus_image"):
+        kernel = getattr(pierimaps, name)
+        monkeypatch.setattr(pierimaps, name, _each_image(kernel, lambda n, k, image: _flip_first_step(image)))
     assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
     assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
 
     # one step higher and one box less keeps the arm; only the leg is off
     monkeypatch.undo()
-    reader = pierimaps.image_reader
+    image_stats = pierimaps.image_stats
 
     def skewed(n, k):
-        read = reader(n, k)
+        stats = image_stats(n, k)
 
-        def skewed_read(base, minus=False):
-            descents, word, area, ht = read(base, minus)
-            return descents, word, area - 1, ht + 1
+        def skewed_stats(base, word):
+            area, ht = stats(base, word)
+            return area - 1, ht + 1
 
-        return skewed_read
+        return skewed_stats
 
-    monkeypatch.setattr(pierimaps, "image_reader", skewed)
+    monkeypatch.setattr(pierimaps, "image_stats", skewed)
     assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
 
 
@@ -63,11 +69,11 @@ def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
     # minus map needs k >= 1, so the k = 0 instances still pass
     minus = pierimaps.minus_image
 
-    def lowered(n, k, word):
-        descents, image = minus(n, k, word)
-        return frozenset(d - 1 for d in descents), image
+    def lowered(n, k, image):
+        descents, word = image
+        return frozenset(d - 1 for d in descents), word
 
-    monkeypatch.setattr(pierimaps, "minus_image", lowered)
+    monkeypatch.setattr(pierimaps, "minus_image", _each_image(minus, lowered))
     assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
     assert [line.split(" -- ")[0] for line in failed] == [
@@ -78,11 +84,11 @@ def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
     assert all(" != " in line for line in failed), failed
 
     # an image word one step short is off T(n, k): the instance names it
-    def shortened(n, k, word):
-        descents, image = minus(n, k, word)
-        return descents, image[1:]
+    def shortened(n, k, image):
+        descents, word = image
+        return descents, word[1:]
 
-    monkeypatch.setattr(pierimaps, "minus_image", shortened)
+    monkeypatch.setattr(pierimaps, "minus_image", _each_image(minus, shortened))
     assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
     assert failed == ["[FAIL    ] pieri-paths check=perp n=4 k=1 -- exception: k=1 image of EN is not in T(4, 1)"]
@@ -95,11 +101,11 @@ def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
     plus = pierimaps.plus_image
     for moved_to in ({2, 5}, {0, 7}):
 
-        def moved(n, k, word, moved_to=frozenset(moved_to)):
-            descents, image = plus(n, k, word)
-            return (moved_to if descents == {3, 4} else descents), image
+        def moved(n, k, image, moved_to=frozenset(moved_to)):
+            descents, word = image
+            return (moved_to if descents == {3, 4} else descents), word
 
-        monkeypatch.setattr(pierimaps, "plus_image", moved)
+        monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, moved))
         assert verify._check_pieri(6, False) == "k=2 image of NEEE is not in the plus set"
 
 
@@ -108,11 +114,11 @@ def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
     # hook law and every prefix hold; the image is still not in T(4, 0)
     plus = pierimaps.plus_image
 
-    def lifted(n, k, word):
-        descents, image = plus(n, k, word)
-        return descents, (image[1:] if image.startswith("N") else image)
+    def lifted(n, k, image):
+        descents, word = image
+        return descents, (word[1:] if word.startswith("N") else word)
 
-    monkeypatch.setattr(pierimaps, "plus_image", lifted)
+    monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, lifted))
     assert verify._check_pieri(4, False) == "k=0 image of NE is not in the plus set"
 
 
