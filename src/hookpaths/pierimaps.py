@@ -377,12 +377,10 @@ def pieri_tallies(n: int, k: int) -> dict:
 
 def perp_via_paths_by_k(n: int) -> list:
     """[perp_via_paths(n, k) for k in 0..n-2]: the adjoint Pieri rule
-    computed path by path.  Each base word is scanned once per side for its
-    plus images and (off the all-east word) its minus images at every k of
-    its domain; out-of-domain words contribute nothing.  image_stats reads
-    each image, and the images are counted by (area - maj', ht) class; no
-    path is built.  Where an image falls outside T(n, k), entry k is that
-    ValueError in place of an expansion, and the other entries still hold."""
+    computed path by path.  Each kernel maps each base word once, at every
+    k of its domain; image_stats reads each image, counted by (area - maj',
+    ht) class, and no path is built.  An image outside T(n, k) puts its
+    ValueError at entry k in place of the expansion; the others still hold."""
     ks = range(0, n - 1)
     stats = [image_stats(n, k) for k in ks]
     tallies = [Counter() for _ in ks]

@@ -250,9 +250,8 @@ def _check_pieri(n, minus):
     """The plus map (minus=False) or the minus map on every k: the hook law,
     injectivity, and the image being the plus set or the V set -- each image
     in T(n, k), its descent set's member_prefix leading it, and as many
-    images as the set has members.  The kernel scans each base word once
-    for its images at every k of its domain; each k is then checked in
-    turn, its images in word order, each read by image_stats."""
+    images as the set has members.  The kernel maps each base word once, at
+    every k of its domain; each k is then checked in turn, in word order."""
     m = int(minus)
     kernel = pierimaps.minus_image if minus else pierimaps.plus_image
     in_domain = pierimaps.minus_domain if minus else pierimaps.plus_domain
