@@ -285,9 +285,11 @@ def lift_next_column(G: SchurExpansion, b: int) -> LaurentPoly:
 
 
 def _default_g(variant: str, c: int):
-    """The two exponent families of the identities: g(j, k) - g(j, k-1) =
-    j + k, with base g(j, 0) = b(j) + c, b(j) = binom(j, 2) for "plain" and
-    binom(j+1, 2) for "area_ht".
+    """The two exponent families of the identities, stated by their base
+    g(j, 0) = b(j) + c, b(j) = binom(j, 2) for "plain" and binom(j+1, 2) for
+    "area_ht", with g(j, k) = g(j, 0) + binom(k+1, 2) + jk derived from it.
+    So g(j, k) - g(j, k-1) = j + k, and g(j, k) - k = g(j, 0) - binom(j, 2)
+    + binom(j+k, 2), on which _alt_sums rests, hold by construction.
 
     No other family adds a case: for j >= 1 the difference condition and a
     constant base shift s force g(j, k) = b(j) + s + binom(k+1, 2) + jk,
@@ -296,16 +298,33 @@ def _default_g(variant: str, c: int):
     The constant c shifts the base, exercising that the identities only see
     the base through an overall power of q.
     """
-    if variant == "plain":
-        return lambda j, k: binom2(j + k + 1) - j + c
-    return lambda j, k: binom2(j + k + 1) + c
+    lift = 0 if variant == "plain" else 1
+    return lambda j, k: binom2(j + lift) + c + binom2(k + 1) + j * k
 
 
-def _alt_sum(n: int, j: int, g) -> LaurentPoly:
-    return LaurentPoly.shifted_sum(
-        (gauss_binomial(n - 1, j + k), -1 if k % 2 else 1, g(j, k) - k, 0, 0)
-        for k in range(n - j)
-    )
+def _suffix_sums(n: int) -> list:
+    """[T_0, ..., T_(n-1)] for T_j = sum_(m=j..n-1) (-1)^m q^binom(m,2)
+    [n-1 m]_q, by one pass T_j = T_(j+1) + (-1)^j q^binom(j,2) [n-1 j]_q
+    from j = n-1 down to 0 (the q-Pascal rows, one addition each)."""
+    tails = [ZERO] * n
+    tail = ZERO
+    for j in range(n - 1, -1, -1):
+        tail = LaurentPoly.shifted_sum(
+            ((tail, 1, 0, 0, 0), (gauss_binomial(n - 1, j), -1 if j % 2 else 1, binom2(j), 0, 0))
+        )
+        tails[j] = tail
+    return tails
+
+
+def _alt_sums(g, tails) -> list:
+    """The per-j sums sum_k (-1)^k [n-1 j+k]_q q^(g(j,k)-k), j = 0..n-1, of
+    an exponent family g of _default_g over _suffix_sums(n): with m = j + k,
+    g(j,k) - k = g(j,0) - binom(j,2) + binom(m,2), so the j-th sum is
+    T_j shifted by (-1)^j q^(g(j,0) - binom(j,2))."""
+    return [
+        LaurentPoly.shifted_sum(((tail, -1 if j % 2 else 1, g(j, 0) - binom2(j), 0, 0),))
+        for j, tail in enumerate(tails)
+    ]
 
 
 def alternating_identity_check(n: int, c: int = 0) -> bool:
@@ -316,7 +335,10 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
     [n-2 j-1]_q q^(g(j,0)) (zero at j = 0).  Summed over j >= 1 against
     z^(j-1), the "plain" family reproduces the (n, 0) generating function
     times q^c, and the "area_ht" family reproduces it at z -> qz times
-    q^(c+1).  Each per-j sum is evaluated once and feeds both checks.
+    q^(c+1).  Every per-j sum of both families is one shift of the same
+    suffix sum T_j (_suffix_sums, _alt_sums), so an instance runs n
+    additions of shifted Gaussian binomials where summing each j apart runs
+    n(n+1)/2; each per-j sum feeds both of its family's checks.
     """
     if n < 2:
         raise ValueError("identity checks need n >= 2")
@@ -324,9 +346,10 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
     # z -> qz: each term q^eq z^ez gains q^ez
     gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf._terms.items()})
     expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
+    tails = _suffix_sums(n)
     for variant, want in expected.items():
         g = _default_g(variant, c)
-        sums = [_alt_sum(n, j, g) for j in range(n)]
+        sums = _alt_sums(g, tails)
         for j, lhs in enumerate(sums):
             if lhs != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)):
                 return False

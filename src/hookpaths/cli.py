@@ -108,7 +108,7 @@ def cmd_gf(args) -> int:
 
 def cmd_pieri(args) -> int:
     n, k = args.n, args.k
-    # the domain predicates would otherwise filter out every path first
+    # map_domain would otherwise filter out every path first
     pierimaps.check_pieri_k(k, n)
     if args.path is not None:
         gamma = LatticePath.parse(n, 0, args.path)
@@ -116,7 +116,7 @@ def cmd_pieri(args) -> int:
     else:
         rows = words_T(n, 0)
     read = pierimaps.image_reader(n, k)
-    sides = (("plus", pierimaps.plus_domain, False), ("minus", pierimaps.minus_domain, True))
+    ks = range(k, k + 1)
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -126,8 +126,8 @@ def cmd_pieri(args) -> int:
     # header with the first one: a map that fails on it leaves stdout empty
     for word, area, ht in rows:
         images = {}  # side -> (descents, image word, hook)
-        for side, in_domain, minus in sides:
-            if in_domain(k, word):
+        for side, minus in (("plus", False), ("minus", True)):
+            if pierimaps.map_domain(ks, word, minus):
                 descents, image, image_area, image_ht = read(word, minus)
                 hook = path_hook(n, image_area - sum(descents), image_ht, word)
                 images[side] = (sorted(descents), image or "eps", partition_str(hook))

@@ -18,9 +18,10 @@ leading-run classes of paths.leading_run_counts and building no path;
 build_sets builds every tagged path and is its oracle.
 
 The maps are word kernels, plus_image and minus_image, on the base words
-plus_domain and minus_domain admit; each scans a base word once and maps it
-at every k of a range.  image_reader reads one k's images, and
-perp_via_paths_by_k every k's, with image_stats; no path is built.
+map_domain admits (plus_domain and minus_domain at one k); each scans a
+base word once and maps it at every k of a range.  image_reader reads one
+k's images, and perp_via_paths_by_k every k's, with image_stats; no path
+is built.
 e_plus_map, e_minus_map, TaggedPath and hook_of are their checked public
 form, which the tests compare against.
 
@@ -151,16 +152,30 @@ def check_pieri_k(k: int, n: int, low: int = 0) -> None:
         raise ValueError(f"k={k} outside {low}..{n - 2}")
 
 
+def map_domain(ks: range, word: str, minus: bool = False) -> range:
+    """The k of the range ks at which a base word lies in the domain of the
+    plus map (minus=False) or of the minus map, read off one count e of its
+    east steps: the plus map takes k <= e; the minus map takes 1 <= k <= e+1
+    and leaves out the all-east word.  plus_domain and minus_domain are its
+    one-k form, so this is the one place that decides a domain."""
+    start, stop = ks.start, word.count("E") + 1  # the plus map's k < stop
+    if minus:
+        if start < 1:
+            start = 1
+        stop = stop + 1 if stop <= len(word) else 0
+    return range(start, stop if stop < ks.stop else ks.stop)
+
+
 def plus_domain(k: int, word: str) -> bool:
     """Whether the base word lies in the domain of the plus map at k: it
     has at least k east steps."""
-    return word.count("E") >= k
+    return bool(map_domain(range(k, k + 1), word))
 
 
 def minus_domain(k: int, word: str) -> bool:
     """Whether the base word lies in the domain of the minus map at k:
     k >= 1, at least k-1 east steps, and not the all-east word."""
-    return k >= 1 and word.count("E") >= k - 1 and "N" in word
+    return bool(map_domain(range(k, k + 1), word, True))
 
 
 def plus_image(n: int, ks, word: str) -> list:
@@ -386,8 +401,8 @@ def perp_via_paths_by_k(n: int) -> list:
     tallies = [Counter() for _ in ks]
     errors = {}
     for word, _, _ in words_T(n, 0):
-        for kernel, in_domain in ((plus_image, plus_domain), (minus_image, minus_domain)):
-            domain = [k for k in ks if in_domain(k, word)]
+        for kernel, minus in ((plus_image, False), (minus_image, True)):
+            domain = map_domain(ks, word, minus)
             for k, (descents, image) in zip(domain, kernel(n, domain, word)):
                 try:
                     area, ht = stats[k](word, image)

@@ -320,7 +320,8 @@ def test_alternating_identities():
 def test_default_families_meet_the_difference_and_base_conditions():
     # the two families are the only ones the identities need (see
     # _default_g): differences j + k, and base shift exactly c over
-    # binom(j, 2) ("plain") or binom(j+1, 2) ("area_ht") for 1 <= j < n
+    # binom(j, 2) ("plain") or binom(j+1, 2) ("area_ht") for 1 <= j < n;
+    # and the exponent identity _alt_sums reads each per-j sum by
     for variant, base in (("plain", binom2), ("area_ht", lambda j: binom2(j + 1))):
         for n in range(2, 13):
             for c in range(-2, 3):
@@ -328,7 +329,48 @@ def test_default_families_meet_the_difference_and_base_conditions():
                 for j in range(n):
                     for k in range(1, n + 1):
                         assert g(j, k) - g(j, k - 1) == j + k, (variant, n, c, j, k)
+                    for k in range(n - j):
+                        assert g(j, k) - k == g(j, 0) - binom2(j) + binom2(j + k), (variant, n, c, j, k)
                 assert {g(j, 0) - base(j) for j in range(1, n)} == {c}, (variant, n, c)
+
+
+def _alt_sum(n, j, g):
+    """The oracle for the j-th entry of _alt_sums: sum_k (-1)^k
+    [n-1 j+k]_q q^(g(j,k)-k) over k = 0..n-1-j, term by term."""
+    return LaurentPoly.shifted_sum(
+        (gauss_binomial(n - 1, j + k), -1 if k % 2 else 1, g(j, k) - k, 0, 0)
+        for k in range(n - j)
+    )
+
+
+def _alt_sums_match_the_oracle(n, c):
+    tails = ch._suffix_sums(n)
+    assert len(tails) == n
+    for variant in ("plain", "area_ht"):
+        g = ch._default_g(variant, c)
+        sums = ch._alt_sums(g, tails)
+        assert sums == [_alt_sum(n, j, g) for j in range(n)], (variant, n, c)
+
+
+def test_suffix_sums_match_the_per_j_oracle():
+    for n in range(2, 13):
+        for c in range(-2, 3):
+            _alt_sums_match_the_oracle(n, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=20), st.integers(min_value=-10, max_value=10))
+def test_suffix_sums_match_the_per_j_oracle_property(n, c):
+    _alt_sums_match_the_oracle(n, c)
+
+
+def test_suffix_sums_are_the_q_pascal_tails():
+    # T_j = sum_(m >= j) (-1)^m q^binom(m,2) [n-1 m]_q; the whole sum T_0
+    # is (1; q)_(n-1) = 0, and the last T_(n-1) a single signed monomial
+    for n in range(2, 10):
+        tails = ch._suffix_sums(n)
+        assert tails[0] == ZERO
+        assert tails[-1] == LaurentPoly.term(-1 if (n - 1) % 2 else 1, binom2(n - 1))
 
 
 def test_nulle_identity_small_case():

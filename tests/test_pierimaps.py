@@ -252,6 +252,26 @@ def test_domain_predicates_match_the_maps():
     assert not minus_domain(0, "NNEE")  # the minus map needs k >= 1
 
 
+def test_map_domain_reads_the_east_count_rules():
+    # every sub-range of every k range, against the domain rules written
+    # out per k: the plus map needs k east steps, the minus map k >= 1, k-1
+    # east steps and a north step
+    rules = (
+        (False, lambda k, word: word.count("E") >= k),
+        (True, lambda k, word: k >= 1 and word.count("E") >= k - 1 and "N" in word),
+    )
+    for n in range(2, 11):
+        for word, _, _ in pm.words_T(n, 0):
+            for minus, rule in rules:
+                for start in range(-1, n):
+                    for stop in range(start, n + 1):
+                        ks = range(start, stop)
+                        domain = pm.map_domain(ks, word, minus)
+                        assert list(domain) == [k for k in ks if rule(k, word)], (word, minus, ks)
+                for k in range(-1, n):
+                    assert (minus_domain if minus else plus_domain)(k, word) == rule(k, word)
+
+
 def test_image_reader_reads_split_families(monkeypatch):
     # past WALK_BLOCK_STEPS steps T(n, k) splits into heads and a suffix
     # block, which the reader looks an image's statistics up in apart

@@ -123,10 +123,14 @@ def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
 
 
 def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
-    # every image still lies in its set, but one member of the set is missed
-    plus, minus = pierimaps.plus_domain, pierimaps.minus_domain
-    monkeypatch.setattr(pierimaps, "plus_domain", lambda k, word: plus(k, word) and word != "EE")
-    monkeypatch.setattr(pierimaps, "minus_domain", lambda k, word: minus(k, word) and word != "NE")
+    # every image still lies in its set, but one member of the set is
+    # missed: the plus domain loses EE and the minus domain NE at every k
+    domain = pierimaps.map_domain
+    missed = {False: "EE", True: "NE"}
+    monkeypatch.setattr(
+        pierimaps, "map_domain",
+        lambda ks, word, minus=False: range(0) if word == missed[minus] else domain(ks, word, minus),
+    )
     assert verify._check_pieri(4, False) == "k=0 image is not the plus set"
     assert verify._check_pieri(4, True) == "k=1 image is not the V set"
 
@@ -230,3 +234,47 @@ def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
         "[FAIL    ] pieri-paths check=positivity n=3 k=1 -- V escapes the minus set",
         "[FAIL    ] difference-W check=direct n=3 k=1 -- W sum != minus-sum - V-sum",
     ]
+
+
+def _three_expansion_gap(n, tally, *less):
+    """The oracle for tally_hooks of _signed_tally: one expansion per tally,
+    then their difference."""
+    out = characters.tally_hooks(n, tally, "a tally")
+    for other in less:
+        out = out - characters.tally_hooks(n, other, "a tally")
+    return out
+
+
+def test_signed_tally_gaps_match_the_three_expansion_gaps():
+    for n in range(3, 10):
+        for k in range(0, n - 1):
+            tallies = pierimaps.pieri_tallies(n, k)
+            union = tallies["tplus"] + tallies["tminus"]
+            sides = [(union, tallies["tplus"], tallies["v"])]
+            if k >= 1:
+                sides.append((tallies["tminus"], tallies["v"]))
+            for side in sides:
+                signed = characters.tally_hooks(n, verify._signed_tally(*side), "a tally")
+                assert signed == _three_expansion_gap(n, *side), (n, k)
+                assert str(signed) == str(_three_expansion_gap(n, *side))
+
+
+def test_positivity_check_reports_a_negative_gap(monkeypatch):
+    # V gains 5 paths of one tagged-path class: the gap there falls by 5,
+    # and the witness prints the whole gap
+    tallies = pierimaps.pieri_tallies
+
+    def padded(n, k):
+        out = tallies(n, k)
+        key = min(out["tplus"] + out["tminus"])
+        out["v"][key] += 5
+        return out
+
+    monkeypatch.setattr(pierimaps, "pieri_tallies", padded)
+    reports = [r for r in verify.suite_pieri_paths(4) if r.params["check"] == "positivity"]
+    for report in reports:
+        n, k = report.params["n"], report.params["k"]
+        t = padded(n, k)
+        gap = _three_expansion_gap(n, t["tplus"] + t["tminus"], t["tplus"], t["v"])
+        assert not gap.is_schur_positive()
+        assert report.line() == f"[FAIL    ] pieri-paths check=positivity n={n} k={k} -- negative gap {gap}"
