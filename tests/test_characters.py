@@ -321,7 +321,8 @@ def test_default_families_meet_the_difference_and_base_conditions():
     # the two families are the only ones the identities need (see
     # _default_g): differences j + k, and base shift exactly c over
     # binom(j, 2) ("plain") or binom(j+1, 2) ("area_ht") for 1 <= j < n;
-    # and the exponent identity _alt_sums reads each per-j sum by
+    # and g(j, k) - k = g(j, 0) - binom(j, 2) + binom(j+k, 2), on which
+    # _alt_sums rests
     for variant, base in (("plain", binom2), ("area_ht", lambda j: binom2(j + 1))):
         for n in range(2, 13):
             for c in range(-2, 3):

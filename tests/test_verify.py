@@ -255,8 +255,8 @@ def test_signed_tally_gaps_match_the_three_expansion_gaps():
                 sides.append((tallies["tminus"], tallies["v"]))
             for side in sides:
                 signed = characters.tally_hooks(n, verify._signed_tally(*side), "a tally")
-                assert signed == _three_expansion_gap(n, *side), (n, k)
-                assert str(signed) == str(_three_expansion_gap(n, *side))
+                gap = _three_expansion_gap(n, *side)
+                assert signed == gap and str(signed) == str(gap), (n, k)
 
 
 def test_positivity_check_reports_a_negative_gap(monkeypatch):
