@@ -108,15 +108,16 @@ def cmd_gf(args) -> int:
 
 def cmd_pieri(args) -> int:
     n, k = args.n, args.k
-    # map_domain would otherwise filter out every path first
+    # refused here: past 0..n-2 the kernels would list every path bare
     pierimaps.check_pieri_k(k, n)
     if args.path is not None:
         gamma = LatticePath.parse(n, 0, args.path)
         rows = [(gamma.word, gamma.area(), gamma.ht())]
     else:
         rows = words_T(n, 0)
-    read = pierimaps.image_reader(n, k)
+    stats = pierimaps.image_stats(n, k)
     ks = range(k, k + 1)
+    sides = (("plus", pierimaps.plus_image), ("minus", pierimaps.minus_image))
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -126,9 +127,9 @@ def cmd_pieri(args) -> int:
     # header with the first one: a map that fails on it leaves stdout empty
     for word, area, ht in rows:
         images = {}  # side -> (descents, image word, hook)
-        for side, minus in (("plus", False), ("minus", True)):
-            if pierimaps.map_domain(ks, word, minus):
-                descents, image, image_area, image_ht = read(word, minus)
+        for side, kernel in sides:
+            for _, descents, image in kernel(n, ks, word):
+                image_area, image_ht = stats(word, image)
                 hook = path_hook(n, image_area - sum(descents), image_ht, word)
                 images[side] = (sorted(descents), image or "eps", partition_str(hook))
         word = word or "eps"

@@ -17,11 +17,11 @@ V & T+ by (area - maj', ht) class, pairing descent classes with the
 leading-run classes of paths.leading_run_counts and building no path;
 build_sets builds every tagged path and is its oracle.
 
-The maps are word kernels, plus_image and minus_image, on the base words
-map_domain admits (plus_domain and minus_domain at one k); each scans a
-base word once and maps it at every k of a range.  image_reader reads one
-k's images, and perp_via_paths_by_k every k's, with image_stats; no path
-is built.
+The maps are word kernels, plus_image and minus_image: each scans a base
+word once and maps it at every k of a range that map_domain admits, so a
+k outside the word's domain has no image.  cli's pieri reads one k's
+images, and perp_via_paths_by_k every k's, with image_stats; no path is
+built.
 e_plus_map, e_minus_map, TaggedPath and hook_of are their checked public
 form, which the tests compare against.
 
@@ -155,10 +155,10 @@ def check_pieri_k(k: int, n: int, low: int = 0) -> None:
 def map_domain(ks: range, word: str, minus: bool = False) -> range:
     """The k of the range ks at which a base word lies in the domain of the
     plus map (minus=False) or of the minus map, read off one count e of its
-    east steps: the plus map takes k <= e; the minus map takes 1 <= k <= e+1
-    and leaves out the all-east word.  plus_domain and minus_domain are its
-    one-k form, so this is the one place that decides a domain."""
-    start, stop = ks.start, word.count("E") + 1  # the plus map's k < stop
+    east steps: the plus map takes 0 <= k <= e; the minus map takes
+    1 <= k <= e+1 and leaves out the all-east word.  The kernels apply it,
+    so this is the one place that decides a domain."""
+    start, stop = max(ks.start, 0), word.count("E") + 1  # the plus map's 0 <= k < stop
     if minus:
         if start < 1:
             start = 1
@@ -166,24 +166,13 @@ def map_domain(ks: range, word: str, minus: bool = False) -> range:
     return range(start, stop if stop < ks.stop else ks.stop)
 
 
-def plus_domain(k: int, word: str) -> bool:
-    """Whether the base word lies in the domain of the plus map at k: it
-    has at least k east steps."""
-    return bool(map_domain(range(k, k + 1), word))
-
-
-def minus_domain(k: int, word: str) -> bool:
-    """Whether the base word lies in the domain of the minus map at k:
-    k >= 1, at least k-1 east steps, and not the all-east word."""
-    return bool(map_domain(range(k, k + 1), word, True))
-
-
-def plus_image(n: int, ks, word: str) -> list:
-    """The plus map on a base word of size n at each k of the increasing
-    sequence ks, unchecked: [(descents, image word) per k].  One scan reads
-    the descents of the word's first max(ks) east steps (_east_descents);
-    at k the first k record theirs and are discarded.  The caller keeps the
-    word in plus_domain(k, .) for every k of ks."""
+def plus_image(n: int, ks: range, word: str) -> list:
+    """The plus map on a base word of size n at each k of the range ks in
+    the word's domain (map_domain): [(k, descents, image word)], k
+    increasing.  One scan reads the descents of the word's first max(k)
+    east steps (_east_descents); at k the first k record theirs and are
+    discarded."""
+    ks = map_domain(ks, word)
     if not ks:
         return []
     marks = _east_descents(n, word, ks[-1])
@@ -192,18 +181,19 @@ def plus_image(n: int, ks, word: str) -> list:
         descents = frozenset(marks[:k])
         if len(descents) != k:
             raise AssertionError("descent construction collided")
-        images.append((descents, word.replace("E", "", k)))
+        images.append((k, descents, word.replace("E", "", k)))
     return images
 
 
-def minus_image(n: int, ks, word: str) -> list:
-    """The minus map on a base word of size n at each k of the increasing
-    sequence ks, unchecked: [(descents, image word) per k].  One scan reads
-    the descents of the word's first max(ks)-1 east steps and finds its
-    first north step; at k the first k-1 east steps record theirs as in
-    plus_image, and the first north step, after a leading east run of h,
-    records max(1, h-k+2); all k steps are discarded.  The caller keeps the
-    word in minus_domain(k, .) for every k of ks."""
+def minus_image(n: int, ks: range, word: str) -> list:
+    """The minus map on a base word of size n at each k of the range ks in
+    the word's domain (map_domain): [(k, descents, image word)], k
+    increasing.  One scan reads the descents of the word's first max(k)-1
+    east steps and finds its first north step; at k the first k-1 east
+    steps record theirs as in plus_image, and the first north step, after a
+    leading east run of h, records max(1, h-k+2); all k steps are
+    discarded."""
+    ks = map_domain(ks, word, True)
     if not ks:
         return []
     marks = _east_descents(n, word, ks[-1] - 1)
@@ -216,7 +206,7 @@ def minus_image(n: int, ks, word: str) -> list:
         if extra in descents:
             raise AssertionError("descent construction collided")
         descents.append(extra)
-        images.append((frozenset(descents), rest.replace("E", "", k - 1)))
+        images.append((k, frozenset(descents), rest.replace("E", "", k - 1)))
     return images
 
 
@@ -237,44 +227,30 @@ def image_stats(n: int, k: int):
     return stats
 
 
-def image_reader(n: int, k: int):
-    """read(base, minus): the plus (minus=False) or minus kernel's image of a
-    base word at k as (descents, word, area, ht), its statistics read by
-    image_stats.  An image outside T(n, k) raises ValueError."""
-    stats = image_stats(n, k)
-    ks = (k,)
-
-    def read(base: str, minus: bool = False) -> tuple:
-        (descents, word), = (minus_image if minus else plus_image)(n, ks, base)
-        area, ht = stats(base, word)
-        return descents, word, area, ht
-
-    return read
-
-
 def e_plus_map(k: int, path: LatticePath) -> TaggedPath:
     """plus_image on a checked base path, as a TaggedPath: discard the first
-    k east steps; the tableau records where they were.  Defined on the base
-    paths where plus_domain(k, path.word) holds."""
+    k east steps; the tableau records where they were.  A path outside the
+    map's domain at k (map_domain), where the kernel has no image, raises."""
     if path.s != 0:
         raise ValueError("e_plus_map expects a path starting at height 0")
     check_pieri_k(k, path.n)
-    if not plus_domain(k, path.word):
-        raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
-    return _tag(path.n, *plus_image(path.n, (k,), path.word)[0])
+    for _, descents, word in plus_image(path.n, range(k, k + 1), path.word):
+        return _tag(path.n, descents, word)
+    raise ValueError(f"path {path} is outside the plus map's domain for k={k}")
 
 
 def e_minus_map(k: int, path: LatticePath) -> TaggedPath:
     """minus_image on a checked base path, as a TaggedPath: discard the first
-    k-1 east steps and the first north step.  Defined on the base paths
-    where minus_domain(k, path.word) holds; the all-east path is left out
-    because its hook image has a single Pieri term already."""
+    k-1 east steps and the first north step.  A path outside the map's
+    domain at k (map_domain), where the kernel has no image, raises; the
+    all-east path is left out because its hook image has a single Pieri
+    term already."""
     if path.s != 0:
         raise ValueError("e_minus_map expects a path starting at height 0")
     check_pieri_k(k, path.n, 1)
-    if not minus_domain(k, path.word):
-        raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
-    return _tag(path.n, *minus_image(path.n, (k,), path.word)[0])
+    for _, descents, word in minus_image(path.n, range(k, k + 1), path.word):
+        return _tag(path.n, descents, word)
+    raise ValueError(f"path {path} is outside the minus map's domain for k={k}")
 
 
 def hook_of(tagged: TaggedPath) -> tuple[int, ...]:
@@ -401,9 +377,8 @@ def perp_via_paths_by_k(n: int) -> list:
     tallies = [Counter() for _ in ks]
     errors = {}
     for word, _, _ in words_T(n, 0):
-        for kernel, minus in ((plus_image, False), (minus_image, True)):
-            domain = map_domain(ks, word, minus)
-            for k, (descents, image) in zip(domain, kernel(n, domain, word)):
+        for kernel in (plus_image, minus_image):
+            for k, descents, image in kernel(n, ks, word):
                 try:
                     area, ht = stats[k](word, image)
                 except ValueError as exc:

@@ -210,12 +210,6 @@ def strips_by_size(lam: Partition, top: int) -> list[list[Partition]]:
     return strips
 
 
-def vertical_strips(lam: Partition, k: int) -> list[Partition]:
-    """Partitions mu <= lam with lam/mu a vertical strip of k boxes: the
-    exact-size entry of strips_by_size."""
-    return strips_by_size(lam, k)[k]
-
-
 def e_perp_by_k(f: SchurExpansion, top: int) -> list[SchurExpansion]:
     """[e_perp(k, f) for k in 0..top], walking each index's vertical strips
     once (strips_by_size) and adding each strip into the image of its size."""

@@ -268,9 +268,8 @@ def _check_pieri(n, minus):
     ks = range(m, n - 1)
     domains = {k: [] for k in ks}  # k -> [(base word, area, ht, descents, image word)]
     for gamma, area, ht in words_T(n, 0):
-        domain = pierimaps.map_domain(ks, gamma, minus)
-        for k, image in zip(domain, kernel(n, domain, gamma)):
-            domains[k].append((gamma, area, ht, *image))
+        for k, descents, image in kernel(n, ks, gamma):
+            domains[k].append((gamma, area, ht, descents, image))
     target = "V" if minus else "plus"
     for k, domain in domains.items():
         length = n - k - 2

@@ -291,15 +291,12 @@ def test_paths_output_matches_reference_rendering(capsys):
 def reference_pieri_output(n, k, as_json):
     """`pieri` as first written: the whole family's entries in one list,
     printed after every path is mapped."""
-    sides = (
-        ("plus", pierimaps.plus_domain, pierimaps.e_plus_map),
-        ("minus", pierimaps.minus_domain, pierimaps.e_minus_map),
-    )
+    sides = (("plus", False, pierimaps.e_plus_map), ("minus", True, pierimaps.e_minus_map))
     entries = []
     for gamma in enumerate_T(n, 0):
         entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
-        for side, in_domain, pieri_map in sides:
-            if in_domain(k, gamma.word):
+        for side, minus, pieri_map in sides:
+            if pierimaps.map_domain(range(k, k + 1), gamma.word, minus):
                 tagged = pieri_map(k, gamma)
                 entry[side] = {
                     "descents": sorted(tagged.descents),

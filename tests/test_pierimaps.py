@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hookpaths import characters as ch
 from hookpaths import pierimaps as pm
 from hookpaths.paths import LatticePath, enumerate_T, filter_paths
-from hookpaths.pierimaps import minus_domain, plus_domain
 from hookpaths.schur import SchurExpansion, e_perp
 from hookpaths.shapes import hook_index, hook_tableau_from_descents
 
@@ -97,7 +96,7 @@ def test_e_plus_hook_law():
     for n in range(3, 11):
         for k in range(0, n - 1):
             for gamma in enumerate_T(n, 0):
-                if not plus_domain(k, gamma.word):
+                if not pm.map_domain(range(k, k + 1), gamma.word):
                     continue
                 want = (gamma.area() + gamma.ht() + 1,) + (1,) * (
                     n - 2 - gamma.ht() - k
@@ -109,7 +108,7 @@ def test_e_minus_hook_law_and_east_start_branch():
     for n in range(3, 11):
         for k in range(1, n - 1):
             for gamma in enumerate_T(n, 0):
-                if not minus_domain(k, gamma.word):
+                if not pm.map_domain(range(k, k + 1), gamma.word, True):
                     continue
                 tagged = pm.e_minus_map(k, gamma)
                 arm = gamma.area() + gamma.ht()
@@ -168,14 +167,15 @@ def _maps_match_the_reference(gamma):
     # the public maps and, on the word alone, the kernels they wrap
     n = gamma.n
     for k in range(0, n - 1):
-        if plus_domain(k, gamma.word):
+        ks = range(k, k + 1)
+        if pm.map_domain(ks, gamma.word):
             want = ref_plus_map(k, gamma)
             assert pm.e_plus_map(k, gamma) == want, (k, gamma)
-            assert pm.plus_image(n, (k,), gamma.word) == [(want.descents, want.path.word)], (k, gamma)
-        if minus_domain(k, gamma.word):
+            assert pm.plus_image(n, ks, gamma.word) == [(k, want.descents, want.path.word)], (k, gamma)
+        if pm.map_domain(ks, gamma.word, True):
             want = ref_minus_map(k, gamma)
             assert pm.e_minus_map(k, gamma) == want, (k, gamma)
-            assert pm.minus_image(n, (k,), gamma.word) == [(want.descents, want.path.word)], (k, gamma)
+            assert pm.minus_image(n, ks, gamma.word) == [(k, want.descents, want.path.word)], (k, gamma)
 
 
 def test_maps_match_the_reference_exhaustively():
@@ -192,15 +192,20 @@ def test_maps_match_the_reference_property(gamma):
     _maps_match_the_reference(gamma)
 
 
-def _range_kernels_match_the_maps(gamma, mask=-1):
-    # each kernel at the ks of its domain that `mask` keeps, in one call,
-    # against its public map at each k alone
+def _range_kernels_match_the_maps(gamma, start=0, stop=None):
+    # each kernel over range(start, stop) in one call, against its public
+    # map at each k of the range where that map is defined
     n, word = gamma.n, gamma.word
-    sides = ((pm.plus_image, pm.e_plus_map, plus_domain), (pm.minus_image, pm.e_minus_map, minus_domain))
-    for kernel, pieri_map, in_domain in sides:
-        ks = [k for k in range(0, n - 1) if in_domain(k, word) and mask >> k & 1]
-        want = [pieri_map(k, gamma) for k in ks]
-        assert kernel(n, ks, word) == [(t.descents, t.path.word) for t in want], (ks, gamma)
+    ks = range(start, n - 1 if stop is None else stop)
+    for kernel, pieri_map in ((pm.plus_image, pm.e_plus_map), (pm.minus_image, pm.e_minus_map)):
+        want = []
+        for k in ks:
+            try:
+                tagged = pieri_map(k, gamma)
+            except ValueError:
+                continue
+            want.append((k, tagged.descents, tagged.path.word))
+        assert kernel(n, ks, word) == want, (ks, gamma)
 
 
 def test_range_kernels_match_the_maps_exhaustively():
@@ -213,11 +218,29 @@ def test_range_kernels_match_the_maps_exhaustively():
 @given(st.integers(min_value=2, max_value=22).flatmap(
     lambda n: st.tuples(
         st.text("NE", min_size=n - 2, max_size=n - 2).map(lambda word: LatticePath(n, 0, word)),
-        st.integers(min_value=0, max_value=2 ** (n - 1) - 1),
+        st.integers(min_value=-1, max_value=n),
+        st.integers(min_value=-1, max_value=n),
     )
 ))
 def test_range_kernels_match_the_maps_property(case):
-    _range_kernels_match_the_maps(*case)
+    gamma, start, stop = case
+    _range_kernels_match_the_maps(gamma, min(start, stop), max(start, stop))
+
+
+def test_kernels_apply_their_own_domain():
+    # each kernel maps a word at exactly the k of ks that map_domain admits,
+    # for every sub-range of -1..n
+    for n in range(2, 11):
+        for word, _, _ in pm.words_T(n, 0):
+            for kernel, minus in ((pm.plus_image, False), (pm.minus_image, True)):
+                for start in range(-1, n + 1):
+                    for stop in range(start, n + 1):
+                        ks = range(start, stop)
+                        got = [k for k, _, _ in kernel(n, ks, word)]
+                        assert got == list(pm.map_domain(ks, word, minus)), (word, minus, ks)
+    # the minus map is undefined at k = 0: the kernel has no image there,
+    # where an unchecked one read ({2, 4}, "N")
+    assert pm.minus_image(6, range(0, 1), "NENE") == []
 
 
 def test_minus_kernel_refuses_a_colliding_descent(monkeypatch):
@@ -225,7 +248,7 @@ def test_minus_kernel_refuses_a_colliding_descent(monkeypatch):
     # recorded 1 as well would give the tableau one descent too few
     monkeypatch.setattr(pm, "_east_descents", lambda n, word, count: [1] * count)
     with pytest.raises(AssertionError, match="descent construction collided"):
-        pm.minus_image(4, (2,), "NE")
+        pm.minus_image(4, range(2, 3), "NE")
 
 
 def test_east_descents_refuse_a_word_short_of_east_steps():
@@ -246,18 +269,20 @@ def test_domain_predicates_match_the_maps():
     for n in range(2, 10):
         for gamma in enumerate_T(n, 0):
             for k in range(0, n - 1):
-                assert plus_domain(k, gamma.word) == _defined(pm.e_plus_map, k, gamma), (k, gamma)
+                in_domain = bool(pm.map_domain(range(k, k + 1), gamma.word))
+                assert in_domain == _defined(pm.e_plus_map, k, gamma), (k, gamma)
             for k in range(1, n - 1):
-                assert minus_domain(k, gamma.word) == _defined(pm.e_minus_map, k, gamma), (k, gamma)
-    assert not minus_domain(0, "NNEE")  # the minus map needs k >= 1
+                in_domain = bool(pm.map_domain(range(k, k + 1), gamma.word, True))
+                assert in_domain == _defined(pm.e_minus_map, k, gamma), (k, gamma)
+    assert not pm.map_domain(range(0, 1), "NNEE", True)  # the minus map needs k >= 1
 
 
 def test_map_domain_reads_the_east_count_rules():
     # every sub-range of every k range, against the domain rules written
-    # out per k: the plus map needs k east steps, the minus map k >= 1, k-1
-    # east steps and a north step
+    # out per k: the plus map needs k >= 0 and k east steps, the minus map
+    # k >= 1, k-1 east steps and a north step
     rules = (
-        (False, lambda k, word: word.count("E") >= k),
+        (False, lambda k, word: 0 <= k <= word.count("E")),
         (True, lambda k, word: k >= 1 and word.count("E") >= k - 1 and "N" in word),
     )
     for n in range(2, 11):
@@ -268,31 +293,24 @@ def test_map_domain_reads_the_east_count_rules():
                         ks = range(start, stop)
                         domain = pm.map_domain(ks, word, minus)
                         assert list(domain) == [k for k in ks if rule(k, word)], (word, minus, ks)
-                for k in range(-1, n):
-                    assert (minus_domain if minus else plus_domain)(k, word) == rule(k, word)
 
 
-def test_image_reader_reads_split_families(monkeypatch):
+def test_image_stats_reads_split_families():
     # past WALK_BLOCK_STEPS steps T(n, k) splits into heads and a suffix
-    # block, which the reader looks an image's statistics up in apart
+    # block, which image_stats looks an image's statistics up in apart
     n = 13
-    for k in range(0, n - 1):
-        read = pm.image_reader(n, k)
-        for gamma in enumerate_T(n, 0):
-            for minus, in_domain in ((False, plus_domain), (True, minus_domain)):
-                if in_domain(k, gamma.word):
-                    descents, word, area, ht = read(gamma.word, minus)
-                    image = LatticePath(n, k, word)
-                    assert (area, ht) == (image.area(), image.ht()), (k, gamma, minus)
+    ks = range(0, n - 1)
+    stats = [pm.image_stats(n, k) for k in ks]
+    for gamma in enumerate_T(n, 0):
+        for kernel in (pm.plus_image, pm.minus_image):
+            for k, _, word in kernel(n, ks, gamma.word):
+                image = LatticePath(n, k, word)
+                assert stats[k](gamma.word, word) == (image.area(), image.ht()), (k, gamma, kernel)
     # an image a step short or long is off T(n, k) whichever part it spoils
-    plus = pm.plus_image
-    for spoil in (lambda word: word[1:], lambda word: word[:-1], lambda word: word + "E"):
-        def spoiled(n, ks, word, spoil=spoil):
-            return [(descents, spoil(image)) for descents, image in plus(n, ks, word)]
-
-        monkeypatch.setattr(pm, "plus_image", spoiled)
+    (_, _, image), = pm.plus_image(n, range(0, 1), "NEEENEEEENE")
+    for spoiled in (image[1:], image[:-1], image + "E"):
         with pytest.raises(ValueError, match=r"k=0 image of NEEENEEEENE is not in T\(13, 0\)"):
-            pm.image_reader(n, 0)("NEEENEEEENE")
+            stats[0]("NEEENEEEENE", spoiled)
 
 
 def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
@@ -300,7 +318,7 @@ def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
     # has no minus images and k = 2's are already empty
     minus = pm.minus_image
     monkeypatch.setattr(pm, "minus_image", lambda n, ks, word: [
-        (descents, image[1:]) for descents, image in minus(n, ks, word)
+        (k, descents, image[1:]) for k, descents, image in minus(n, ks, word)
     ])
     perps = pm.perp_via_paths_by_k(4)
     assert [isinstance(perp, ValueError) for perp in perps] == [False, True, False]
@@ -466,12 +484,12 @@ def test_bijectivity_onto_plus_and_v():
         for k in range(0, n - 1):
             sets = pm.build_sets(n, k)
             family = enumerate_T(n, 0)
-            domain_plus = [g for g in family if plus_domain(k, g.word)]
+            domain_plus = [g for g in family if pm.map_domain(range(k, k + 1), g.word)]
             image_plus = {pm.e_plus_map(k, g) for g in domain_plus}
             assert len(image_plus) == len(domain_plus)
             assert image_plus == set(sets.tplus)
             if k >= 1:
-                domain_minus = [g for g in family if minus_domain(k, g.word)]
+                domain_minus = [g for g in family if pm.map_domain(range(k, k + 1), g.word, True)]
                 image_minus = {pm.e_minus_map(k, g) for g in domain_minus}
                 assert len(image_minus) == len(domain_minus)
                 assert image_minus == set(sets.v)

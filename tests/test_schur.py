@@ -15,7 +15,7 @@ from hookpaths.schur import (
     restrict,
     specialize2,
     ssyt_specialize_oracle,
-    vertical_strips,
+    strips_by_size,
 )
 from hookpaths.shapes import normalize_shape, partitions_of
 
@@ -68,10 +68,10 @@ def test_e_perp_degree_drop():
 
 
 def test_vertical_strips_only_one_box_per_row():
-    assert set(vertical_strips((2, 2), 2)) == {(1, 1)}
-    assert set(vertical_strips((2, 2), 1)) == {(2, 1)}
-    assert vertical_strips((1, 1), 2) == [()]
-    assert vertical_strips((2, 2), 3) == []
+    assert set(strips_by_size((2, 2), 2)[2]) == {(1, 1)}
+    assert set(strips_by_size((2, 2), 1)[1]) == {(2, 1)}
+    assert strips_by_size((1, 1), 2)[2] == [()]
+    assert strips_by_size((2, 2), 3)[3] == []
 
 
 def vertical_strips_by_rows(lam, k):
@@ -106,7 +106,7 @@ def test_vertical_strips_by_runs_match_the_row_by_row_reference():
     for n in range(0, 12):
         for lam in partitions_of(n):
             for k in range(0, n + 2):
-                assert vertical_strips(lam, k) == vertical_strips_by_rows(lam, k), (lam, k)
+                assert strips_by_size(lam, k)[k] == vertical_strips_by_rows(lam, k), (lam, k)
 
 
 def fold_e_perp(k, f):
@@ -314,4 +314,4 @@ def test_e_perp_by_conjugation_duality():
                 via_conjugate = sorted(
                     conjugate(mu) for mu in _horizontal_strips(conjugate(lam), k)
                 )
-                assert sorted(vertical_strips(lam, k)) == via_conjugate, (lam, k)
+                assert sorted(strips_by_size(lam, k)[k]) == via_conjugate, (lam, k)

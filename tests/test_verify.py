@@ -36,8 +36,11 @@ def _flip_first_step(image):
 
 
 def _each_image(kernel, spoil):
-    """A range kernel that hands spoil(n, k, (descents, word)) on as its image at each k."""
-    return lambda n, ks, word: [spoil(n, k, image) for k, image in zip(ks, kernel(n, ks, word))]
+    """A range kernel that hands (k, *spoil(n, k, (descents, word))) on as
+    its image at each k."""
+    return lambda n, ks, word: [
+        (k, *spoil(n, k, (descents, image))) for k, descents, image in kernel(n, ks, word)
+    ]
 
 
 def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
