@@ -164,15 +164,18 @@ def gl2_delta_mu_by_k(n: int, mu) -> list:
         by_height.setdefault(h, []).append((d, c))
     out = []
     for k in range(n):
-        counts = Counter()  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
+        counts = {}  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
+        get = counts.get
         for h in (k - 2,) if k == n - 1 else (k - 2, k - 1):
             for d, c in by_height.get(h, ()):
                 if k - 1 + d >= 1:
-                    counts[k - 1 + d, 1] += c
+                    shape = k - 1 + d, 1
+                    counts[shape] = get(shape, 0) + c
         for h in (k - 1,) if k == n - 1 else (k - 1, k):
             for d, c in by_height.get(h, ()):
                 if k + d >= 0:
-                    counts[(k + d,) if k + d else ()] += c
+                    shape = (k + d,) if k + d else ()
+                    counts[shape] = get(shape, 0) + c
         out.append(SchurExpansion._trusted(counts))
     return out
 
@@ -338,25 +341,36 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
     q^(c+1).  Every per-j sum of both families is one shift of the same
     suffix sum T_j (_suffix_sums, _alt_sums), so an instance runs n
     additions of shifted Gaussian binomials where summing each j apart runs
-    n(n+1)/2; each per-j sum feeds both of its family's checks.
+    n(n+1)/2; each per-j sum feeds both of its family's checks.  The check
+    at one c is alternating_identities_by_c(n, (c,))'s entry.
     """
+    return alternating_identities_by_c(n, (c,))[c]
+
+
+def alternating_identities_by_c(n: int, cs) -> dict:
+    """{c: alternating_identity_check(n, c) for c in cs}, building
+    gf_closed(n, 0), its z -> qz copy and _suffix_sums(n) once for every c."""
     if n < 2:
         raise ValueError("identity checks need n >= 2")
     gf = gf_closed(n, 0)
     # z -> qz: each term q^eq z^ez gains q^ez
     gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf._terms.items()})
-    expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
     tails = _suffix_sums(n)
-    for variant, want in expected.items():
-        g = _default_g(variant, c)
-        sums = _alt_sums(g, tails)
-        for j, lhs in enumerate(sums):
-            if lhs != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)):
-                return False
-        total = LaurentPoly.shifted_sum((sums[j], 1, 0, 0, j - 1) for j in range(1, n))
-        if total != want:
+    out = {}
+    for c in cs:
+        expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
+        out[c] = all(_identity_holds(n, _default_g(variant, c), tails, want) for variant, want in expected.items())
+    return out
+
+
+def _identity_holds(n: int, g, tails: list, want: LaurentPoly) -> bool:
+    """One exponent family's identities: each per-j sum collapses, and the
+    per-j sums summed against z^(j-1) give `want`."""
+    sums = _alt_sums(g, tails)
+    for j, lhs in enumerate(sums):
+        if lhs != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)):
             return False
-    return True
+    return LaurentPoly.shifted_sum((sums[j], 1, 0, 0, j - 1) for j in range(1, n)) == want
 
 
 # -- the two-column formulas -----------------------------------------------------

@@ -295,11 +295,14 @@ def family_tally(families) -> Counter:
 
 def add_shifted(tally: Counter, counts: dict, shifts: dict) -> None:
     """Add count * c to tally[area + shift, ht] for every class (area, ht)
-    -> c of `counts` and every shift -> count of `shifts`."""
+    -> c of `counts` and every shift -> count of `shifts`.  It writes
+    through dict.get, so a Counter tally never calls its __missing__."""
     counts = counts.items()
+    get = tally.get
     for shift, count in shifts.items():
         for (area, ht), c in counts:
-            tally[area + shift, ht] += count * c
+            key = area + shift, ht
+            tally[key] = get(key, 0) + count * c
 
 
 def path_hook(n: int, a: int, ht: int, context="") -> Partition:

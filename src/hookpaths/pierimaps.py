@@ -456,9 +456,9 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
     return family_hooks(n, families, "a reindexed W term")
 
 
-def compare_difference(n: int, k: int) -> dict:
-    """Agreement report between the direct W sum and the re-indexed displays."""
-    direct = difference_W(n, k, "direct")
+def compare_difference(n: int, k: int, direct: SchurExpansion) -> dict:
+    """Agreement report between the direct W sum, difference_W(n, k,
+    "direct") as the caller already holds it, and the re-indexed displays."""
     report = {
         "n": n,
         "k": k,

@@ -6,6 +6,7 @@ exponents are signed ints, and all operations are pure.
 """
 
 from functools import lru_cache
+from operator import index
 
 _VAR_INDEX = {"q": 0, "t": 1, "z": 2}
 
@@ -24,11 +25,12 @@ class LaurentPoly:
         canonical = {}
         if terms:
             for expo, coeff in terms.items():
+                coeff = index(coeff)  # a float raises, never truncates
                 if coeff == 0:
                     continue
                 eq, et, ez = expo
-                key = (int(eq), int(et), int(ez))
-                canonical[key] = canonical.get(key, 0) + int(coeff)
+                key = (index(eq), index(et), index(ez))
+                canonical[key] = canonical.get(key, 0) + coeff
                 if canonical[key] == 0:
                     del canonical[key]
         self._terms = canonical
@@ -41,13 +43,13 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        c = int(c)
+        c = index(c)
         return cls._trusted({(0, 0, 0): c} if c else {})
 
     @classmethod
     def term(cls, coeff: int, eq: int = 0, et: int = 0, ez: int = 0) -> "LaurentPoly":
-        c = int(coeff)
-        return cls._trusted({(int(eq), int(et), int(ez)): c} if c else {})
+        c = index(coeff)
+        return cls._trusted({(index(eq), index(et), index(ez)): c} if c else {})
 
     @classmethod
     def _trusted(cls, terms: dict) -> "LaurentPoly":

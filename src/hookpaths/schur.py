@@ -26,6 +26,8 @@ class SchurExpansion:
                 lam = check_partition(lam)
                 if isinstance(coeff, int):
                     coeff = LaurentPoly.const(coeff)
+                elif not isinstance(coeff, LaurentPoly):
+                    raise TypeError(f"coefficient {coeff!r} of s{lam} is neither an int nor a LaurentPoly")
                 if coeff.is_zero():
                     continue
                 prev = canonical.get(lam)
@@ -40,13 +42,15 @@ class SchurExpansion:
     def _trusted(cls, terms) -> "SchurExpansion":
         """Internal constructor for a map whose keys are partitions that the
         library built itself (hook_index, normalize_shape, partitions_of,
-        strips_by_size): int values become constants and zero values are
-        dropped.  Public input goes through __init__, which checks each
-        index."""
-        const = LaurentPoly.const
+        strips_by_size): int values become constants, one per distinct
+        count and shared by its terms, and zero values are dropped.  Public
+        input goes through __init__, which checks each index."""
+        consts = {}  # LaurentPoly is immutable, so terms may share one
         result = cls.__new__(cls)
         result._terms = {
-            lam: const(c) if isinstance(c, int) else c for lam, c in terms.items() if c
+            lam: (consts[c] if c in consts else consts.setdefault(c, LaurentPoly.const(c)))
+            if isinstance(c, int) else c
+            for lam, c in terms.items() if c
         }
         return result
 

@@ -86,11 +86,28 @@ def _timed(suite, params, check, status="fail"):
 # -- individual suites -----------------------------------------------------------
 
 
+def _first_reader():
+    """read(key, build): build() at a key's first read, inside the instance
+    that reads it first, and the same value after.  A suite makes one per n
+    (difference-W one per (n, k)), so a size's shared data is dropped at the
+    next size."""
+    shared = {}
+
+    def read(key, build):
+        if key not in shared:
+            shared[key] = build()
+        return shared[key]
+
+    return read
+
+
 def suite_gf(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(2, max_n + 1):
+        read = _first_reader()  # n's generating function gf_T(n, 0)
+
         def poch(n=n):
-            lhs = gf_T(n, 0)
+            lhs = read("gf", lambda: gf_T(n, 0))
             rhs = q_pochhammer(z_var, n - 2)
             return None if lhs == rhs else f"{lhs} != {rhs}"
 
@@ -109,7 +126,7 @@ def suite_gf(max_n: int) -> list[VerifyReport]:
         out.append(_timed("gf", {"identity": "start-shift", "n": n}, shifted))
 
         def slices(n=n):
-            gf = gf_T(n, 0)
+            gf = read("gf", lambda: gf_T(n, 0))
             for j in range(0, n - 1):
                 expected = q_power(binom2(j + 1)) * gauss_binomial(n - 2, j)
                 if gf.coefficient_of("z", j) != expected:
@@ -122,10 +139,12 @@ def suite_gf(max_n: int) -> list[VerifyReport]:
 
 def suite_alternating(max_n: int) -> list[VerifyReport]:
     out = []
+    cs = range(-2, 3)
     for n in range(3, max_n + 1):
-        for c in range(-2, 3):
+        read = _first_reader()  # n's checks at every c, from one closed form and one suffix pass
+        for c in cs:
             def check(n=n, c=c):
-                ok = characters.alternating_identity_check(n, c)
+                ok = read("checks", lambda: characters.alternating_identities_by_c(n, cs))[c]
                 return None if ok else "identity check returned false"
 
             out.append(_timed("alternating", {"n": n, "c": c}, check))
@@ -149,29 +168,15 @@ def suite_restriction2(max_n: int) -> list[VerifyReport]:
     return out
 
 
-def _first_reader():
-    """read(key, build): build() at a key's first read, inside the instance
-    that reads it first, and the same value after.  A suite makes one per n,
-    so an n's shared data is dropped at the next n."""
-    shared = {}
-
-    def read(key, build):
-        if key not in shared:
-            shared[key] = build()
-        return shared[key]
-
-    return read
-
-
 def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
     # at t = 0 only the one-row terms survive: first_row_fingerprint reads them
     out = []
     for n in range(2, max_n + 1):
-        read = _first_reader()  # n's t = 0 tables and each mu's delta-mu list
+        read = _first_reader()  # n's shapes, t = 0 tables and each mu's delta-mu list
 
         def against_hooks(n=n):
             table = read("tables", lambda: characters.hrs_t0_by_k(n))[0]
-            for mu in partitions_of(n):
+            for mu in read("shapes", lambda: list(partitions_of(n))):
                 lhs = first_row_fingerprint(characters.hook_formula(n, 1, mu).expansion)
                 if lhs != table.coefficient(mu):
                     return f"mu={partition_str(mu)}"
@@ -182,7 +187,7 @@ def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
         for k_pieri in range(0, n):
             def against_delta(n=n, k_pieri=k_pieri):
                 table = read("tables", lambda: characters.hrs_t0_by_k(n))[n - 1 - k_pieri]
-                for mu in partitions_of(n):
+                for mu in read("shapes", lambda: list(partitions_of(n))):
                     delta = read(mu, lambda: characters.gl2_delta_mu_by_k(n, mu))[k_pieri]
                     if first_row_fingerprint(delta) != table.coefficient(mu):
                         return f"mu={partition_str(mu)}"
@@ -248,21 +253,23 @@ def _signed_tally(tally, *less) -> dict:
 def suite_bijections(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
-        out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_pieri(n, False)))
-        out.append(_timed("bijections", {"map": "minus", "n": n}, lambda n=n: _check_pieri(n, True)))
-        out.append(_timed("bijections", {"map": "east-start", "n": n}, lambda n=n: _check_phi(n)))
-        out.append(_timed("bijections", {"map": "north-start", "n": n}, lambda n=n: _check_omega(n)))
-        out.append(_timed("bijections", {"map": "descent-path", "n": n}, lambda n=n: _check_beta(n)))
-        out.append(_timed("bijections", {"map": "slice-partition", "n": n}, lambda n=n: _check_slice(n)))
+        read = _first_reader()  # n's height slices and each k's image_stats
+        out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_pieri(n, False, read)))
+        out.append(_timed("bijections", {"map": "minus", "n": n}, lambda n=n: _check_pieri(n, True, read)))
+        out.append(_timed("bijections", {"map": "east-start", "n": n}, lambda n=n: _check_phi(n, read)))
+        out.append(_timed("bijections", {"map": "north-start", "n": n}, lambda n=n: _check_omega(n, read)))
+        out.append(_timed("bijections", {"map": "descent-path", "n": n}, lambda n=n: _check_beta(n, read)))
+        out.append(_timed("bijections", {"map": "slice-partition", "n": n}, lambda n=n: _check_slice(n, read)))
     return out
 
 
-def _check_pieri(n, minus):
+def _check_pieri(n, minus, read):
     """The plus map (minus=False) or the minus map on every k: the hook law,
     injectivity, and the image being the plus set or the V set -- each image
     in T(n, k), its descent set's member_prefix leading it, and as many
     images as the set has members.  The kernel maps each base word once, at
-    every k of its domain; each k is then checked in turn, in word order."""
+    every k of its domain; each k is then checked in turn, in word order,
+    through image_stats(n, k) as `read` (a _first_reader) shares it."""
     m = int(minus)
     kernel = pierimaps.minus_image if minus else pierimaps.plus_image
     ks = range(m, n - 1)
@@ -273,7 +280,7 @@ def _check_pieri(n, minus):
     target = "V" if minus else "plus"
     for k, domain in domains.items():
         length = n - k - 2
-        stats = pierimaps.image_stats(n, k)
+        stats = read(("image_stats", k), lambda: pierimaps.image_stats(n, k))
         prefixes = {
             frozenset(combo): pierimaps.member_prefix(n, combo, minus)
             for combo in combinations(range(1, n), k)
@@ -332,8 +339,8 @@ def _trailing_norths(word):
     return len(word) - len(word.rstrip("N"))
 
 
-def _check_phi(n):
-    slices = _height_slices(n)
+def _check_phi(n, read):
+    slices = read("slices", lambda: _height_slices(n))
     for k in range(0, n - 2):
         h = n - k - 3
         areas = slices[h]
@@ -349,8 +356,8 @@ def _check_phi(n):
     return None
 
 
-def _check_omega(n):
-    slices = _height_slices(n)
+def _check_omega(n, read):
+    slices = read("slices", lambda: _height_slices(n))
     for k in range(0, n - 2):
         h = n - k - 3
         areas = slices[h]
@@ -377,8 +384,8 @@ def _check_omega(n):
     return None
 
 
-def _check_beta(n):
-    slices = _height_slices(n)
+def _check_beta(n, read):
+    slices = read("slices", lambda: _height_slices(n))
     for d in range(0, n - 1):
         h = n - d - 2
         areas = slices[h]
@@ -395,8 +402,8 @@ def _check_beta(n):
     return None
 
 
-def _check_slice(n):
-    for h, areas in sorted(_height_slices(n).items()):
+def _check_slice(n, read):
+    for h, areas in sorted(read("slices", lambda: _height_slices(n)).items()):
         slice_words = set(areas)
         blocks = [{w for w in slice_words if w.startswith("E")}] + [
             {w for w in slice_words if w.startswith("N") and _trailing_norths(w) == j}
@@ -430,9 +437,14 @@ def suite_difference_w(max_n: int) -> list[VerifyReport]:
     out = []
     for n in range(3, max_n + 1):
         for k in range(1, n - 1):
-            def set_identity(n=n, k=k):
+            read = _first_reader()  # (n, k)'s tallies and its direct W sum
+
+            def tallies_and_direct(n=n, k=k):
                 tallies = pierimaps.pieri_tallies(n, k)
-                direct = tally_hooks(n, tallies["w"], "a W path")
+                return tallies, tally_hooks(n, tallies["w"], "a W path")
+
+            def set_identity(n=n):
+                tallies, direct = read("tallies", tallies_and_direct)
                 via_sets = tally_hooks(n, _signed_tally(tallies["tminus"], tallies["v"]), "a T- path")
                 return None if direct == via_sets else "W sum != minus-sum - V-sum"
 
@@ -441,7 +453,7 @@ def suite_difference_w(max_n: int) -> list[VerifyReport]:
             )
 
             def comparison(n=n, k=k):
-                report = pierimaps.compare_difference(n, k)
+                report = pierimaps.compare_difference(n, k, read("tallies", tallies_and_direct)[1])
                 bits = [
                     f"reindexed(conjugate-reading) {'agrees' if report['agree_conjugate'] else 'DISAGREES'}",
                     f"reindexed(literal-reading) {'agrees' if report['agree_literal'] else 'DISAGREES'}",

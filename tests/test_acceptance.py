@@ -121,7 +121,7 @@ def test_criterion_10_difference_comparison():
         sets = pm.build_sets(n, 1)
         direct = pm.difference_W(n, 1, "direct")
         assert direct == pm.hook_sum(sets.tminus) - pm.hook_sum(sets.v), n
-        report = pm.compare_difference(n, 1)
+        report = pm.compare_difference(n, 1, direct)
         # the display's agreement is reported, never asserted
         status = "agrees" if report["agree_k1"] else "DISAGREES"
         print(f"    difference display (k=1, n={n}): {status}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hookpaths import characters as ch
-from hookpaths.paths import LatticePath, add_shifted, binom2, enumerate_T, family_counts, path_hook
+from hookpaths.paths import LatticePath, add_shifted, binom2, enumerate_T, family_counts, gf_T, path_hook
 from hookpaths.qpoly import ONE, ZERO, LaurentPoly, gauss_binomial, q, q_power
 from hookpaths.schur import SchurExpansion, e_perp, first_row_fingerprint, psi, restrict, specialize2
 from hookpaths.shapes import (
@@ -372,6 +372,43 @@ def test_suffix_sums_are_the_q_pascal_tails():
         tails = ch._suffix_sums(n)
         assert tails[0] == ZERO
         assert tails[-1] == LaurentPoly.term(-1 if (n - 1) % 2 else 1, binom2(n - 1))
+
+
+def _identity_by_oracle(n, c):
+    """alternating_identity_check(n, c) with every per-j sum from _alt_sum,
+    the generating function from gf_T's level walk and z -> qz by exponents."""
+    gf = gf_T(n, 0)
+    gf_qz = LaurentPoly({(eq + ez, et, ez): x for (eq, et, ez), x in gf.items()})
+    for variant, want in (("plain", gf * q_power(c)), ("area_ht", gf_qz * q_power(c + 1))):
+        g = ch._default_g(variant, c)
+        sums = [_alt_sum(n, j, g) for j in range(n)]
+        if any(sums[j] != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)) for j in range(n)):
+            return False
+        if LaurentPoly.sum(sums[j] * LaurentPoly.term(1, ez=j - 1) for j in range(1, n)) != want:
+            return False
+    return True
+
+
+def _by_c_matches_the_oracle(n, cs):
+    expected = {c: _identity_by_oracle(n, c) for c in cs}
+    assert all(expected.values()), (n, cs)  # the identities hold, so the oracle is no constant False
+    assert ch.alternating_identities_by_c(n, cs) == expected, (n, cs)
+    for c in cs:
+        assert ch.alternating_identity_check(n, c) is expected[c], (n, c)
+
+
+def test_by_c_kernel_matches_the_per_j_oracle():
+    for n in range(2, 13):
+        _by_c_matches_the_oracle(n, range(-2, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=20),
+    st.lists(st.integers(min_value=-10, max_value=10), min_size=1, max_size=5, unique=True),
+)
+def test_by_c_kernel_matches_the_per_j_oracle_property(n, cs):
+    _by_c_matches_the_oracle(n, cs)
 
 
 def test_nulle_identity_small_case():

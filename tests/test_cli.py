@@ -380,7 +380,8 @@ def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out
     # the map checks and the perp sum read the same way
-    assert verify._check_pieri(6, False) is None and verify._check_pieri(6, True) is None
+    read = verify._first_reader()
+    assert verify._check_pieri(6, False, read) is None and verify._check_pieri(6, True, read) is None
     pierimaps.perp_via_paths(6, 2)
     assert built == []
 

@@ -533,11 +533,11 @@ def test_difference_display_agreement():
     # the conjugate, reproduces the direct sum; the literal reading does not
     for n in range(3, 9):
         for k in range(1, n - 1):
-            report = pm.compare_difference(n, k)
+            report = pm.compare_difference(n, k, pm.difference_W(n, k, "direct"))
             assert report["agree_conjugate"], (n, k)
             if k == 1:
                 assert report["agree_k1"], n
-    assert not pm.compare_difference(5, 1)["agree_literal"]
+    assert not pm.compare_difference(5, 1, pm.difference_W(5, 1, "direct"))["agree_literal"]
 
 
 # The re-indexed W displays as first written: one path at a time, read

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hookpaths.qpoly import (
@@ -38,9 +39,37 @@ def test_canonical_form_drops_zeros():
     assert p - 2 * q == ZERO
     assert LaurentPoly.const(0).items() == [] and LaurentPoly.term(0, 1, 2, 3).items() == []
     assert LaurentPoly.term(True, eq=True).items() == [((1, 0, 0), 1)]
-    assert LaurentPoly.term("3", eq=2.0).items() == LaurentPoly({(2.0, 0, 0): "3"}).items() == [((2, 0, 0), 3)]
-    assert LaurentPoly.const(0.5).items() == LaurentPoly({(0, 0, 0): 0.5}).items() == []
     assert LaurentPoly.sum([q, 2 * z, -q]).items() == [((0, 0, 1), 2)]
+
+
+# each of these once truncated: 1.5 read 1, 2.7 read 2, 0.5 read 0 and the
+# exponent 1.9 read as q; a string was parsed
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly({(0, 0, 0): 1.5}),
+    lambda: LaurentPoly({(0, 0, 0): 0.5}),
+    lambda: LaurentPoly({(1.9, 0, 0): 1}),
+    lambda: LaurentPoly({(0, 0, 0): "3"}),
+    lambda: LaurentPoly.const(2.7),
+    lambda: LaurentPoly.const(0.5),
+    lambda: LaurentPoly.term(0.5, eq=1),
+    lambda: LaurentPoly.term(1, eq=1.9),
+    lambda: LaurentPoly.term(1, et=2.0),
+    lambda: LaurentPoly.term("3", eq=2),
+], ids=[
+    "init-coeff-1.5", "init-coeff-0.5", "init-exponent-1.9", "init-coeff-str",
+    "const-2.7", "const-0.5", "term-coeff-0.5", "term-eq-1.9", "term-et-2.0", "term-coeff-str",
+])
+def test_public_constructors_refuse_non_integers(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_public_constructors_keep_every_int_input():
+    assert LaurentPoly({(-1, 2, 3): True}).items() == [((-1, 2, 3), 1)]
+    assert LaurentPoly({(0, 0): 0}).is_zero()  # a zero term's exponents are never read
+    assert LaurentPoly.const(-4) == -4 and LaurentPoly.term(7, -1, 0, 2).items() == [((-1, 0, 2), 7)]
+    assert LaurentPoly.term(2 ** 70, ez=-3).coeff(ez=-3) == 2 ** 70
+    assert LaurentPoly.from_json_obj([{"q": "1", "t": 0, "z": 2, "c": "-5"}]).items() == [((1, 0, 2), -5)]
 
 
 def _term_by_term_product(a, b):

@@ -37,6 +37,37 @@ def test_trusted_expansion_drops_zeros_like_the_checked_constructor():
     assert trusted.coefficient((1, 1)) == 3 * ONE
 
 
+@pytest.mark.parametrize("coeff", [2.5, 0.0, "3", None], ids=["float", "float-zero", "str", "none"])
+def test_checked_expansion_names_a_coefficient_that_is_no_int_or_polynomial(coeff):
+    # a float once failed with "'float' object has no attribute 'is_zero'"
+    with pytest.raises(TypeError, match=f"coefficient {coeff!r} of s\\(2, 1\\)"):
+        SchurExpansion({(2, 1): coeff})
+
+
+def test_checked_expansion_keeps_every_int_input():
+    assert SchurExpansion({(2, 1): 2, (1,): True, (3,): 0}) == SchurExpansion({(2, 1): 2 * ONE, (1,): ONE})
+    assert SchurExpansion({(): -1}).coefficient(()) == -1
+
+
+def test_trusted_constants_shared_between_terms_stay_apart_under_arithmetic():
+    # equal counts share one constant; every operation builds new
+    # coefficients, so no term of an operand or of the result moves another
+    terms = {(3,): 2, (2, 1): 2, (1, 1, 1): 2, (1,): 0, (2,): 5}
+    f = SchurExpansion._trusted(terms)
+    assert f.coefficient((3,)) is f.coefficient((2, 1)) is f.coefficient((1, 1, 1))
+    assert f.support() == [(3,), (2, 1), (1, 1, 1), (2,)]  # the zero count is dropped
+    before = str(f)
+    g = SchurExpansion.term((3,), 1)
+    assert (f + g).coefficient((3,)) == 3 and (f - g).coefficient((3,)) == 1
+    assert (f + g).coefficient((2, 1)) == 2 and (f - g).coefficient((1, 1, 1)) == 2
+    assert (f - f.scale(1)).is_zero() and f.scale(q).coefficient((2, 1)) == 2 * q
+    assert f.scale(3).coefficient((2,)) == 15 and f.scale(3).coefficient((3,)) == 6
+    assert (-f).coefficient((3,)) == -2 and f.coefficient((2, 1)) == 2
+    assert str(f) == before and f == SchurExpansion(terms)
+    # distinct counts keep distinct constants
+    assert {str(c) for _, c in SchurExpansion._trusted({(1,): 1, (2,): -1, (3,): 7}).items()} == {"1", "-1", "7"}
+
+
 def test_e_perp_figure_example():
     image = e_perp(2, s((4, 3, 1, 1)))
     assert image == s((3, 2, 1, 1)) + s((3, 3, 1)) + s((4, 2, 1)) + s((4, 3))

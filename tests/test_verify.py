@@ -47,8 +47,8 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
     for name in ("plus_image", "minus_image"):
         kernel = getattr(pierimaps, name)
         monkeypatch.setattr(pierimaps, name, _each_image(kernel, lambda n, k, image: _flip_first_step(image)))
-    assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
-    assert verify._check_pieri(4, True) == "k=1 hook law fails on EN"
+    assert verify._check_pieri(3, False, verify._first_reader()) == "k=0 hook law fails on E"
+    assert verify._check_pieri(4, True, verify._first_reader()) == "k=1 hook law fails on EN"
 
     # one step higher and one box less keeps the arm; only the leg is off
     monkeypatch.undo()
@@ -64,7 +64,7 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
         return skewed_stats
 
     monkeypatch.setattr(pierimaps, "image_stats", skewed)
-    assert verify._check_pieri(3, False) == "k=0 hook law fails on E"
+    assert verify._check_pieri(3, False, verify._first_reader()) == "k=0 hook law fails on E"
 
 
 def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
@@ -109,7 +109,7 @@ def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
             return (moved_to if descents == {3, 4} else descents), word
 
         monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, moved))
-        assert verify._check_pieri(6, False) == "k=2 image of NEEE is not in the plus set"
+        assert verify._check_pieri(6, False, verify._first_reader()) == "k=2 image of NEEE is not in the plus set"
 
 
 def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
@@ -122,7 +122,7 @@ def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
         return descents, (word[1:] if word.startswith("N") else word)
 
     monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, lifted))
-    assert verify._check_pieri(4, False) == "k=0 image of NE is not in the plus set"
+    assert verify._check_pieri(4, False, verify._first_reader()) == "k=0 image of NE is not in the plus set"
 
 
 def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
@@ -134,34 +134,34 @@ def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
         pierimaps, "map_domain",
         lambda ks, word, minus=False: range(0) if word == missed[minus] else domain(ks, word, minus),
     )
-    assert verify._check_pieri(4, False) == "k=0 image is not the plus set"
-    assert verify._check_pieri(4, True) == "k=1 image is not the V set"
+    assert verify._check_pieri(4, False, verify._first_reader()) == "k=0 image is not the plus set"
+    assert verify._check_pieri(4, True, verify._first_reader()) == "k=1 image is not the V set"
 
 
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
     inverse = pierimaps.descents_word
     monkeypatch.setattr(pierimaps, "descents_word", lambda *a: inverse(*a)[::-1])
-    assert verify._check_phi(4) == "k=0 round trip fails on EN"
+    assert verify._check_phi(4, verify._first_reader()) == "k=0 round trip fails on EN"
 
 
 def test_omega_check_reports_a_broken_statistic(monkeypatch):
     _shift_descents(monkeypatch)
-    assert verify._check_omega(4) == "k=0 j=0 statistic fails on NE"
-    assert verify._check_phi(4) == "k=0 statistic fails on EN"
+    assert verify._check_omega(4, verify._first_reader()) == "k=0 j=0 statistic fails on NE"
+    assert verify._check_phi(4, verify._first_reader()) == "k=0 statistic fails on EN"
 
 
 def test_beta_check_reports_an_image_mismatch(monkeypatch):
     forward = pierimaps.descents_word
     monkeypatch.setattr(pierimaps, "descents_word", lambda *a: StrayWord(forward(*a)))
-    assert verify._check_beta(3) == "d=0 image mismatch"
+    assert verify._check_beta(3, verify._first_reader()) == "d=0 image mismatch"
     # a descent set in a witness reads as its sorted list
     monkeypatch.setattr(pierimaps, "north_descents", lambda n, word, shift: frozenset())
-    assert verify._check_beta(3) == "d=0 round trip fails on [1, 2]"
+    assert verify._check_beta(3, verify._first_reader()) == "d=0 round trip fails on [1, 2]"
 
 
 @pytest.mark.parametrize("error", [TypeError, ValueError])
 def test_a_reported_instance_that_raises_fails_and_the_run_goes_on(monkeypatch, capsys, error):
-    def boom(n, k):
+    def boom(n, k, direct):
         raise error("boom")
 
     monkeypatch.setattr(pierimaps, "compare_difference", boom)
@@ -218,6 +218,52 @@ def test_a_raising_kernel_fails_each_of_its_n_delta_instances(monkeypatch):
         f"[FAIL    ] hrs-t0 check=delta-mu n=3 k={k} -- exception: boom" for k in range(3)
     ]
     assert [r.params["n"] for r in reports if r.status == "pass"] == [2, 2, 2, 3]
+
+
+def _raising_at(monkeypatch, module, name, at):
+    """Patch module.<name> to raise RuntimeError("boom") when its leading
+    arguments are `at`, and to answer as before otherwise."""
+    kernel = getattr(module, name)
+
+    def boom(*args):
+        if args[:len(at)] == at:
+            raise RuntimeError("boom")
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, boom)
+
+
+def _failed(reports):
+    return [r.line() for r in reports if r.status == "fail"]
+
+
+def test_a_raising_image_stats_fails_only_its_n_plus_and_minus_instances(monkeypatch):
+    # one image_stats per (n, k) serves both maps; the slice checks share
+    # another build and never read it
+    _raising_at(monkeypatch, pierimaps, "image_stats", (4,))
+    reports = verify.suite_bijections(5)
+    assert _failed(reports) == [
+        f"[FAIL    ] bijections map={m} n=4 -- exception: boom" for m in ("plus", "minus")
+    ]
+    assert len(reports) == 18
+
+
+def test_a_raising_pieri_tallies_fails_only_its_n_k_direct_and_display(monkeypatch):
+    _raising_at(monkeypatch, pierimaps, "pieri_tallies", (5, 2))
+    reports = verify.suite_difference_w(5)
+    assert _failed(reports) == [
+        f"[FAIL    ] difference-W check={c} n=5 k=2 -- exception: boom" for c in ("direct", "display")
+    ]
+    assert [r.status for r in reports].count("pass") == len(reports) // 2 - 1
+
+
+def test_a_raising_by_c_kernel_fails_only_its_n_five_instances(monkeypatch):
+    _raising_at(monkeypatch, characters, "alternating_identities_by_c", (4,))
+    reports = verify.suite_alternating(5)
+    assert _failed(reports) == [
+        f"[FAIL    ] alternating n=4 c={c} -- exception: boom" for c in range(-2, 3)
+    ]
+    assert [r.params["n"] for r in reports if r.status == "pass"] == [3] * 5 + [5] * 5
 
 
 def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
