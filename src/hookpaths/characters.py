@@ -8,7 +8,7 @@ The main expansion is proven for r = 1 and mu in {(n), (n-1,1), (n-2,1,1),
 exploring those cases is the point of having the formula in executable form.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .paths import (
     _family_grid, binom2, family_counts, family_tally, gf_closed, path_hook,
@@ -29,7 +29,6 @@ from .shapes import (
     conjugate,
     descent_classes,
     is_hook,
-    normalize_shape,
     partitions_of,
 )
 
@@ -65,13 +64,11 @@ def hook_formula(n: int, r: int, mu) -> HookResult:
     the total height to n-2.  Pairs with equal statistics contribute equal
     terms, so the tableaux enter by (des', maj') class (_syt_families).
     """
-    mu = check_partition(mu)
+    mu = _partition_of(n, mu)
     if n < 2:
         raise ValueError("hook_formula needs n >= 2")
     if r < 1:
         raise ValueError("hook_formula needs r >= 1")
-    if sum(mu) != n:
-        raise ValueError(f"mu={mu} is not a partition of n={n}")
     base = (r - 1) * binom2(n)
     expansion = family_hooks(n, _syt_families(n, mu, base), f"n={n}, r={r}, mu={mu}")
     return HookResult(n, r, mu, expansion, proven_inputs(n, r, mu))
@@ -118,30 +115,26 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     if not is_hook(mu) or sum(mu) != n:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
     check_syt_size(n)  # before conjugate(mu)
-    counts = Counter()
+    counts = {}  # s_(m) is s_() at m = 0; s_(m-i, 1) for i = 2..des needs m-i >= 1
     for desp, majps in descent_classes(conjugate(mu)):
         for majp, c in majps:
-            _add_gl2_terms(counts, r * binom2(n) - majp, max(n - 1, 0) - desp, c)
+            m = r * binom2(n) - majp
+            if m >= 0:
+                shape = (m,) if m else ()
+                counts[shape] = counts.get(shape, 0) + c
+            for i in range(2, min(n - 1 - desp, m - 1) + 1):
+                counts[m - i, 1] = counts.get((m - i, 1), 0) + c
     return SchurExpansion._trusted(counts)
 
 
 def gl2_delta_en(n: int, k: int) -> SchurExpansion:
-    """The elementary-pairing specialization, summed over SYT((n-k, 1^k))."""
+    """The elementary-pairing specialization, summed over SYT((n-k, 1^k)):
+    gl2_nabla_hooks on that hook, as Des(T') = [n-1] \\ Des(T) gives each
+    tableau T of it des = k and maj(T) = binom(n,2) - maj'."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"k={k} outside 0..{n - 1}")
     check_syt_size(n)  # before the hook (n-k, 1^k)
-    counts = Counter()
-    for _, majs in descent_classes((n - k,) + (1,) * k):
-        for maj, c in majs:
-            _add_gl2_terms(counts, maj, k, c)
-    return SchurExpansion._trusted(counts)
-
-
-def _add_gl2_terms(counts: Counter, m: int, top: int, count: int) -> None:
-    """Count s_(m) and s_(m-i, 1) for i = 2..top, count times each."""
-    _add_shape(counts, (m,), count)
-    for i in range(2, top + 1):
-        _add_shape(counts, (m - i, 1), count)
+    return gl2_nabla_hooks(n, 1, (n - k,) + (1,) * k)
 
 
 def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
@@ -186,13 +179,6 @@ def _partition_of(n: int, mu) -> Partition:
     if sum(mu) != n:
         raise ValueError(f"mu={mu} is not a partition of n={n}")
     return mu
-
-
-def _add_shape(counts: Counter, raw, count: int = 1) -> None:
-    """Count s_shape count times; a raw shape off the diagram counts as 0."""
-    shape = normalize_shape(raw)
-    if shape is not None:
-        counts[shape] += count
 
 
 def hrs_t0(n: int, k: int) -> SchurExpansion:
@@ -389,7 +375,7 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
     if n < 2:
         raise ValueError("two_column_formula needs n >= 2")
     _family_grid(n, 0)
-    counts = Counter()
+    counts = {}
     if form == "lifted":
         for k in range(1, n - 3):
             m = n - k - 1  # descent count of shape (k+1, 1^(n-k-1))
@@ -398,7 +384,8 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
             for i in range(2, m):
                 kept = with_one - q_power(n - 1 + binom2(m)) * gauss_binomial(n - 2 - i, m - i - 1)
                 for (maj, _, _), c in kept._terms.items():
-                    counts[(maj - i, 2) + (1,) * (k - 1)] += c
+                    shape = (maj - i, 2) + (1,) * (k - 1)
+                    counts[shape] = counts.get(shape, 0) + c
         return SchurExpansion(counts)
     if form == "path":
         # a word of T(n, 0) of height h <= n-3 counts once for each i in 2..h,
@@ -412,6 +399,7 @@ def two_column_formula(n: int, form: str = "path") -> SchurExpansion:
                 classes.append((i, area + (i - 1) * h + n - 2 + binom2(i), h + i, -c))
         for i, area, h, c in classes:
             if h <= n - 3:
-                counts[(area + h + 1 - i, 2) + (1,) * (n - 3 - h)] += c
+                shape = (area + h + 1 - i, 2) + (1,) * (n - 3 - h)
+                counts[shape] = counts.get(shape, 0) + c
         return SchurExpansion(counts)
     raise ValueError(f"unknown form {form!r}")

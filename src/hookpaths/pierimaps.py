@@ -342,9 +342,10 @@ def pieri_tallies(n: int, k: int) -> dict:
     neither T+ nor V.
     """
     check_pieri_k(k, n)
-    classes = defaultdict(Counter)  # thresholds -> {-maj': descent sets}
+    classes = {}  # thresholds -> {-maj': descent sets}
     for combo in combinations(range(1, n), k):
-        classes[thresholds(n, combo)][-sum(combo)] += 1
+        sets = classes.setdefault(thresholds(n, combo), {})
+        sets[-sum(combo)] = sets.get(-sum(combo), 0) + 1
     runs = leading_run_counts(n, k)
     shifts = defaultdict(dict)  # (set, run class) -> {-maj': count}
     for (plus_north, v_north, v_east), majps in classes.items():
@@ -374,7 +375,7 @@ def perp_via_paths_by_k(n: int) -> list:
     ValueError at entry k in place of the expansion; the others still hold."""
     ks = range(0, n - 1)
     stats = [image_stats(n, k) for k in ks]
-    tallies = [Counter() for _ in ks]
+    tallies = [{} for _ in ks]
     errors = {}
     for word, _, _ in words_T(n, 0):
         for kernel in (plus_image, minus_image):
@@ -384,7 +385,8 @@ def perp_via_paths_by_k(n: int) -> list:
                 except ValueError as exc:
                     errors.setdefault(k, exc)
                     continue
-                tallies[k][area - sum(descents), ht] += 1
+                key = area - sum(descents), ht
+                tallies[k][key] = tallies[k].get(key, 0) + 1
     return [errors.get(k) or tally_hooks(n, tally, "a Pieri image") for k, tally in zip(ks, tallies)]
 
 

@@ -26,10 +26,10 @@ class LaurentPoly:
         if terms:
             for expo, coeff in terms.items():
                 coeff = index(coeff)  # a float raises, never truncates
+                eq, et, ez = expo  # checked before a zero term is skipped
+                key = (index(eq), index(et), index(ez))
                 if coeff == 0:
                     continue
-                eq, et, ez = expo
-                key = (index(eq), index(et), index(ez))
                 canonical[key] = canonical.get(key, 0) + coeff
                 if canonical[key] == 0:
                     del canonical[key]

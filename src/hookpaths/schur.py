@@ -41,10 +41,10 @@ class SchurExpansion:
     @classmethod
     def _trusted(cls, terms) -> "SchurExpansion":
         """Internal constructor for a map whose keys are partitions that the
-        library built itself (hook_index, normalize_shape, partitions_of,
-        strips_by_size): int values become constants, one per distinct
-        count and shared by its terms, and zero values are dropped.  Public
-        input goes through __init__, which checks each index."""
+        library built itself (hook_index, partitions_of, strips_by_size):
+        int values become constants, one per distinct count and shared by
+        its terms, and zero values are dropped.  Public input goes through
+        __init__, which checks each index."""
         consts = {}  # LaurentPoly is immutable, so terms may share one
         result = cls.__new__(cls)
         result._terms = {
@@ -275,14 +275,22 @@ def psi_inverse_hooks(p: LaurentPoly) -> SchurExpansion:
     return SchurExpansion(out)
 
 
+def two_row_part(f: SchurExpansion) -> dict:
+    """{(a, b): coefficient} of f's indices of at most two rows, with s_()
+    read as (0, 0) and s_(a) as (a, 0).  Distinct s_(a,b)(q, t) lead with
+    distinct monomials q^a t^b, so for coefficients free of q and t, equal
+    two-row parts are exactly equal specialize2 evaluations."""
+    return {(lam + (0, 0))[:2]: coeff for lam, coeff in f._terms.items() if len(lam) <= 2}
+
+
 def specialize2(f: SchurExpansion) -> LaurentPoly:
     """Evaluate every Schur index in the two variables (q, t).
 
-    Indices of length > 2 vanish; s_(a) and s_(a,b) use the closed
+    Only two_row_part's indices survive; s_(a) and s_(a,b) use the closed
     two-variable forms, which the semistandard oracle gates in the tests.
     Over SPECIALIZE_BOUND monomials in all (a huge r) is refused first.
     """
-    rows = [((lam + (0, 0))[:2], coeff) for lam, coeff in f._terms.items() if len(lam) <= 2]
+    rows = two_row_part(f).items()
     if sum(a - b + 1 for (a, b), _ in rows) > SPECIALIZE_BOUND:
         raise ValueError(f"the two-variable evaluation exceeds the bound of {SPECIALIZE_BOUND} monomials")
     # s_(a, b)(q, t) = (qt)^b * h_{a-b}(q, t): one shift per monomial

@@ -64,6 +64,14 @@ def test_public_constructors_refuse_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize("key, error", [((0.5, 0, 0), TypeError), ((0, 0), ValueError)], ids=["float", "short"])
+def test_init_checks_a_key_before_it_skips_a_zero_term(key, error):
+    # a zero coefficient once let its key through unread
+    for coeff in (1, 0):
+        with pytest.raises(error):
+            LaurentPoly({key: coeff})
+
+
 def test_public_constructors_keep_every_int_input():
     assert LaurentPoly({(-1, 2, 3): True}).items() == [((-1, 2, 3), 1)]
     assert LaurentPoly.const(-4) == -4 and LaurentPoly.term(7, -1, 0, 2).items() == [((-1, 0, 2), 7)]

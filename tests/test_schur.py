@@ -16,6 +16,7 @@ from hookpaths.schur import (
     specialize2,
     ssyt_specialize_oracle,
     strips_by_size,
+    two_row_part,
 )
 from hookpaths.shapes import normalize_shape, partitions_of
 
@@ -256,6 +257,28 @@ def test_specialize2_examples():
     assert specialize2(s(())) == ONE
     with pytest.raises(ValueError, match="exceeds the bound of 262144 monomials"):
         specialize2(s((2 ** 18,)))
+
+
+def test_two_row_part_reads_the_empty_and_one_row_indices_as_two_rows():
+    f = s(()) + s((3,)).scale(2) + s((2, 1)) + s((2, 1, 1)) + s((1, 1, 1))
+    assert two_row_part(f) == {(0, 0): ONE, (3, 0): 2 * ONE, (2, 1): ONE}
+
+
+PARTITIONS = [lam for n in range(9) for lam in partitions_of(n)]
+
+
+def _expansions(shapes, size):
+    return st.dictionaries(st.sampled_from(shapes), st.integers(-3, 3), max_size=size).map(SchurExpansion)
+
+
+@given(
+    _expansions(PARTITIONS, 8),
+    # a change of f off its two-row part, or anywhere
+    st.one_of(_expansions([lam for lam in PARTITIONS if len(lam) > 2], 4), _expansions(PARTITIONS, 4)),
+)
+def test_two_row_parts_agree_exactly_when_the_two_variable_evaluations_do(f, change):
+    g = f + change
+    assert (two_row_part(f) == two_row_part(g)) == (specialize2(f) == specialize2(g))
 
 
 def test_ssyt_oracle_examples():

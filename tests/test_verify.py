@@ -201,6 +201,24 @@ def test_hrs_t0_checks_see_exactly_the_one_row_terms(monkeypatch, name, shape, c
     assert failures == [f"[FAIL    ] hrs-t0 {check} -- mu=2,1" for check in checks]
 
 
+@pytest.mark.parametrize("shape, witness", [
+    ((5, 1), "(a, b)=(5, 1): 0 != 1"),
+    ((2, 1), "(a, b)=(2, 1): 1 != 2"),
+    # s_(2,1,1)(q, t) = 0, so the two-variable claim does not see it
+    ((2, 1, 1), None),
+])
+def test_restriction2_names_the_two_row_term_it_misses(monkeypatch, shape, witness):
+    formula = characters.gl2_nabla_hooks
+
+    def broken(n, r, mu):
+        out = formula(n, r, mu)
+        return out + SchurExpansion.term(shape) if mu == (2, 1, 1) else out
+
+    monkeypatch.setattr(characters, "gl2_nabla_hooks", broken)
+    failures = [r.line() for r in verify.suite_restriction2(4) if r.status != "pass"]
+    assert failures == ([f"[FAIL    ] restriction2 n=4 mu=2,1,1 -- {witness}"] if witness else [])
+
+
 def test_a_raising_kernel_fails_each_of_its_n_delta_instances(monkeypatch):
     # the per-n data is built by its first reader, inside that reader's
     # instance, so a kernel that raises fails every delta-mu instance of its
