@@ -114,15 +114,18 @@ def gl2_nabla_hooks(n: int, r: int, mu) -> SchurExpansion:
     mu = check_partition(mu)
     if not is_hook(mu) or sum(mu) != n:
         raise ValueError(f"mu={mu} must be a hook of size n={n}")
+    if r < 1:
+        raise ValueError("gl2_nabla_hooks needs r >= 1")
     check_syt_size(n)  # before conjugate(mu)
-    counts = {}  # s_(m) is s_() at m = 0; s_(m-i, 1) for i = 2..des needs m-i >= 1
+    # s_(m) is s_() at m = 0; s_(m-i, 1) for i = 2..des.  At r >= 1,
+    # m >= maj >= binom(des+1, 2) >= des + 1 once des >= 2, so m - i >= 1
+    counts = {}
     for desp, majps in descent_classes(conjugate(mu)):
         for majp, c in majps:
             m = r * binom2(n) - majp
-            if m >= 0:
-                shape = (m,) if m else ()
-                counts[shape] = counts.get(shape, 0) + c
-            for i in range(2, min(n - 1 - desp, m - 1) + 1):
+            shape = (m,) if m else ()
+            counts[shape] = counts.get(shape, 0) + c
+            for i in range(2, n - desp):
                 counts[m - i, 1] = counts.get((m - i, 1), 0) + c
     return SchurExpansion._trusted(counts)
 

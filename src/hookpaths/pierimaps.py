@@ -333,7 +333,8 @@ def build_sets(n: int, k: int) -> PieriSets:
 def pieri_tallies(n: int, k: int) -> dict:
     """The tallies (area - maj', ht) -> number of tagged paths of T+, T-,
     V, W and V & T+ for one (n, k), keyed "tplus", "tminus", "v", "w" and
-    "v_plus", counted by class without building a path.
+    "v_plus", counted by class without building a path.  Each tally is a
+    plain dict holding only its nonzero counts.
 
     The descent sets enter by (thresholds, maj') class and the paths by
     leading-run class (paths.leading_run_counts); each pair of classes is
@@ -361,7 +362,7 @@ def pieri_tallies(n: int, k: int) -> dict:
                 shift = shifts[name, (j, r)]
                 for majp, count in majps.items():
                     shift[majp] = shift.get(majp, 0) + count
-    tallies = {name: Counter() for name in ("tplus", "tminus", "v", "w", "v_plus")}
+    tallies = {name: {} for name in ("tplus", "tminus", "v", "w", "v_plus")}
     for (name, run), majps in shifts.items():
         add_shifted(tallies[name], runs[run], majps)
     return tallies
@@ -423,15 +424,20 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
         raise ValueError(f"unknown reading {reading!r}")
     if form == "direct":
         return tally_hooks(n, pieri_tallies(n, k)["w"], "a W path")
-    families = defaultdict(Counter)  # (m, s) -> {shift: count}
+    families = {}  # (m, s) -> {shift: count}
+
+    def count(m, s, shift):
+        family = families.setdefault((m, s), {})
+        family[shift] = family.get(shift, 0) + 1
+
     if form == "k1":
         if k != 1:
             raise ValueError("the k1 form is only defined for k = 1")
         for m in range(2, n - 1):
             for r in range(1, m - 1):
-                families[n - r, 2][r - m] += 1
+                count(n - r, 2, r - m)
             for j in range(1, n - 1 - m):
-                families[n - 1, j + 1][j + 1 - m] += 1
+                count(n - 1, j + 1, j + 1 - m)
         return family_hooks(n, families, "a reindexed W term")
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
@@ -444,17 +450,17 @@ def difference_W(n: int, k: int, form: str = "direct", reading: str = "conjugate
         if first_two:
             if min_d < n - k:
                 for r in range(1, min_d - 1):
-                    families[n - r, k + 1][k * r - majp] += 1
+                    count(n - r, k + 1, k * r - majp)
                 for j in range(1, n - k - min_d):
-                    families[n - 1, j + k][j + k - majp] += 1
+                    count(n - 1, j + k, j + k - majp)
             if not set(range(n - k + 1, n)) <= d:
                 for r in range(min_d - 1, n - k - 1):
-                    families[n - r, k + 1][k * r - majp] += 1
+                    count(n - r, k + 1, k * r - majp)
         else:
             rest = d - {1}
             if rest:
                 for j in range(0, n - k - min(rest)):
-                    families[n - 1, k + j][j + k - majp] += 1
+                    count(n - 1, k + j, j + k - majp)
     return family_hooks(n, families, "a reindexed W term")
 
 

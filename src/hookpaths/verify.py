@@ -2,13 +2,17 @@
 scale, with counterexample witnesses rendered as the objects themselves
 (words over N/E, descent sets) so failures can be checked by hand.
 
+Each suite_* is a generator of instances, (params, check) or (params, check,
+"reported"), where check() returns None for a pass or a witness string.
+run_suite alone runs the checks: it times each, and labels its report with
+the suite's SUITES key.
+
 Statuses: "pass"/"fail" for asserted identities, "reported" for the
 difference-formula comparisons whose printed source is under empirical
 scrutiny rather than assertion.
 """
 
 import time
-from collections import Counter
 from itertools import combinations
 from math import comb, inf
 
@@ -84,6 +88,10 @@ def _timed(suite, params, check, status="fail"):
 
 
 # -- individual suites -----------------------------------------------------------
+#
+# run_suite runs each yielded check before it resumes the suite, so a check
+# reads the suite's loop variables and its size's `read` late, as they stand
+# when it is yielded.
 
 
 def _first_reader():
@@ -101,19 +109,18 @@ def _first_reader():
     return read
 
 
-def suite_gf(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_gf(max_n: int):
     for n in range(2, max_n + 1):
         read = _first_reader()  # n's generating function gf_T(n, 0)
 
-        def poch(n=n):
+        def poch():
             lhs = read("gf", lambda: gf_T(n, 0))
             rhs = q_pochhammer(z_var, n - 2)
             return None if lhs == rhs else f"{lhs} != {rhs}"
 
-        out.append(_timed("gf", {"identity": "pochhammer", "n": n}, poch))
+        yield {"identity": "pochhammer", "n": n}, poch
 
-        def shifted(n=n):
+        def shifted():
             for s in range(0, n - 1):
                 lhs = gf_T(n, s)
                 if lhs != gf_closed(n, s):
@@ -123,9 +130,9 @@ def suite_gf(max_n: int) -> list[VerifyReport]:
                     return f"s={s}: start-height shift identity fails"
             return None
 
-        out.append(_timed("gf", {"identity": "start-shift", "n": n}, shifted))
+        yield {"identity": "start-shift", "n": n}, shifted
 
-        def slices(n=n):
+        def slices():
             gf = read("gf", lambda: gf_T(n, 0))
             for j in range(0, n - 1):
                 expected = q_power(binom2(j + 1)) * gauss_binomial(n - 2, j)
@@ -133,50 +140,42 @@ def suite_gf(max_n: int) -> list[VerifyReport]:
                     return f"height slice j={j} mismatch"
             return None
 
-        out.append(_timed("gf", {"identity": "height-slice", "n": n}, slices))
-    return out
+        yield {"identity": "height-slice", "n": n}, slices
 
 
-def suite_alternating(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_alternating(max_n: int):
     cs = range(-2, 3)
     for n in range(3, max_n + 1):
         read = _first_reader()  # n's checks at every c, from one closed form and one suffix pass
         for c in cs:
-            def check(n=n, c=c):
+            def check():
                 ok = read("checks", lambda: characters.alternating_identities_by_c(n, cs))[c]
                 return None if ok else "identity check returned false"
 
-            out.append(_timed("alternating", {"n": n, "c": c}, check))
-    return out
+            yield {"n": n, "c": c}, check
 
 
-def suite_restriction2(max_n: int) -> list[VerifyReport]:
+def suite_restriction2(max_n: int):
     # with integer coefficients, equal two-row parts are equal specialize2 evaluations
-    out = []
     for n in range(2, max_n + 1):
         for d in range(1, n + 1):
             mu = make_hook(d, n - d)
 
-            def check(n=n, mu=mu):
+            def check():
                 lhs = two_row_part(characters.hook_formula(n, 1, mu).expansion)
                 rhs = two_row_part(characters.gl2_nabla_hooks(n, 1, mu))
                 ab = min((ab for ab in lhs.keys() | rhs.keys() if lhs.get(ab) != rhs.get(ab)), default=None)
                 return None if ab is None else f"(a, b)={ab}: {lhs.get(ab, 0)} != {rhs.get(ab, 0)}"
 
-            out.append(
-                _timed("restriction2", {"n": n, "mu": partition_str(mu)}, check)
-            )
-    return out
+            yield {"n": n, "mu": partition_str(mu)}, check
 
 
-def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
+def suite_hrs_t0(max_n: int):
     # at t = 0 only the one-row terms survive: first_row_fingerprint reads them
-    out = []
     for n in range(2, max_n + 1):
         read = _first_reader()  # n's shapes, t = 0 tables and each mu's delta-mu list
 
-        def against_hooks(n=n):
+        def against_hooks():
             table = read("tables", lambda: characters.hrs_t0_by_k(n))[0]
             for mu in read("shapes", lambda: list(partitions_of(n))):
                 lhs = first_row_fingerprint(characters.hook_formula(n, 1, mu).expansion)
@@ -184,10 +183,10 @@ def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
                     return f"mu={partition_str(mu)}"
             return None
 
-        out.append(_timed("hrs-t0", {"check": "hook-formula", "n": n}, against_hooks))
+        yield {"check": "hook-formula", "n": n}, against_hooks
 
         for k_pieri in range(0, n):
-            def against_delta(n=n, k_pieri=k_pieri):
+            def against_delta():
                 table = read("tables", lambda: characters.hrs_t0_by_k(n))[n - 1 - k_pieri]
                 for mu in read("shapes", lambda: list(partitions_of(n))):
                     delta = read(mu, lambda: characters.gl2_delta_mu_by_k(n, mu))[k_pieri]
@@ -195,29 +194,25 @@ def suite_hrs_t0(max_n: int) -> list[VerifyReport]:
                         return f"mu={partition_str(mu)}"
                 return None
 
-            out.append(
-                _timed("hrs-t0", {"check": "delta-mu", "n": n, "k": k_pieri}, against_delta)
-            )
-    return out
+            yield {"check": "delta-mu", "n": n, "k": k_pieri}, against_delta
 
 
-def suite_pieri_paths(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_pieri_paths(max_n: int):
     for n in range(3, max_n + 1):
         alternant = characters.alternant_formula(n, 1)
         read = _first_reader()  # both sides' images at every k of n
 
         for k in range(0, n - 1):
-            def equality(n=n, k=k):
+            def equality():
                 lhs = read("paths", lambda: pierimaps.perp_via_paths_by_k(n))[k]
                 if isinstance(lhs, ValueError):  # an image of this k is off T(n, k)
                     raise lhs
                 rhs = read("strips", lambda: e_perp_by_k(alternant, n - 2))[k]
                 return None if lhs == rhs else f"{lhs} != {rhs}"
 
-            out.append(_timed("pieri-paths", {"check": "perp", "n": n, "k": k}, equality))
+            yield {"check": "perp", "n": n, "k": k}, equality
 
-            def positivity(n=n, k=k):
+            def positivity():
                 tallies = pierimaps.pieri_tallies(n, k)
                 plus, minus = tallies["tplus"], tallies["tminus"]
                 if tallies["v_plus"]:
@@ -226,17 +221,16 @@ def suite_pieri_paths(max_n: int) -> list[VerifyReport]:
                 if total != comb(n - 1, k) * 2 ** (n - k - 2):
                     return f"cardinality {total} off"
                 # every tagged path, by family_counts' DP rather than by leading runs
-                majps = Counter(-sum(d) for d in combinations(range(1, n), k))
+                majps = {}
+                for d in combinations(range(1, n), k):
+                    majps[-sum(d)] = majps.get(-sum(d), 0) + 1
                 union = family_tally({(n, k): majps})
-                if union != plus + minus:
+                if any(_signed_tally(union, plus, minus).values()):
                     return "plus/minus sets do not split the tagged paths"
                 gap = tally_hooks(n, _signed_tally(union, plus, tallies["v"]), "a tagged path")
                 return None if gap.is_schur_positive() else f"negative gap {gap}"
 
-            out.append(
-                _timed("pieri-paths", {"check": "positivity", "n": n, "k": k}, positivity)
-            )
-    return out
+            yield {"check": "positivity", "n": n, "k": k}, positivity
 
 
 def _signed_tally(tally, *less) -> dict:
@@ -252,17 +246,15 @@ def _signed_tally(tally, *less) -> dict:
     return out
 
 
-def suite_bijections(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_bijections(max_n: int):
     for n in range(3, max_n + 1):
         read = _first_reader()  # n's height slices and each k's image_stats
-        out.append(_timed("bijections", {"map": "plus", "n": n}, lambda n=n: _check_pieri(n, False, read)))
-        out.append(_timed("bijections", {"map": "minus", "n": n}, lambda n=n: _check_pieri(n, True, read)))
-        out.append(_timed("bijections", {"map": "east-start", "n": n}, lambda n=n: _check_phi(n, read)))
-        out.append(_timed("bijections", {"map": "north-start", "n": n}, lambda n=n: _check_omega(n, read)))
-        out.append(_timed("bijections", {"map": "descent-path", "n": n}, lambda n=n: _check_beta(n, read)))
-        out.append(_timed("bijections", {"map": "slice-partition", "n": n}, lambda n=n: _check_slice(n, read)))
-    return out
+        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, read)
+        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, read)
+        yield {"map": "east-start", "n": n}, lambda: _check_phi(n, read)
+        yield {"map": "north-start", "n": n}, lambda: _check_omega(n, read)
+        yield {"map": "descent-path", "n": n}, lambda: _check_beta(n, read)
+        yield {"map": "slice-partition", "n": n}, lambda: _check_slice(n, read)
 
 
 def _check_pieri(n, minus, read):
@@ -416,45 +408,40 @@ def _check_slice(n, read):
     return None
 
 
-def suite_two_column(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_two_column(max_n: int):
     for n in range(5, max_n + 1):
-        def forms(n=n):
+        def forms():
             lifted = characters.two_column_formula(n, "lifted")
             path = characters.two_column_formula(n, "path")
             return None if lifted == path else f"{lifted} != {path}"
 
-        out.append(_timed("two-column", {"check": "forms-agree", "n": n}, forms))
+        yield {"check": "forms-agree", "n": n}, forms
 
     for n in range(3, max_n + 2):  # the emptiness bound runs one size past
-        def empty_w(n=n):
+        def empty_w():
             w = pierimaps.pieri_tallies(n, n - 2)["w"]
             return None if not w else f"|W|={sum(w.values())}"
 
-        out.append(_timed("two-column", {"check": "top-W-empty", "n": n}, empty_w))
-    return out
+        yield {"check": "top-W-empty", "n": n}, empty_w
 
 
-def suite_difference_w(max_n: int) -> list[VerifyReport]:
-    out = []
+def suite_difference_w(max_n: int):
     for n in range(3, max_n + 1):
         for k in range(1, n - 1):
             read = _first_reader()  # (n, k)'s tallies and its direct W sum
 
-            def tallies_and_direct(n=n, k=k):
+            def tallies_and_direct():
                 tallies = pierimaps.pieri_tallies(n, k)
                 return tallies, tally_hooks(n, tallies["w"], "a W path")
 
-            def set_identity(n=n):
+            def set_identity():
                 tallies, direct = read("tallies", tallies_and_direct)
                 via_sets = tally_hooks(n, _signed_tally(tallies["tminus"], tallies["v"]), "a T- path")
                 return None if direct == via_sets else "W sum != minus-sum - V-sum"
 
-            out.append(
-                _timed("difference-W", {"check": "direct", "n": n, "k": k}, set_identity)
-            )
+            yield {"check": "direct", "n": n, "k": k}, set_identity
 
-            def comparison(n=n, k=k):
+            def comparison():
                 report = pierimaps.compare_difference(n, k, read("tallies", tallies_and_direct)[1])
                 bits = [
                     f"reindexed(conjugate-reading) {'agrees' if report['agree_conjugate'] else 'DISAGREES'}",
@@ -464,10 +451,7 @@ def suite_difference_w(max_n: int) -> list[VerifyReport]:
                     bits.append(f"printed k=1 display {'agrees' if report['agree_k1'] else 'DISAGREES'}")
                 return "; ".join(bits)
 
-            out.append(
-                _timed("difference-W", {"check": "display", "n": n, "k": k}, comparison, "reported")
-            )
-    return out
+            yield {"check": "display", "n": n, "k": k}, comparison, "reported"
 
 
 # name -> (suite, default size cap, smallest cap that runs an instance);
@@ -506,7 +490,8 @@ def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
     reports = []
     for suite_name in names:
         fn, default, _ = SUITES[suite_name]
-        reports.extend(fn(default if max_n is None else min(max_n, default)))
+        for params, check, *status in fn(default if max_n is None else min(max_n, default)):
+            reports.append(_timed(suite_name, params, check, *status))
     return reports
 
 

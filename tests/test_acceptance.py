@@ -55,43 +55,43 @@ def test_criterion_1_fixture_reproduction():
 
 def test_criterion_2_generating_functions():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_gf(max_n=14))
+    _assert_all_pass(verify.run_suite("gf", 14))
     _finish(2, "generating-function identities (n <= 14)", start, 5.0)
 
 
 def test_criterion_3_alternating_sums():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_alternating(max_n=12))
+    _assert_all_pass(verify.run_suite("alternating", 12))
     _finish(3, "alternating-sum identities (n <= 12, c in -2..2)", start, 10.0)
 
 
 def test_criterion_4_two_variable_consistency():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_restriction2(max_n=9))
+    _assert_all_pass(verify.run_suite("restriction2", 9))
     _finish(4, "two-variable consistency on hooks (n <= 9)", start, 30.0)
 
 
 def test_criterion_5_t0_oracle():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_hrs_t0(max_n=8))
+    _assert_all_pass(verify.run_suite("hrs-t0", 8))
     _finish(5, "t=0 oracle over all shapes (n <= 8)", start, 60.0)
 
 
 def test_criterion_6_pieri_equivalence():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_pieri_paths(max_n=9))
+    _assert_all_pass(verify.run_suite("pieri-paths", 9))
     _finish(6, "path Pieri rule equals the operator (n <= 9)", start, 30.0)
 
 
 def test_criterion_7_bijections():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_bijections(max_n=10))
+    _assert_all_pass(verify.run_suite("bijections", 10))
     _finish(7, "map bijectivity and statistic laws (n <= 10)", start, 60.0)
 
 
 def test_criterion_8_two_column():
     start = time.perf_counter()
-    _assert_all_pass(verify.suite_two_column(max_n=9))
+    _assert_all_pass(verify.run_suite("two-column", 9))
     for n in range(3, 11):
         assert not pm.build_sets(n, n - 2).w, n
     _finish(8, "two-column forms agree (5 <= n <= 9), top W empty (n <= 10)", start, 30.0)

@@ -102,6 +102,12 @@ def test_gl2_nabla_examples():
         ch.gl2_nabla_hooks(5, 1, (3, 2))
 
 
+def test_gl2_nabla_hooks_refuses_r_below_one():
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="gl2_nabla_hooks needs r >= 1"):
+            ch.gl2_nabla_hooks(3, r, (3,))
+
+
 def test_gl2_matches_specialized_hook_formula():
     for n in range(3, 10):
         for d in range(1, n + 1):
@@ -637,7 +643,7 @@ def test_formulas_match_reference_folds():
             for k in range(0, n):
                 assert ch.gl2_delta_mu(n, k, mu) == reference_gl2_delta_mu(n, k, mu)
             if is_hook(mu):
-                for r in (0, 1, 2):  # at r = 0 the guards drop every index off the diagram
+                for r in (1, 2):
                     assert ch.gl2_nabla_hooks(n, r, mu) == reference_gl2_nabla_hooks(n, r, mu)
             if n >= 2:
                 for r in (1, 2):

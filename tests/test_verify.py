@@ -3,6 +3,9 @@ under test is wrong: every passing run looks the same whether or not a check
 can fail, so each check is fed a broken one here and must name it.  An
 instance that raises must fail the same way without ending the run."""
 
+import json
+from collections import Counter
+
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
@@ -197,7 +200,7 @@ def _add_term(monkeypatch, name, shape):
 ])
 def test_hrs_t0_checks_see_exactly_the_one_row_terms(monkeypatch, name, shape, checks):
     _add_term(monkeypatch, name, shape)
-    failures = [r.line() for r in verify.suite_hrs_t0(3) if r.status != "pass"]
+    failures = [r.line() for r in verify.run_suite("hrs-t0", 3) if r.status != "pass"]
     assert failures == [f"[FAIL    ] hrs-t0 {check} -- mu=2,1" for check in checks]
 
 
@@ -215,7 +218,7 @@ def test_restriction2_names_the_two_row_term_it_misses(monkeypatch, shape, witne
         return out + SchurExpansion.term(shape) if mu == (2, 1, 1) else out
 
     monkeypatch.setattr(characters, "gl2_nabla_hooks", broken)
-    failures = [r.line() for r in verify.suite_restriction2(4) if r.status != "pass"]
+    failures = [r.line() for r in verify.run_suite("restriction2", 4) if r.status != "pass"]
     assert failures == ([f"[FAIL    ] restriction2 n=4 mu=2,1,1 -- {witness}"] if witness else [])
 
 
@@ -231,7 +234,7 @@ def test_a_raising_kernel_fails_each_of_its_n_delta_instances(monkeypatch):
         return kernel(n, mu)
 
     monkeypatch.setattr(characters, "gl2_delta_mu_by_k", boom)
-    reports = verify.suite_hrs_t0(3)
+    reports = verify.run_suite("hrs-t0", 3)
     assert [r.line() for r in reports if r.status != "pass"] == [
         f"[FAIL    ] hrs-t0 check=delta-mu n=3 k={k} -- exception: boom" for k in range(3)
     ]
@@ -259,7 +262,7 @@ def test_a_raising_image_stats_fails_only_its_n_plus_and_minus_instances(monkeyp
     # one image_stats per (n, k) serves both maps; the slice checks share
     # another build and never read it
     _raising_at(monkeypatch, pierimaps, "image_stats", (4,))
-    reports = verify.suite_bijections(5)
+    reports = verify.run_suite("bijections", 5)
     assert _failed(reports) == [
         f"[FAIL    ] bijections map={m} n=4 -- exception: boom" for m in ("plus", "minus")
     ]
@@ -268,7 +271,7 @@ def test_a_raising_image_stats_fails_only_its_n_plus_and_minus_instances(monkeyp
 
 def test_a_raising_pieri_tallies_fails_only_its_n_k_direct_and_display(monkeypatch):
     _raising_at(monkeypatch, pierimaps, "pieri_tallies", (5, 2))
-    reports = verify.suite_difference_w(5)
+    reports = verify.run_suite("difference-W", 5)
     assert _failed(reports) == [
         f"[FAIL    ] difference-W check={c} n=5 k=2 -- exception: boom" for c in ("direct", "display")
     ]
@@ -277,7 +280,7 @@ def test_a_raising_pieri_tallies_fails_only_its_n_k_direct_and_display(monkeypat
 
 def test_a_raising_by_c_kernel_fails_only_its_n_five_instances(monkeypatch):
     _raising_at(monkeypatch, characters, "alternating_identities_by_c", (4,))
-    reports = verify.suite_alternating(5)
+    reports = verify.run_suite("alternating", 5)
     assert _failed(reports) == [
         f"[FAIL    ] alternating n=4 c={c} -- exception: boom" for c in range(-2, 3)
     ]
@@ -294,7 +297,7 @@ def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
         return max(plus_north - 1, 0), v_north, v_east
 
     monkeypatch.setattr(pierimaps, "thresholds", lowered)
-    reports = verify.suite_bijections(3) + verify.suite_pieri_paths(3) + verify.suite_difference_w(3)
+    reports = [r for name in ("bijections", "pieri-paths", "difference-W") for r in verify.run_suite(name, 3)]
     failures = [r.line() for r in reports if r.status == "fail"]
     assert failures == [
         "[FAIL    ] bijections map=plus n=3 -- k=1 image is not the plus set",
@@ -316,7 +319,7 @@ def test_signed_tally_gaps_match_the_three_expansion_gaps():
     for n in range(3, 10):
         for k in range(0, n - 1):
             tallies = pierimaps.pieri_tallies(n, k)
-            union = tallies["tplus"] + tallies["tminus"]
+            union = Counter(tallies["tplus"]) + Counter(tallies["tminus"])
             sides = [(union, tallies["tplus"], tallies["v"])]
             if k >= 1:
                 sides.append((tallies["tminus"], tallies["v"]))
@@ -333,15 +336,62 @@ def test_positivity_check_reports_a_negative_gap(monkeypatch):
 
     def padded(n, k):
         out = tallies(n, k)
-        key = min(out["tplus"] + out["tminus"])
-        out["v"][key] += 5
+        key = min(out["tplus"].keys() | out["tminus"].keys())
+        out["v"][key] = out["v"].get(key, 0) + 5
         return out
 
     monkeypatch.setattr(pierimaps, "pieri_tallies", padded)
-    reports = [r for r in verify.suite_pieri_paths(4) if r.params["check"] == "positivity"]
+    reports = [r for r in verify.run_suite("pieri-paths", 4) if r.params["check"] == "positivity"]
     for report in reports:
         n, k = report.params["n"], report.params["k"]
         t = padded(n, k)
-        gap = _three_expansion_gap(n, t["tplus"] + t["tminus"], t["tplus"], t["v"])
+        gap = _three_expansion_gap(n, Counter(t["tplus"]) + Counter(t["tminus"]), t["tplus"], t["v"])
         assert not gap.is_schur_positive()
         assert report.line() == f"[FAIL    ] pieri-paths check=positivity n={n} k={k} -- negative gap {gap}"
+
+
+def test_positivity_check_reports_plus_and_minus_that_do_not_split_the_paths(monkeypatch):
+    # one T+ path moves to an area no tagged path has: the sizes still add
+    # up, the key-by-key split does not
+    tallies = pierimaps.pieri_tallies
+
+    def moved(n, k):
+        out = tallies(n, k)
+        plus = out["tplus"]
+        area, ht = key = min(plus)
+        plus[key] -= 1
+        plus[area + 100, ht] = 1
+        return out
+
+    monkeypatch.setattr(pierimaps, "pieri_tallies", moved)
+    reports = [r for r in verify.run_suite("pieri-paths", 4) if r.params["check"] == "positivity"]
+    assert len(reports) == 5
+    assert all(r.witness == "plus/minus sets do not split the tagged paths" for r in reports)
+
+
+def test_run_suite_runs_each_check_before_it_resumes_the_suite(monkeypatch):
+    # each check reads its loop variable and its size's reader late, as the
+    # suites' checks do: gathered before they ran, every check would see the
+    # last n and the last reader
+    def toy(max_n):
+        for n in range(2, max_n + 1):
+            read = verify._first_reader()
+            yield {"n": n}, lambda: None if read("n", lambda: n) == n else "stale"
+            yield {"n": n, "check": "shown"}, lambda: f"saw n={read('n', lambda: n)}", "reported"
+
+    monkeypatch.setattr(verify, "SUITES", {"toy-suite": (toy, 4, 2)})
+    expected = []
+    for n in range(2, 5):
+        expected += [
+            verify.VerifyReport("toy-suite", {"n": n}, "pass"),
+            verify.VerifyReport("toy-suite", {"n": n, "check": "shown"}, "reported", f"saw n={n}"),
+        ]
+    assert verify.run_suite("toy-suite") == expected
+    assert verify.run_suite("all", 3) == expected[:4]
+
+
+def test_verify_timings_give_every_instance_its_seconds(capsys):
+    assert cli.main(["--json", "verify", "--suite", "two-column", "--timings"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert len(docs) == 13
+    assert all(d["suite"] == "two-column" and d["seconds"] >= 0 for d in docs)
