@@ -4,6 +4,12 @@ Subcommands: expand, paths, gf, pieri, two-column, verify, fixtures.
 Output is plain text by default and canonical JSON under --json; identical
 invocations produce byte-identical output (suite timings are therefore
 only shown under --timings).
+
+`main(argv)` can be called repeatedly in one process. It builds its
+argument parser at the first call and parses every later call with the
+same one, so `verify --suite`'s choices are read from `verify.SUITES` then.
+Each call gets its own namespace, so no option carries over to the next.
+`build_parser()` returns a fresh parser for a caller that wants its own.
 """
 
 import argparse
@@ -265,8 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CLOSED_STDOUT = 141
 
 
+# the parser every main() call shares: built at the first call, not at import
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout shows here, not at exit

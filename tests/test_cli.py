@@ -170,13 +170,15 @@ def test_the_cli_starts_without_the_heavy_stdlib():
         "assert len(load_fixture()) == 5\n"
         "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing')"
         " if m in sys.modules))\n"
+        # the argument parser is built at the first main() call, not at import
+        "print(hookpaths.cli._parser)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    assert proc.stdout == "\nNone\n"
 
 
 def test_map_assertion_is_a_clean_cli_error(monkeypatch, capsys):
@@ -492,6 +494,75 @@ def test_global_max_n(capsys):
     assert code == 0 and out.endswith("# 39 instances: pass=39\n")
 
 
+def call_main(argv):
+    """(exit code, stdout, stderr) of one cli.main call, argparse's own exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def shared_and_fresh(monkeypatch, argvs):
+    """Each argv's call_main result through one parser shared by every call,
+    then through a fresh parser per call, and how many parsers each built."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [call_main(argv) for argv in argvs]
+    shared_builds = len(built)
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(call_main(argv))
+    return shared, fresh, shared_builds, len(built) - shared_builds
+
+
+def test_main_calls_in_one_process_are_independent(monkeypatch):
+    # a refused argv, then options that must not carry over to the next call:
+    # the top-level cap, the verify subparser's own (SUPPRESSed) cap and --json
+    argvs = [
+        ["gf", "--n", "x"],
+        ["--max-n", "3", "verify", "--suite", "gf"],
+        ["verify", "--suite", "gf"],
+        ["--json", "gf", "--n", "6"],
+        ["gf", "--n", "6"],
+        ["verify", "--suite", "gf", "--max-n", "4"],
+    ]
+    shared, fresh, shared_builds, fresh_builds = shared_and_fresh(monkeypatch, argvs)
+    assert (shared_builds, fresh_builds) == (1, len(argvs))
+    for argv, got, want in zip(argvs, shared, fresh):
+        assert got == want, argv
+    refused, capped, full, as_json, text, recapped = shared
+    assert refused[0] == 2 and refused[1] == "" and "invalid int value: 'x'" in refused[2]
+    assert capped[0] == 0 and capped[1].endswith("# 6 instances: pass=6\n")
+    assert full[0] == 0 and full[1].endswith("# 39 instances: pass=39\n")
+    assert json.loads(as_json[1])["matches_closed_form"] is True
+    assert text[1].startswith("# generating function for n=6 s=0\n")
+    assert recapped[0] == 0 and recapped[1].endswith("# 9 instances: pass=9\n")
+
+
+def test_the_shared_parser_changes_no_output(monkeypatch):
+    # every command the paths-gf benchmark pool can draw, some under --json,
+    # and the eight suites as the verify-all benchmark runs them
+    argvs = [
+        [command, "--n", str(n), "--s", str(s)]
+        for command, sizes in (("gf", range(13, 20)), ("paths", range(10, 16)))
+        for n in sizes for s in range(n - 1)
+    ]
+    argvs += [["--json"] + argv for argv in argvs if argv[2] in ("10", "13", "19")]
+    argvs += [["--json", "verify", "--suite", suite] for suite in sorted(verify.SUITES)]
+    shared, fresh, shared_builds, fresh_builds = shared_and_fresh(monkeypatch, argvs)
+    assert (shared_builds, fresh_builds) == (1, len(argvs))
+    for argv, got, want in zip(argvs, shared, fresh):
+        assert got == want, argv
+        assert got[0] == 0 and got[1] and got[2] == "", argv
+
+
 def test_verify_all_small_cap(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "all", "--max-n", "5")
     assert code == 0
@@ -545,13 +616,8 @@ def _argv(draw):
 @given(_argv())
 def test_no_command_line_hangs_or_ends_in_a_traceback(case):
     argv, oversized = case
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses a malformed number
-            code = exc.code
-    assert code in (0, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    code, out, err = call_main(argv)  # argparse refuses a malformed number by SystemExit(2)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, argv
     if oversized:
-        assert code == 2 and out.getvalue() == "", argv
+        assert code == 2 and out == "", argv
