@@ -365,7 +365,6 @@ PREDICATES = (
     "starts_with_east",
     "starts_north_ends_exact_norths",
     "prefix",
-    "suffix",
 )
 
 
@@ -377,7 +376,7 @@ def filter_paths(n: int, s: int, predicate: str, **params) -> list[LatticePath]:
     starts_with_east: first step E.
     starts_north_ends_exact_norths(j): first step N and trailing north run
         exactly j.
-    prefix(pattern) / suffix(pattern): literal word patterns over {N, E}.
+    prefix(pattern): a literal word prefix over {N, E}.
     """
     paths = enumerate_T(n, s)
     if predicate == "height_eq":
@@ -397,6 +396,4 @@ def filter_paths(n: int, s: int, predicate: str, **params) -> list[LatticePath]:
         ]
     if predicate == "prefix":
         return [p for p in paths if p.word.startswith(params["pattern"])]
-    if predicate == "suffix":
-        return [p for p in paths if p.word.endswith(params["pattern"])]
     raise ValueError(f"unknown predicate {predicate!r}; known: {PREDICATES}")

@@ -7,6 +7,7 @@ row and entries strictly increase along rows and up columns.
 
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import index
 
 Partition = tuple[int, ...]
 
@@ -14,7 +15,7 @@ SYT_SIZE_BOUND = 12
 
 
 def check_partition(parts) -> Partition:
-    lam = tuple(int(p) for p in parts)
+    lam = tuple(map(index, parts))  # a float raises, never truncates
     for i, p in enumerate(lam):
         if p <= 0:
             raise ValueError(f"partition parts must be positive: {lam}")
@@ -107,7 +108,7 @@ class StdTableau:
     __slots__ = ("rows", "shape", "n", "_row_of")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(map(index, row)) for row in rows)
         self.shape = check_partition(len(row) for row in self.rows)
         self.n = sum(self.shape)
         row_of = {}
@@ -139,9 +140,6 @@ class StdTableau:
         tab.n = len(row_of)
         tab._row_of = row_of
         return tab
-
-    def row_of(self, entry: int) -> int:
-        return self._row_of[entry]
 
     def descent_set(self) -> frozenset:
         """Entries i whose successor i+1 sits in a strictly higher row."""
@@ -181,7 +179,7 @@ class StdTableau:
 
     @classmethod
     def parse(cls, text: str) -> "StdTableau":
-        return cls([piece.split(",") for piece in text.split("/")])
+        return cls([map(int, piece.split(",")) for piece in text.split("/")])
 
 
 def check_syt_size(n: int) -> None:
@@ -270,7 +268,7 @@ def _descent_classes(lam: Partition) -> tuple:
 def check_descents(descents, n: int) -> frozenset:
     """`descents` as a frozenset, checked to lie in 1..n-1, where the
     descents of a tableau of size n lie."""
-    descents = frozenset(descents)
+    descents = frozenset(map(index, descents))
     if not descents <= frozenset(range(1, n)):
         raise ValueError(f"descents must lie in 1..{n - 1}: {sorted(descents)}")
     return descents

@@ -5,7 +5,8 @@ scale, with counterexample witnesses rendered as the objects themselves
 Each suite_* is a generator of instances, (params, check) or (params, check,
 "reported"), where check() returns None for a pass or a witness string.
 run_suite alone runs the checks: it times each, and labels its report with
-the suite's SUITES key.
+the suite's SUITES key.  Checks that share a size's data call that size's
+cached builders (the rule is stated above the suites).
 
 Statuses: "pass"/"fail" for asserted identities, "reported" for the
 difference-formula comparisons whose printed source is under empirical
@@ -13,6 +14,7 @@ scrutiny rather than assertion.
 """
 
 import time
+from functools import cache
 from itertools import combinations
 from math import comb, inf
 
@@ -90,31 +92,20 @@ def _timed(suite, params, check, status="fail"):
 # -- individual suites -----------------------------------------------------------
 #
 # run_suite runs each yielded check before it resumes the suite, so a check
-# reads the suite's loop variables and its size's `read` late, as they stand
-# when it is yielded.
-
-
-def _first_reader():
-    """read(key, build): build() at a key's first read, inside the instance
-    that reads it first, and the same value after.  A suite makes one per n
-    (difference-W one per (n, k)), so a size's shared data is dropped at the
-    next size."""
-    shared = {}
-
-    def read(key, build):
-        if key not in shared:
-            shared[key] = build()
-        return shared[key]
-
-    return read
+# reads the suite's loop variables and its size's builders late, as they
+# stand when it is yielded.  Each datum that checks of one size share is made
+# once per n (per (n, k) in difference-W) as a functools.cache'd builder:
+# it builds inside the first instance that calls it, a raising build is not
+# cached, so every instance that calls it fails alike, and the size's data is
+# dropped at the next size.
 
 
 def suite_gf(max_n: int):
     for n in range(2, max_n + 1):
-        read = _first_reader()  # n's generating function gf_T(n, 0)
+        gf = cache(lambda: gf_T(n, 0))
 
         def poch():
-            lhs = read("gf", lambda: gf_T(n, 0))
+            lhs = gf()
             rhs = q_pochhammer(z_var, n - 2)
             return None if lhs == rhs else f"{lhs} != {rhs}"
 
@@ -133,10 +124,9 @@ def suite_gf(max_n: int):
         yield {"identity": "start-shift", "n": n}, shifted
 
         def slices():
-            gf = read("gf", lambda: gf_T(n, 0))
             for j in range(0, n - 1):
                 expected = q_power(binom2(j + 1)) * gauss_binomial(n - 2, j)
-                if gf.coefficient_of("z", j) != expected:
+                if gf().coefficient_of("z", j) != expected:
                     return f"height slice j={j} mismatch"
             return None
 
@@ -146,11 +136,10 @@ def suite_gf(max_n: int):
 def suite_alternating(max_n: int):
     cs = range(-2, 3)
     for n in range(3, max_n + 1):
-        read = _first_reader()  # n's checks at every c, from one closed form and one suffix pass
+        checks = cache(lambda: characters.alternating_identities_by_c(n, cs))  # every c at once
         for c in cs:
             def check():
-                ok = read("checks", lambda: characters.alternating_identities_by_c(n, cs))[c]
-                return None if ok else "identity check returned false"
+                return None if checks()[c] else "identity check returned false"
 
             yield {"n": n, "c": c}, check
 
@@ -173,11 +162,13 @@ def suite_restriction2(max_n: int):
 def suite_hrs_t0(max_n: int):
     # at t = 0 only the one-row terms survive: first_row_fingerprint reads them
     for n in range(2, max_n + 1):
-        read = _first_reader()  # n's shapes, t = 0 tables and each mu's delta-mu list
+        shapes = cache(lambda: list(partitions_of(n)))
+        tables = cache(lambda: characters.hrs_t0_by_k(n))
+        delta = cache(lambda mu: characters.gl2_delta_mu_by_k(n, mu))
 
         def against_hooks():
-            table = read("tables", lambda: characters.hrs_t0_by_k(n))[0]
-            for mu in read("shapes", lambda: list(partitions_of(n))):
+            table = tables()[0]
+            for mu in shapes():
                 lhs = first_row_fingerprint(characters.hook_formula(n, 1, mu).expansion)
                 if lhs != table.coefficient(mu):
                     return f"mu={partition_str(mu)}"
@@ -187,10 +178,9 @@ def suite_hrs_t0(max_n: int):
 
         for k_pieri in range(0, n):
             def against_delta():
-                table = read("tables", lambda: characters.hrs_t0_by_k(n))[n - 1 - k_pieri]
-                for mu in read("shapes", lambda: list(partitions_of(n))):
-                    delta = read(mu, lambda: characters.gl2_delta_mu_by_k(n, mu))[k_pieri]
-                    if first_row_fingerprint(delta) != table.coefficient(mu):
+                table = tables()[n - 1 - k_pieri]
+                for mu in shapes():
+                    if first_row_fingerprint(delta(mu)[k_pieri]) != table.coefficient(mu):
                         return f"mu={partition_str(mu)}"
                 return None
 
@@ -199,15 +189,15 @@ def suite_hrs_t0(max_n: int):
 
 def suite_pieri_paths(max_n: int):
     for n in range(3, max_n + 1):
-        alternant = characters.alternant_formula(n, 1)
-        read = _first_reader()  # both sides' images at every k of n
+        paths = cache(lambda: pierimaps.perp_via_paths_by_k(n))  # both sides at every k
+        strips = cache(lambda: e_perp_by_k(characters.alternant_formula(n, 1), n - 2))
 
         for k in range(0, n - 1):
             def equality():
-                lhs = read("paths", lambda: pierimaps.perp_via_paths_by_k(n))[k]
+                lhs = paths()[k]
                 if isinstance(lhs, ValueError):  # an image of this k is off T(n, k)
                     raise lhs
-                rhs = read("strips", lambda: e_perp_by_k(alternant, n - 2))[k]
+                rhs = strips()[k]
                 return None if lhs == rhs else f"{lhs} != {rhs}"
 
             yield {"check": "perp", "n": n, "k": k}, equality
@@ -248,22 +238,23 @@ def _signed_tally(tally, *less) -> dict:
 
 def suite_bijections(max_n: int):
     for n in range(3, max_n + 1):
-        read = _first_reader()  # n's height slices and each k's image_stats
-        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, read)
-        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, read)
-        yield {"map": "east-start", "n": n}, lambda: _check_phi(n, read)
-        yield {"map": "north-start", "n": n}, lambda: _check_omega(n, read)
-        yield {"map": "descent-path", "n": n}, lambda: _check_beta(n, read)
-        yield {"map": "slice-partition", "n": n}, lambda: _check_slice(n, read)
+        stats = cache(lambda k: pierimaps.image_stats(n, k))
+        slices = cache(lambda: _height_slices(n))
+        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, stats)
+        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, stats)
+        yield {"map": "east-start", "n": n}, lambda: _check_phi(n, slices)
+        yield {"map": "north-start", "n": n}, lambda: _check_omega(n, slices)
+        yield {"map": "descent-path", "n": n}, lambda: _check_beta(n, slices)
+        yield {"map": "slice-partition", "n": n}, lambda: _check_slice(slices)
 
 
-def _check_pieri(n, minus, read):
+def _check_pieri(n, minus, stats):
     """The plus map (minus=False) or the minus map on every k: the hook law,
     injectivity, and the image being the plus set or the V set -- each image
     in T(n, k), its descent set's member_prefix leading it, and as many
     images as the set has members.  The kernel maps each base word once, at
     every k of its domain; each k is then checked in turn, in word order,
-    through image_stats(n, k) as `read` (a _first_reader) shares it."""
+    through stats(k), the suite's builder of image_stats(n, k)."""
     m = int(minus)
     kernel = pierimaps.minus_image if minus else pierimaps.plus_image
     ks = range(m, n - 1)
@@ -274,7 +265,7 @@ def _check_pieri(n, minus, read):
     target = "V" if minus else "plus"
     for k, domain in domains.items():
         length = n - k - 2
-        stats = read(("image_stats", k), lambda: pierimaps.image_stats(n, k))
+        image_stats = stats(k)
         prefixes = {
             frozenset(combo): pierimaps.member_prefix(n, combo, minus)
             for combo in combinations(range(1, n), k)
@@ -282,7 +273,7 @@ def _check_pieri(n, minus, read):
         images = set()
         for gamma, area, ht, descents, word in domain:
             try:
-                image_area, image_ht = stats(gamma, word)
+                image_area, image_ht = image_stats(gamma, word)
             except ValueError:  # the image word is off the (n, k) family
                 return f"k={k} image of {gamma} is not in the {target} set"
             images.add((descents, word))
@@ -333,11 +324,10 @@ def _trailing_norths(word):
     return len(word) - len(word.rstrip("N"))
 
 
-def _check_phi(n, read):
-    slices = read("slices", lambda: _height_slices(n))
+def _check_phi(n, slices):
     for k in range(0, n - 2):
         h = n - k - 3
-        areas = slices[h]
+        areas = slices()[h]
         witness = _bijects(
             f"k={k}", [w for w in areas if w.startswith("E")],
             lambda w: pierimaps.north_descents(n, w, 1) | {1, 2},
@@ -350,11 +340,10 @@ def _check_phi(n, read):
     return None
 
 
-def _check_omega(n, read):
-    slices = read("slices", lambda: _height_slices(n))
+def _check_omega(n, slices):
     for k in range(0, n - 2):
         h = n - k - 3
-        areas = slices[h]
+        areas = slices()[h]
         by_run = {}  # trailing north run -> the north-start words of height h
         for w in areas:
             if w.startswith("N"):
@@ -378,11 +367,10 @@ def _check_omega(n, read):
     return None
 
 
-def _check_beta(n, read):
-    slices = read("slices", lambda: _height_slices(n))
+def _check_beta(n, slices):
     for d in range(0, n - 1):
         h = n - d - 2
-        areas = slices[h]
+        areas = slices()[h]
         witness = _bijects(
             f"d={d}", [frozenset((1,) + c) for c in combinations(range(2, n), h)],
             lambda s: pierimaps.descents_word(n, s - {1}, 0, d),
@@ -396,8 +384,8 @@ def _check_beta(n, read):
     return None
 
 
-def _check_slice(n, read):
-    for h, areas in sorted(read("slices", lambda: _height_slices(n)).items()):
+def _check_slice(slices):
+    for h, areas in sorted(slices().items()):
         slice_words = set(areas)
         blocks = [{w for w in slice_words if w.startswith("E")}] + [
             {w for w in slice_words if w.startswith("N") and _trailing_norths(w) == j}
@@ -428,21 +416,20 @@ def suite_two_column(max_n: int):
 def suite_difference_w(max_n: int):
     for n in range(3, max_n + 1):
         for k in range(1, n - 1):
-            read = _first_reader()  # (n, k)'s tallies and its direct W sum
-
+            @cache
             def tallies_and_direct():
                 tallies = pierimaps.pieri_tallies(n, k)
                 return tallies, tally_hooks(n, tallies["w"], "a W path")
 
             def set_identity():
-                tallies, direct = read("tallies", tallies_and_direct)
+                tallies, direct = tallies_and_direct()
                 via_sets = tally_hooks(n, _signed_tally(tallies["tminus"], tallies["v"]), "a T- path")
                 return None if direct == via_sets else "W sum != minus-sum - V-sum"
 
             yield {"check": "direct", "n": n, "k": k}, set_identity
 
             def comparison():
-                report = pierimaps.compare_difference(n, k, read("tallies", tallies_and_direct)[1])
+                report = pierimaps.compare_difference(n, k, tallies_and_direct()[1])
                 bits = [
                     f"reindexed(conjugate-reading) {'agrees' if report['agree_conjugate'] else 'DISAGREES'}",
                     f"reindexed(literal-reading) {'agrees' if report['agree_literal'] else 'DISAGREES'}",
@@ -454,17 +441,16 @@ def suite_difference_w(max_n: int):
             yield {"check": "display", "n": n, "k": k}, comparison, "reported"
 
 
-# name -> (suite, default size cap, smallest cap that runs an instance);
-# two-column's top-W check runs one size past the cap, so 2 already runs n=3
+# name -> (suite, default size cap)
 SUITES = {
-    "gf": (suite_gf, 14, 2),
-    "alternating": (suite_alternating, 12, 3),
-    "restriction2": (suite_restriction2, 9, 2),
-    "hrs-t0": (suite_hrs_t0, 8, 2),
-    "pieri-paths": (suite_pieri_paths, 9, 3),
-    "bijections": (suite_bijections, 10, 3),
-    "two-column": (suite_two_column, 9, 2),
-    "difference-W": (suite_difference_w, 8, 3),
+    "gf": (suite_gf, 14),
+    "alternating": (suite_alternating, 12),
+    "restriction2": (suite_restriction2, 9),
+    "hrs-t0": (suite_hrs_t0, 8),
+    "pieri-paths": (suite_pieri_paths, 9),
+    "bijections": (suite_bijections, 10),
+    "two-column": (suite_two_column, 9),
+    "difference-W": (suite_difference_w, 8),
 }
 
 
@@ -482,16 +468,21 @@ def run_suite(name: str, max_n: int | None = None) -> list[VerifyReport]:
     else:
         known = ", ".join(list(SUITES) + ["all"])
         raise ValueError(f"unknown suite {name!r}; known: {known}")
-    smallest = min(SUITES[suite_name][2] for suite_name in names)
-    if max_n is not None and max_n < smallest:
+    reports = []
+    for suite_name in names:
+        fn, default = SUITES[suite_name]
+        for params, check, *status in fn(default if max_n is None else min(max_n, default)):
+            reports.append(_timed(suite_name, params, check, *status))
+    if not reports:
+        # a suite below its first size yields nothing and builds nothing, so
+        # probing caps 0..default finds its smallest without running a check
+        smallest = min(
+            next(cap for cap in range(default + 1) if next(fn(cap), None))
+            for fn, default in map(SUITES.get, names)
+        )
         raise ValueError(
             f"max_n={max_n} is below {smallest}, the smallest cap at which {what} checks something"
         )
-    reports = []
-    for suite_name in names:
-        fn, default, _ = SUITES[suite_name]
-        for params, check, *status in fn(default if max_n is None else min(max_n, default)):
-            reports.append(_timed(suite_name, params, check, *status))
     return reports
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,8 +383,8 @@ def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out
     # the map checks and the perp sum read the same way
-    read = verify._first_reader()
-    assert verify._check_pieri(6, False, read) is None and verify._check_pieri(6, True, read) is None
+    stats = cache(lambda k: pierimaps.image_stats(6, k))
+    assert verify._check_pieri(6, False, stats) is None and verify._check_pieri(6, True, stats) is None
     pierimaps.perp_via_paths(6, 2)
     assert built == []
 
@@ -414,15 +415,25 @@ def test_paths_text_output_matches_reference_where_classes_repeat(capsys):
 
 
 def test_verify_rejects_caps_below_suite_minimum(capsys):
-    for argv, smallest in (
+    # the refusal probes each suite for its smallest cap: every suite is
+    # refused one below it, naming it, and runs at it
+    smallest = {
+        "gf": 2, "alternating": 3, "restriction2": 2, "hrs-t0": 2,
+        "pieri-paths": 3, "bijections": 3, "two-column": 2, "difference-W": 3,
+    }
+    assert set(smallest) == set(verify.SUITES)
+    cases = [(["verify", "--suite", suite, "--max-n", str(m - 1)], m) for suite, m in smallest.items()]
+    cases += [
         (["verify", "--suite", "gf", "--max-n", "-3"], 2),
-        (["verify", "--suite", "pieri-paths", "--max-n", "2"], 3),
         (["--max-n", "1", "verify", "--suite", "all"], 2),
-    ):
+    ]
+    for argv, m in cases:
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith(f"error (verify): max_n={argv[argv.index('--max-n') + 1]} is below {smallest}")
+        assert captured.err.startswith(f"error (verify): max_n={argv[argv.index('--max-n') + 1]} is below {m},")
+    for suite, m in smallest.items():
+        assert verify.run_suite(suite, m), suite
     # the smallest caps still run: two-column's emptiness check runs one size past
     code, out = run_cli(capsys, "verify", "--suite", "two-column", "--max-n", "2")
     assert code == 0 and out.endswith("# 1 instances: pass=1\n")

@@ -21,7 +21,9 @@ from hookpaths.shapes import (
     partition_str,
     partitions_of,
 )
+from hookpaths.characters import hook_formula
 from hookpaths.qpoly import LaurentPoly, gauss_binomial, q_factorial, q_int, q_power
+from hookpaths.schur import SchurExpansion
 
 
 def hook_length_count(shape):
@@ -112,6 +114,21 @@ def test_tableau_validation():
         StdTableau([(1, 2), (2,)])  # duplicate entry
     with pytest.raises(ValueError):
         StdTableau([(2, 3), (1, 4)])  # column must increase upward
+
+
+@pytest.mark.parametrize("build", [
+    lambda: check_partition((2.9, 1)),
+    lambda: hook_formula(3, 1, (2.9, 1)),
+    lambda: SchurExpansion({(2.5, 1): 1}),
+    lambda: descent_classes((2.2, 1.9)),
+    lambda: hook_tableau_from_descents({1.0}, 3),
+    lambda: StdTableau([[1.5, 2], [3]]),
+], ids=["check_partition", "hook_formula", "SchurExpansion", "descent_classes",
+        "hook_tableau_from_descents", "StdTableau"])
+def test_parts_entries_and_descents_must_be_ints(build):
+    # a float raises rather than truncating to a nearby shape or tableau
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_enumerate_syt_counts():

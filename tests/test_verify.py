@@ -5,11 +5,13 @@ instance that raises must fail the same way without ending the run."""
 
 import json
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
 from hookpaths.schur import SchurExpansion
+from hookpaths.shapes import partitions_of
 
 
 class StrayWord(str):
@@ -31,6 +33,17 @@ def _shift_descents(monkeypatch):
     )
 
 
+def _stats(n):
+    """_check_pieri's image_stats(n, k) builder, looked up at each call so a
+    patched kernel is seen."""
+    return lambda k: pierimaps.image_stats(n, k)
+
+
+def _slices(n):
+    """The bijection checks' height-slice builder for n."""
+    return lambda: verify._height_slices(n)
+
+
 def _flip_first_step(image):
     """A map kernel's image with its word's first step flipped; an empty
     word has none to flip."""
@@ -50,8 +63,8 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
     for name in ("plus_image", "minus_image"):
         kernel = getattr(pierimaps, name)
         monkeypatch.setattr(pierimaps, name, _each_image(kernel, lambda n, k, image: _flip_first_step(image)))
-    assert verify._check_pieri(3, False, verify._first_reader()) == "k=0 hook law fails on E"
-    assert verify._check_pieri(4, True, verify._first_reader()) == "k=1 hook law fails on EN"
+    assert verify._check_pieri(3, False, _stats(3)) == "k=0 hook law fails on E"
+    assert verify._check_pieri(4, True, _stats(4)) == "k=1 hook law fails on EN"
 
     # one step higher and one box less keeps the arm; only the leg is off
     monkeypatch.undo()
@@ -67,7 +80,7 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
         return skewed_stats
 
     monkeypatch.setattr(pierimaps, "image_stats", skewed)
-    assert verify._check_pieri(3, False, verify._first_reader()) == "k=0 hook law fails on E"
+    assert verify._check_pieri(3, False, _stats(3)) == "k=0 hook law fails on E"
 
 
 def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
@@ -112,7 +125,7 @@ def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
             return (moved_to if descents == {3, 4} else descents), word
 
         monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, moved))
-        assert verify._check_pieri(6, False, verify._first_reader()) == "k=2 image of NEEE is not in the plus set"
+        assert verify._check_pieri(6, False, _stats(6)) == "k=2 image of NEEE is not in the plus set"
 
 
 def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
@@ -125,7 +138,7 @@ def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
         return descents, (word[1:] if word.startswith("N") else word)
 
     monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, lifted))
-    assert verify._check_pieri(4, False, verify._first_reader()) == "k=0 image of NE is not in the plus set"
+    assert verify._check_pieri(4, False, _stats(4)) == "k=0 image of NE is not in the plus set"
 
 
 def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
@@ -137,29 +150,29 @@ def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
         pierimaps, "map_domain",
         lambda ks, word, minus=False: range(0) if word == missed[minus] else domain(ks, word, minus),
     )
-    assert verify._check_pieri(4, False, verify._first_reader()) == "k=0 image is not the plus set"
-    assert verify._check_pieri(4, True, verify._first_reader()) == "k=1 image is not the V set"
+    assert verify._check_pieri(4, False, _stats(4)) == "k=0 image is not the plus set"
+    assert verify._check_pieri(4, True, _stats(4)) == "k=1 image is not the V set"
 
 
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
     inverse = pierimaps.descents_word
     monkeypatch.setattr(pierimaps, "descents_word", lambda *a: inverse(*a)[::-1])
-    assert verify._check_phi(4, verify._first_reader()) == "k=0 round trip fails on EN"
+    assert verify._check_phi(4, _slices(4)) == "k=0 round trip fails on EN"
 
 
 def test_omega_check_reports_a_broken_statistic(monkeypatch):
     _shift_descents(monkeypatch)
-    assert verify._check_omega(4, verify._first_reader()) == "k=0 j=0 statistic fails on NE"
-    assert verify._check_phi(4, verify._first_reader()) == "k=0 statistic fails on EN"
+    assert verify._check_omega(4, _slices(4)) == "k=0 j=0 statistic fails on NE"
+    assert verify._check_phi(4, _slices(4)) == "k=0 statistic fails on EN"
 
 
 def test_beta_check_reports_an_image_mismatch(monkeypatch):
     forward = pierimaps.descents_word
     monkeypatch.setattr(pierimaps, "descents_word", lambda *a: StrayWord(forward(*a)))
-    assert verify._check_beta(3, verify._first_reader()) == "d=0 image mismatch"
+    assert verify._check_beta(3, _slices(3)) == "d=0 image mismatch"
     # a descent set in a witness reads as its sorted list
     monkeypatch.setattr(pierimaps, "north_descents", lambda n, word, shift: frozenset())
-    assert verify._check_beta(3, verify._first_reader()) == "d=0 round trip fails on [1, 2]"
+    assert verify._check_beta(3, _slices(3)) == "d=0 round trip fails on [1, 2]"
 
 
 @pytest.mark.parametrize("error", [TypeError, ValueError])
@@ -287,6 +300,54 @@ def test_a_raising_by_c_kernel_fails_only_its_n_five_instances(monkeypatch):
     assert [r.params["n"] for r in reports if r.status == "pass"] == [3] * 5 + [5] * 5
 
 
+def test_a_raising_alternant_fails_only_its_n_perp_instances(monkeypatch):
+    # the alternant is built inside the strip builder, not in the suite body,
+    # so it fails its n's perp instances instead of ending the run
+    _raising_at(monkeypatch, characters, "alternant_formula", (4,))
+    reports = verify.run_suite("pieri-paths", 5)
+    assert _failed(reports) == [
+        f"[FAIL    ] pieri-paths check=perp n=4 k={k} -- exception: boom" for k in range(3)
+    ]
+    assert len(reports) == 18
+
+
+@pytest.mark.parametrize("suite, kernels", [
+    ("bijections", {
+        (pierimaps, "image_stats"): {(n, k) for n in range(3, 7) for k in range(n - 1)},
+        (verify, "_height_slices"): {(n,) for n in range(3, 7)},
+    }),
+    ("hrs-t0", {
+        (characters, "hrs_t0_by_k"): {(n,) for n in range(2, 7)},
+        (characters, "gl2_delta_mu_by_k"): {(n, mu) for n in range(2, 7) for mu in partitions_of(n)},
+    }),
+    ("pieri-paths", {
+        (pierimaps, "perp_via_paths_by_k"): {(n,) for n in range(3, 7)},
+        (characters, "alternant_formula"): {(n, 1) for n in range(3, 7)},
+    }),
+    ("alternating", {
+        (characters, "alternating_identities_by_c"): {(n, range(-2, 3)) for n in range(3, 7)},
+    }),
+    ("difference-W", {
+        (pierimaps, "pieri_tallies"): {(n, k) for n in range(3, 7) for k in range(1, n - 1)},
+    }),
+])
+def test_each_shared_datum_is_built_once_per_size(monkeypatch, suite, kernels):
+    # one suite at a time: perp_via_paths_by_k calls image_stats itself
+    calls = Counter()
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name, args] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    for module, name in kernels:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert not verify.has_failure(verify.run_suite(suite, 6))
+    assert calls == Counter({(name, args): 1 for (_, name), keys in kernels.items() for args in keys})
+
+
 def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
     # T+ admits paths one leading north step short: at n = 3, k = 1 the
     # empty path tagged {1} then lies in both T+ and V
@@ -370,16 +431,16 @@ def test_positivity_check_reports_plus_and_minus_that_do_not_split_the_paths(mon
 
 
 def test_run_suite_runs_each_check_before_it_resumes_the_suite(monkeypatch):
-    # each check reads its loop variable and its size's reader late, as the
+    # each check reads its loop variable and its size's builder late, as the
     # suites' checks do: gathered before they ran, every check would see the
-    # last n and the last reader
+    # last n and the last builder
     def toy(max_n):
         for n in range(2, max_n + 1):
-            read = verify._first_reader()
-            yield {"n": n}, lambda: None if read("n", lambda: n) == n else "stale"
-            yield {"n": n, "check": "shown"}, lambda: f"saw n={read('n', lambda: n)}", "reported"
+            seen = cache(lambda: n)
+            yield {"n": n}, lambda: None if seen() == n else "stale"
+            yield {"n": n, "check": "shown"}, lambda: f"saw n={seen()}", "reported"
 
-    monkeypatch.setattr(verify, "SUITES", {"toy-suite": (toy, 4, 2)})
+    monkeypatch.setattr(verify, "SUITES", {"toy-suite": (toy, 4)})
     expected = []
     for n in range(2, 5):
         expected += [
