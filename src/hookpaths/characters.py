@@ -281,7 +281,8 @@ def _default_g(variant: str, c: int):
     g(j, 0) = b(j) + c, b(j) = binom(j, 2) for "plain" and binom(j+1, 2) for
     "area_ht", with g(j, k) = g(j, 0) + binom(k+1, 2) + jk derived from it.
     So g(j, k) - g(j, k-1) = j + k, and g(j, k) - k = g(j, 0) - binom(j, 2)
-    + binom(j+k, 2), on which _alt_sums rests, hold by construction.
+    + binom(j+k, 2), which makes every per-j sum one shift of the suffix sum
+    T_j (alternating_identity_check), hold by construction.
 
     No other family adds a case: for j >= 1 the difference condition and a
     constant base shift s force g(j, k) = b(j) + s + binom(k+1, 2) + jk,
@@ -308,17 +309,6 @@ def _suffix_sums(n: int) -> list:
     return tails
 
 
-def _alt_sums(g, tails) -> list:
-    """The per-j sums sum_k (-1)^k [n-1 j+k]_q q^(g(j,k)-k), j = 0..n-1, of
-    an exponent family g of _default_g over _suffix_sums(n): with m = j + k,
-    g(j,k) - k = g(j,0) - binom(j,2) + binom(m,2), so the j-th sum is
-    T_j shifted by (-1)^j q^(g(j,0) - binom(j,2))."""
-    return [
-        LaurentPoly.shifted_sum(((tail, -1 if j % 2 else 1, g(j, 0) - binom2(j), 0, 0),))
-        for j, tail in enumerate(tails)
-    ]
-
-
 def alternating_identity_check(n: int, c: int = 0) -> bool:
     """Verify the alternating-to-positive identities symbolically, for both
     exponent families of _default_g.
@@ -327,39 +317,40 @@ def alternating_identity_check(n: int, c: int = 0) -> bool:
     [n-2 j-1]_q q^(g(j,0)) (zero at j = 0).  Summed over j >= 1 against
     z^(j-1), the "plain" family reproduces the (n, 0) generating function
     times q^c, and the "area_ht" family reproduces it at z -> qz times
-    q^(c+1).  Every per-j sum of both families is one shift of the same
-    suffix sum T_j (_suffix_sums, _alt_sums), so an instance runs n
-    additions of shifted Gaussian binomials where summing each j apart runs
-    n(n+1)/2; each per-j sum feeds both of its family's checks.  The check
-    at one c is alternating_identities_by_c(n, (c,))'s entry.
+    q^(c+1).  Every per-j sum is the suffix sum T_j (_suffix_sums) times
+    the unit (-1)^j q^(g(j,0) - binom(j,2)), so an instance runs n additions
+    of shifted Gaussian binomials where summing each j apart runs
+    n(n+1)/2, and its collapses are the n checks T_j = (-1)^j q^binom(j,2)
+    [n-2 j-1]_q, whatever c and the family.  The check at one c is
+    alternating_identities_by_c(n, (c,))'s entry.
     """
     return alternating_identities_by_c(n, (c,))[c]
 
 
 def alternating_identities_by_c(n: int, cs) -> dict:
     """{c: alternating_identity_check(n, c) for c in cs}, building
-    gf_closed(n, 0), its z -> qz copy and _suffix_sums(n) once for every c."""
+    gf_closed(n, 0), its z -> qz copy and _suffix_sums(n) once and checking
+    the per-j collapses once for every c; each (c, family) then sums the
+    tails against z^(j-1) and compares in place with the shifted gf."""
     if n < 2:
         raise ValueError("identity checks need n >= 2")
     gf = gf_closed(n, 0)
     # z -> qz: each term q^eq z^ez gains q^ez
     gf_qz = LaurentPoly._trusted({(eq + ez, et, ez): coeff for (eq, et, ez), coeff in gf._terms.items()})
     tails = _suffix_sums(n)
+    collapsed = all(
+        tail.equals_shifted(gauss_binomial(n - 2, j - 1), -1 if j % 2 else 1, binom2(j))
+        for j, tail in enumerate(tails)
+    )
     out = {}
     for c in cs:
-        expected = {"plain": gf * q_power(c), "area_ht": gf_qz * q_power(c + 1)}
-        out[c] = all(_identity_holds(n, _default_g(variant, c), tails, want) for variant, want in expected.items())
+        out[c] = collapsed and all(
+            LaurentPoly.shifted_sum(
+                (tails[j], -1 if j % 2 else 1, g(j, 0) - binom2(j), 0, j - 1) for j in range(1, n)
+            ).equals_shifted(want, 1, shift)
+            for g, want, shift in ((_default_g("plain", c), gf, c), (_default_g("area_ht", c), gf_qz, c + 1))
+        )
     return out
-
-
-def _identity_holds(n: int, g, tails: list, want: LaurentPoly) -> bool:
-    """One exponent family's identities: each per-j sum collapses, and the
-    per-j sums summed against z^(j-1) give `want`."""
-    sums = _alt_sums(g, tails)
-    for j, lhs in enumerate(sums):
-        if lhs != gauss_binomial(n - 2, j - 1) * q_power(g(j, 0)):
-            return False
-    return LaurentPoly.shifted_sum((sums[j], 1, 0, 0, j - 1) for j in range(1, n)) == want
 
 
 # -- the two-column formulas -----------------------------------------------------

@@ -128,7 +128,17 @@ class LaurentPoly:
                 reduced = list(expo)
                 reduced[i] = 0
                 out[tuple(reduced)] = c
-        return LaurentPoly(out)
+        return LaurentPoly._trusted(out)  # distinct keys stay distinct with one exponent fixed
+
+    def equals_shifted(self, other, c: int = 1, eq: int = 0, et: int = 0, ez: int = 0) -> bool:
+        """self == c * q^eq t^et z^ez * other, decided term by term without
+        building the product: a shift maps other's terms to distinct keys."""
+        if not c:
+            return not self._terms
+        get, terms = self._terms.get, other._terms
+        return len(self._terms) == len(terms) and all(
+            get((a + eq, b + et, d + ez)) == c * x for (a, b, d), x in terms.items()
+        )
 
     def has_negative_coeff(self) -> bool:
         return any(c < 0 for c in self._terms.values())

@@ -21,7 +21,7 @@ from math import comb, inf
 from . import characters, pierimaps
 from .characters import tally_hooks
 from .paths import binom2, family_tally, gf_T, gf_closed, words_T
-from .qpoly import LaurentPoly, gauss_binomial, q_pochhammer, q_power, z as z_var
+from .qpoly import gauss_binomial, q_pochhammer, z as z_var
 from .schur import e_perp_by_k, first_row_fingerprint, two_row_part
 from .shapes import make_hook, partitions_of, partition_str
 
@@ -97,15 +97,15 @@ def _timed(suite, params, check, status="fail"):
 # once per n (per (n, k) in difference-W) as a functools.cache'd builder:
 # it builds inside the first instance that calls it, a raising build is not
 # cached, so every instance that calls it fails alike, and the size's data is
-# dropped at the next size.
+# dropped at the next size.  gf's gf_T(m, 0) builder spans sizes, since each
+# n's start-shift reads every smaller m, and is dropped with the suite.
 
 
 def suite_gf(max_n: int):
+    base = cache(lambda m: gf_T(m, 0))  # each start-shift reads the smaller sizes' families
     for n in range(2, max_n + 1):
-        gf = cache(lambda: gf_T(n, 0))
-
         def poch():
-            lhs = gf()
+            lhs = base(n)
             rhs = q_pochhammer(z_var, n - 2)
             return None if lhs == rhs else f"{lhs} != {rhs}"
 
@@ -113,11 +113,10 @@ def suite_gf(max_n: int):
 
         def shifted():
             for s in range(0, n - 1):
-                lhs = gf_T(n, s)
+                lhs = gf_T(n, s) if s else base(n)
                 if lhs != gf_closed(n, s):
                     return f"s={s}: enumeration != closed form"
-                shift = LaurentPoly.term(1, eq=(n - 2 - s) * s + binom2(s + 1), ez=s)
-                if lhs != gf_T(n - s, 0) * shift:
+                if not lhs.equals_shifted(base(n - s), 1, (n - 2 - s) * s + binom2(s + 1), 0, s):
                     return f"s={s}: start-height shift identity fails"
             return None
 
@@ -125,8 +124,7 @@ def suite_gf(max_n: int):
 
         def slices():
             for j in range(0, n - 1):
-                expected = q_power(binom2(j + 1)) * gauss_binomial(n - 2, j)
-                if gf().coefficient_of("z", j) != expected:
+                if not base(n).coefficient_of("z", j).equals_shifted(gauss_binomial(n - 2, j), 1, binom2(j + 1)):
                     return f"height slice j={j} mismatch"
             return None
 

@@ -328,7 +328,7 @@ def test_default_families_meet_the_difference_and_base_conditions():
     # _default_g): differences j + k, and base shift exactly c over
     # binom(j, 2) ("plain") or binom(j+1, 2) ("area_ht") for 1 <= j < n;
     # and g(j, k) - k = g(j, 0) - binom(j, 2) + binom(j+k, 2), on which
-    # _alt_sums rests
+    # every per-j sum being one shift of T_j rests
     for variant, base in (("plain", binom2), ("area_ht", lambda j: binom2(j + 1))):
         for n in range(2, 13):
             for c in range(-2, 3):
@@ -342,8 +342,9 @@ def test_default_families_meet_the_difference_and_base_conditions():
 
 
 def _alt_sum(n, j, g):
-    """The oracle for the j-th entry of _alt_sums: sum_k (-1)^k
-    [n-1 j+k]_q q^(g(j,k)-k) over k = 0..n-1-j, term by term."""
+    """The oracle for the j-th per-j sum, (-1)^j q^(g(j,0) - binom(j,2))
+    T_j: sum_k (-1)^k [n-1 j+k]_q q^(g(j,k)-k) over k = 0..n-1-j, term by
+    term."""
     return LaurentPoly.shifted_sum(
         (gauss_binomial(n - 1, j + k), -1 if k % 2 else 1, g(j, k) - k, 0, 0)
         for k in range(n - j)
@@ -351,11 +352,13 @@ def _alt_sum(n, j, g):
 
 
 def _alt_sums_match_the_oracle(n, c):
+    # every per-j sum alternating_identities_by_c reads is a unit times T_j,
+    # built here as a product
     tails = ch._suffix_sums(n)
     assert len(tails) == n
     for variant in ("plain", "area_ht"):
         g = ch._default_g(variant, c)
-        sums = ch._alt_sums(g, tails)
+        sums = [LaurentPoly.term(-1 if j % 2 else 1, g(j, 0) - binom2(j)) * tail for j, tail in enumerate(tails)]
         assert sums == [_alt_sum(n, j, g) for j in range(n)], (variant, n, c)
 
 
@@ -406,6 +409,27 @@ def _by_c_matches_the_oracle(n, cs):
 def test_by_c_kernel_matches_the_per_j_oracle():
     for n in range(2, 13):
         _by_c_matches_the_oracle(n, range(-2, 3))
+
+
+def test_a_perturbed_tail_or_gf_fails_every_c(monkeypatch):
+    # the per-j collapses are checked once for every c, and each (c, family)
+    # compares its z-sum with the generating function shifted in place
+    cs = range(-2, 3)
+    suffix_sums = ch._suffix_sums
+    for n in range(3, 9):
+        for j in range(n):
+            def perturbed(m, j=j):
+                tails = suffix_sums(m)
+                tails[j] = tails[j] + LaurentPoly.term(1, j)
+                return tails
+
+            monkeypatch.setattr(ch, "_suffix_sums", perturbed)
+            assert ch.alternating_identities_by_c(n, cs) == dict.fromkeys(cs, False), (n, j)
+    monkeypatch.setattr(ch, "_suffix_sums", suffix_sums)
+    closed = ch.gf_closed
+    monkeypatch.setattr(ch, "gf_closed", lambda m, s: closed(m, s) * q)
+    for n in range(3, 9):
+        assert ch.alternating_identities_by_c(n, cs) == dict.fromkeys(cs, False), n
 
 
 @settings(max_examples=30, deadline=None)

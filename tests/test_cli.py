@@ -359,6 +359,21 @@ def test_pieri_output_matches_pinned_digests(capsys):
         assert sweep.hexdigest() == digest, argv
 
 
+with open(os.path.join(os.path.dirname(__file__), "pinned.json")) as pinned_file:
+    PINNED = json.load(pinned_file)
+
+
+@pytest.mark.parametrize("pin", PINNED, ids=lambda pin: " ".join(pin["argv"]))
+def test_pinned_output(capsys, pin):
+    # each pin's "why" says what a changed digest or last line would miss
+    code, out = run_cli(capsys, *pin["argv"])
+    assert code == pin["exit"]
+    if "sha256" in pin:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
+    else:
+        assert out.splitlines()[-1] == pin["last_line"]
+
+
 def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
     # the constructors wrapped as test_pierimaps wraps TaggedPath's, and the
     # trusted path constructor too

@@ -115,6 +115,35 @@ def test_shifted_sum_matches_the_sum_of_shifted_products(terms):
     assert LaurentPoly.shifted_sum(cancelling).is_zero()
 
 
+def _shifted_product(other, c, eq, et, ez):
+    return c * LaurentPoly.term(1, eq, et, ez) * other
+
+
+def test_equals_shifted_matches_the_built_product_exhaustively():
+    # every polynomial on three keys with coefficients -1, 0, 2, against
+    # shifts that move one key onto another
+    keys = ((0, 0, 0), (1, 0, 0), (0, -1, 1))
+    small = [LaurentPoly(dict(zip(keys, cs))) for cs in itertools.product((-1, 0, 2), repeat=3)]
+    shifts = ((0, 0, 0), (1, 0, 0), (0, 1, -1))
+    for a, b in itertools.product(small, repeat=2):
+        for c in (-2, -1, 0, 1, 2):
+            for shift in shifts:
+                assert a.equals_shifted(b, c, *shift) is (a == _shifted_product(b, c, *shift)), (a, b, c, shift)
+
+
+@given(st.one_of(st.just(ZERO), polys), st.one_of(st.just(ZERO), polys),
+       st.sampled_from((-2, -1, 1, 2)), exponents, exponents, exponents)
+def test_equals_shifted_matches_the_built_product(p, other, c, eq, et, ez):
+    product = _shifted_product(other, c, eq, et, ez)
+    assert p.equals_shifted(other, c, eq, et, ez) is (p == product)
+    assert product.equals_shifted(other, c, eq, et, ez)
+    # a term added, changed or removed breaks the equality
+    assert not (product + LaurentPoly.term(1, eq, et, ez)).equals_shifted(other, c, eq, et, ez)
+    if not other.is_zero():
+        assert not LaurentPoly(dict(product.items()[1:])).equals_shifted(other, c, eq, et, ez)
+    assert p.equals_shifted(other, 0, eq, et, ez) is p.is_zero()
+
+
 def test_shifted_sum_examples():
     assert LaurentPoly.shifted_sum([]) == ZERO
     assert LaurentPoly.shifted_sum([(q + t, 2, 1, 0, -1), (q**2, -2, -1, 1, -1)]) == 2 * q**2 * z**-1
@@ -264,6 +293,18 @@ def test_coefficient_slicing():
     p = q_pochhammer(z, 3)
     assert p.coefficient_of("z", 1) == q + q**2 + q**3
     assert p.coefficient_of("z", 5) == ZERO
+
+
+@given(polys, exponents)
+def test_coefficient_of_matches_the_validated_construction(p, power):
+    for name, i in (("q", 0), ("t", 1), ("z", 2)):
+        want = LaurentPoly({
+            tuple(0 if v == i else e for v, e in enumerate(expo)): c
+            for expo, c in p.items() if expo[i] == power
+        })
+        got = p.coefficient_of(name, power)
+        assert got == want, (name, power)
+        assert all(c for _, c in got.items())
 
 
 

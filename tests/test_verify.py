@@ -10,6 +10,7 @@ from functools import cache
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
+from hookpaths.qpoly import q
 from hookpaths.schur import SchurExpansion
 from hookpaths.shapes import partitions_of
 
@@ -330,6 +331,10 @@ def test_a_raising_alternant_fails_only_its_n_perp_instances(monkeypatch):
     ("difference-W", {
         (pierimaps, "pieri_tallies"): {(n, k) for n in range(3, 7) for k in range(1, n - 1)},
     }),
+    ("gf", {
+        # one gf_T(m, 0) per suite run, read by every size's start-shift
+        (verify, "gf_T"): {(n, s) for n in range(2, 7) for s in range(n - 1)},
+    }),
 ])
 def test_each_shared_datum_is_built_once_per_size(monkeypatch, suite, kernels):
     # one suite at a time: perp_via_paths_by_k calls image_stats itself
@@ -346,6 +351,28 @@ def test_each_shared_datum_is_built_once_per_size(monkeypatch, suite, kernels):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert not verify.has_failure(verify.run_suite(suite, 6))
     assert calls == Counter({(name, args): 1 for (_, name), keys in kernels.items() for args in keys})
+
+
+def test_a_wrong_family_fails_each_start_shift_that_reads_it(monkeypatch):
+    # gf_T(4, 0) off by a factor q fails its own size's three checks, and
+    # each larger size's start-shift at the s that reads it
+    family = verify.gf_T
+    monkeypatch.setattr(verify, "gf_T", lambda n, s: family(n, s) * q if (n, s) == (4, 0) else family(n, s))
+    failures = [(r.params["identity"], r.params["n"], r.witness) for r in verify.run_suite("gf", 7) if r.status != "pass"]
+    assert failures == [
+        ("pochhammer", 4, "q + q^2*z + q^3*z + q^4*z^2 != 1 + q*z + q^2*z + q^3*z^2"),
+        ("start-shift", 4, "s=0: enumeration != closed form"),
+        ("height-slice", 4, "height slice j=0 mismatch"),
+    ] + [("start-shift", n, f"s={n - 4}: start-height shift identity fails") for n in range(5, 8)]
+
+
+def test_a_family_wrong_with_its_closed_form_fails_only_its_start_shift(monkeypatch):
+    for module, name in ((verify, "gf_T"), (verify, "gf_closed")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda n, s, kernel=kernel: kernel(n, s) * q if (n, s) == (6, 2) else kernel(n, s))
+    assert _failed(verify.run_suite("gf", 7)) == [
+        "[FAIL    ] gf identity=start-shift n=6 -- s=2: start-height shift identity fails"
+    ]
 
 
 def test_a_broken_membership_threshold_is_reported_by_each_check(monkeypatch):
