@@ -151,29 +151,29 @@ def gl2_delta_mu(n: int, k: int, mu) -> SchurExpansion:
 
 def gl2_delta_mu_by_k(n: int, mu) -> list:
     """Height-filtered path form of the adjoint-Pieri specialization for each
-    k = 0..n-1, from one fold of mu's path families grouped by height: k's
-    two-row terms read heights k-2 and k-1, its one-row terms k-1 and k, and
-    at k = n-1 each keeps only the lower."""
+    k = 0..n-1, from one fold of mu's path families: k's two-row terms read
+    heights k-2 and k-1, its one-row terms k-1 and k, and at k = n-1 each
+    keeps only the lower.  So one pass sends each (d, h) class of the fold
+    to its at most four (k, shape) cells: s_(h+d, 1) at k = h+1, s_(h+1+d, 1)
+    at k = h+2, s_(h+d) at k = h and s_(h+1+d) at k = h+1."""
     mu = _partition_of(n, mu)
-    by_height = {}
+    top = n - 1
+    cells = [{} for _ in range(n)]  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
     for (d, h), c in family_tally(_syt_families(n, mu, 0)).items():
-        by_height.setdefault(h, []).append((d, c))
-    out = []
-    for k in range(n):
-        counts = {}  # s_(a, 1) needs a >= 1; s_(a) is s_() at a = 0
-        get = counts.get
-        for h in (k - 2,) if k == n - 1 else (k - 2, k - 1):
-            for d, c in by_height.get(h, ()):
-                if k - 1 + d >= 1:
-                    shape = k - 1 + d, 1
-                    counts[shape] = get(shape, 0) + c
-        for h in (k - 1,) if k == n - 1 else (k - 1, k):
-            for d, c in by_height.get(h, ()):
-                if k + d >= 0:
-                    shape = (k + d,) if k + d else ()
-                    counts[shape] = get(shape, 0) + c
-        out.append(SchurExpansion._trusted(counts))
-    return out
+        a = h + d
+        if h + 1 < top and a >= 1:
+            two = cells[h + 1]
+            two[a, 1] = two.get((a, 1), 0) + c
+        if h + 2 <= top and a >= 0:
+            two = cells[h + 2]
+            two[a + 1, 1] = two.get((a + 1, 1), 0) + c
+        if h < top and a >= 0:
+            one, shape = cells[h], (a,) if a else ()
+            one[shape] = one.get(shape, 0) + c
+        if h + 1 <= top and a >= -1:
+            one, shape = cells[h + 1], (a + 1,) if a + 1 else ()
+            one[shape] = one.get(shape, 0) + c
+    return [SchurExpansion._trusted(counts) for counts in cells]
 
 
 def _partition_of(n: int, mu) -> Partition:

@@ -112,18 +112,44 @@ def cmd_gf(args) -> int:
     return 0
 
 
+SIDES = ("plus", "minus")  # the two Pieri maps, in the text listing's order
+
+
+def _pieri_rows(n: int, k: int):
+    """(word, area, ht, {side: (descents, image word)}) for every base word
+    of T(n, 0), in words_T's order: the plus and the minus image stream at
+    k, which share one suffix table, merged into the walk over the words."""
+    table = pierimaps.suffix_table(n)
+    streams = {side: pierimaps.image_stream(n, k, side == "minus", table) for side in SIDES}
+    upcoming = {side: next(stream, None) for side, stream in streams.items()}
+    for word, area, ht in words_T(n, 0):
+        images = {}
+        for side in SIDES:
+            entry = upcoming[side]
+            if entry is not None and entry[0] == word:
+                images[side] = entry[3:]
+                upcoming[side] = next(streams[side], None)
+        yield word, area, ht, images
+    if any(entry is not None for entry in upcoming.values()):
+        raise AssertionError(f"an image stream at k={k} left the word order")
+
+
 def cmd_pieri(args) -> int:
     n, k = args.n, args.k
     # refused here: past 0..n-2 the kernels would list every path bare
     pierimaps.check_pieri_k(k, n)
-    if args.path is not None:
+    if args.path is not None:  # one word: the per-word kernels
         gamma = LatticePath.parse(n, 0, args.path)
-        rows = [(gamma.word, gamma.area(), gamma.ht())]
+        ks = range(k, k + 1)
+        images = {
+            side: (descents, image)
+            for side, kernel in zip(SIDES, (pierimaps.plus_image, pierimaps.minus_image))
+            for _, descents, image in kernel(n, ks, gamma.word)
+        }
+        rows = [(gamma.word, gamma.area(), gamma.ht(), images)]
     else:
-        rows = words_T(n, 0)
+        rows = _pieri_rows(n, k)
     stats = pierimaps.image_stats(n, k)
-    ks = range(k, k + 1)
-    sides = (("plus", pierimaps.plus_image), ("minus", pierimaps.minus_image))
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -131,13 +157,12 @@ def cmd_pieri(args) -> int:
         lead, sep = f"# adjoint Pieri images for n={n} k={k}\n", ""
     # each base path's entry is written once its images are known, and the
     # header with the first one: a map that fails on it leaves stdout empty
-    for word, area, ht in rows:
+    for word, area, ht, maps in rows:
         images = {}  # side -> (descents, image word, hook)
-        for side, kernel in sides:
-            for _, descents, image in kernel(n, ks, word):
-                image_area, image_ht = stats(word, image)
-                hook = path_hook(n, image_area - sum(descents), image_ht, word)
-                images[side] = (sorted(descents), image or "eps", partition_str(hook))
+        for side, (descents, image) in maps.items():
+            image_area, image_ht = stats(word, image)
+            hook = path_hook(n, image_area - sum(descents), image_ht, word)
+            images[side] = (sorted(descents), image or "eps", partition_str(hook))
         word = word or "eps"
         if args.json:  # json.dumps(indent=1, sort_keys=True) two levels deep
             text = f'  {{\n   "area": {area},\n   "ht": {ht},\n'
@@ -155,7 +180,7 @@ def cmd_pieri(args) -> int:
             text += f'   "word": "{word}"\n  }}'
         else:
             text = f"{word:>{width}}  area={area:<3d} ht={ht}\n"
-            for side in ("plus", "minus"):
+            for side in SIDES:
                 if side in images:
                     descents, image, hook = images[side]
                     text += f"    {side:5s} -> {image:<{width}} descents={descents} hook={hook}\n"

@@ -8,12 +8,14 @@ right length fits, so the family has 2^(n-s-2) elements.  The conventions:
 start heights past the staircase clamp to s = n-2 (leaving only the empty
 word), and n < 2 gives the empty family.
 
-Every sum over a whole family (gf_T, hat_gf, family_tally) reads it through
-family_counts, its number of paths per (area, ht) class, which costs
-polynomially in n; leading_run_counts splits those classes by the word's
-leading north or east run, for the Pieri sets.  enumerate_T, and the walk
-words_T over family_blocks' split of the words, visit all 2^(n-s-2) words;
-they serve the callers that need each path, and are the oracles for both.
+Every sum over a whole family reads it by (area, ht) class, which costs
+polynomially in n: gf_T and hat_gf through family_counts, its number of
+paths per class, and family_tally through one walk of the same level step
+(_extend) over all the families of one ambient size; leading_run_counts
+splits those classes by the word's leading north or east run, for the
+Pieri sets.  enumerate_T, and the walk words_T over family_blocks' split
+of the words, visit all 2^(n-s-2) words; they serve the callers that need
+each path, and are the oracles for both.
 """
 
 from collections import Counter
@@ -233,15 +235,15 @@ def family_counts(n: int, s: int) -> dict:
     if grid is None:
         return {}
     s, length, area = grid
-    return _extend({(area, s): 1}, length)
+    return _extend({(area, s): 1}, range(length, 0, -1))
 
 
-def _extend(level: dict, steps: int) -> dict:
+def _extend(level: dict, gains) -> dict:
     """The (area, ht) classes of the words that extend the prefixes counted
-    in `level` by `steps` free steps: the step of gain g, from `steps` down
-    to 1, keeps each class (its E children) and moves a copy of it to
-    (area + g, ht + 1) (its N children)."""
-    for gain in range(steps, 0, -1):
+    in `level` by one free step per gain: the step of gain g keeps each
+    class (its E children) and moves a copy of it to (area + g, ht + 1)
+    (its N children).  A family's last r steps are the gains r down to 1."""
+    for gain in gains:
         nxt = level.copy()
         get = nxt.get
         for (area, ht), c in level.items():
@@ -272,8 +274,8 @@ def leading_run_counts(n: int, s: int) -> dict:
     for run in range(1, length):
         north += length - run + 1
         rest = length - run - 1
-        out[run, 0] = _extend({(north, ht + run): 1}, rest)
-        out[0, run] = _extend({(area + length - run, ht + 1): 1}, rest)
+        out[run, 0] = _extend({(north, ht + run): 1}, range(rest, 0, -1))
+        out[0, run] = _extend({(area + length - run, ht + 1): 1}, range(rest, 0, -1))
     out[length, 0] = {(north + 1, ht + length): 1}
     out[0, length] = {(area, ht): 1}
     return out
@@ -283,13 +285,34 @@ def family_tally(families) -> Counter:
     """(area + shift, ht) -> number of paths, where families[m, s] maps each
     shift to the number of times every path of the (m, s) family counts.
 
-    Each family is read once, as its (area, ht) classes from
-    family_counts(m, s); this is the one fold behind every hook sum over
-    path families.
+    The families of one ambient size m are read in one walk: the (m, s)
+    family's L = m-s-2 steps have the gains L down to 1, the last L steps
+    of every longer family of that size.  So the walk starts at the longest
+    family's length and adds each family's start class, shifted, when it
+    has that family's L steps left; each step is family_counts' (_extend).
+    The families' refusals are _family_grid's.  This is the one fold
+    behind every hook sum over path families.
     """
-    tally = Counter()
+    sizes = {}  # m -> {L: {(start area + shift, start ht): count}}
     for (m, s), shifts in families.items():
-        add_shifted(tally, family_counts(m, s), shifts)
+        grid = _family_grid(m, s)
+        if grid is None:
+            continue
+        s, length, area = grid
+        starts = sizes.setdefault(m, {}).setdefault(length, {})
+        for shift, count in shifts.items():
+            key = area + shift, s
+            starts[key] = starts.get(key, 0) + count
+    tally = Counter()
+    for by_length in sizes.values():
+        lengths = sorted(by_length, reverse=True)
+        level = {}
+        for length, stop in zip(lengths, lengths[1:] + [0]):
+            get = level.get
+            for key, count in by_length[length].items():
+                level[key] = get(key, 0) + count
+            level = _extend(level, range(length, stop, -1))
+        tally.update(level)
     return tally
 
 

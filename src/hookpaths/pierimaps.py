@@ -11,19 +11,26 @@ complement in 1..n-1 of the set a TaggedPath would carry.
 
 Membership in T+ and V depends only on a path's leading north or east run,
 against three runs that thresholds() reads off the descent set; for T+ and
-V that is one forced prefix of the word, member_prefix.  So the sets are
+V that is one forced prefix of the word, member_prefix (member_prefixes
+holds both for every k-subset at once).  So the sets are
 read at two depths: pieri_tallies counts all five of T+, T-, V, W and
 V & T+ by (area - maj', ht) class, pairing descent classes with the
 leading-run classes of paths.leading_run_counts and building no path;
 build_sets builds every tagged path and is its oracle.
 
-The maps are word kernels, plus_image and minus_image: each scans a base
-word once and maps it at every k of a range that map_domain admits, so a
-k outside the word's domain has no image.  cli's pieri reads one k's
-images, and perp_via_paths_by_k every k's, with image_stats; no path is
-built.
-e_plus_map, e_minus_map, TaggedPath and hook_of are their checked public
-form, which the tests compare against.
+The maps are read as image streams, one per (n, k) and map: image_stream
+walks every base word of the map's domain in word order by prefix class
+(image_classes).  A word's plus image at k is fixed by its prefix through
+its k-th east step, and its minus image by its leading east run, its first
+north step and its (k-1)-th east step; each class builds its descent set
+and image head once, and every free suffix comes from suffix_table(n),
+built once per size.  cli's pieri reads one k's streams, perp_via_paths_by_k
+every k's and verify's map checks each k's of one map, with image_stats;
+no path is built.  The word kernels plus_image and minus_image map one
+base word at every k of a range that map_domain admits, so a k outside the
+word's domain has no image: they serve a single path, and are the
+stream's oracle.  e_plus_map, e_minus_map, TaggedPath and hook_of are
+their checked public form, which the tests compare against.
 
 The three bijections are word kernels as well: north_descents reads one
 descent off each north step of a base word, and descents_word writes the
@@ -38,8 +45,8 @@ from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    LatticePath, add_shifted, clamp_start, enumerate_T, family_blocks, leading_run_counts, path_hook,
-    words_T,
+    WALK_BLOCK_STEPS, LatticePath, _walk, add_shifted, clamp_start, enumerate_T, family_blocks,
+    leading_run_counts, path_hook,
 )
 from .schur import SchurExpansion
 from .shapes import check_descents
@@ -210,6 +217,92 @@ def minus_image(n: int, ks: range, word: str) -> list:
     return images
 
 
+def suffix_table(n: int) -> list:
+    """The free suffixes that image_stream appends at size n: entry r lists
+    (word, delta area, delta ht) of every r-step suffix, in lexicographic
+    order (E < N), for r up to b = min(WALK_BLOCK_STEPS, n-2).  As in
+    family_blocks, a north step r steps before a word's end adds r boxes
+    whatever precedes it, in the base word and in its image alike; a suffix
+    longer than b is walked as a head in front of entry b."""
+    table = [[("", 0, 0)]]
+    for r in range(1, min(WALK_BLOCK_STEPS, n - 2) + 1):
+        last = table[-1]
+        table.append([("E" + w, da, dh) for w, da, dh in last] + [("N" + w, da + r, dh + 1) for w, da, dh in last])
+    return table
+
+
+def image_classes(n: int, k: int, minus: bool):
+    """The prefix classes of the plus map (minus=False) or the minus map at
+    k on T(n, 0), in lexicographic order: (prefix, area, ht, descents,
+    head), where every base word prefix + w of size n lies in the map's
+    domain and maps to (descents, head + w), and area and ht are the
+    prefix's own.  A plus prefix ends at the word's k-th east step: its
+    east steps record their descents as in plus_image, and the head is its
+    north steps.  A minus prefix ends where both its first north step and
+    its (k-1)-th east step are read: its leading east run of h puts the
+    descent max(1, h-k+2) beside those of its first k-1 east steps, and the
+    head is what is left of it without the first north step and those k-1
+    east steps.  A word outside the domain has no class."""
+    check_pieri_k(k, n)
+    if minus and not k:
+        return
+    length = n - 2
+    need = k - 1 if minus else k  # the east steps whose descents the image records
+    # (prefix, area, norths, marks, h), popped in lexicographic order; a
+    # minus prefix opens with E^h N, which sorts before E^(h-1) N
+    if minus:
+        stack = [
+            ("E" * h + "N", length - h, 1, tuple(range(n - 1, n - 1 - min(h, need), -1)), h)
+            for h in range(length)
+        ]
+    else:
+        stack = [("", 0, 0, (), 0)]
+    while stack:
+        prefix, area, norths, marks, h = stack.pop()
+        i = len(prefix)
+        missing = need - len(marks)
+        if missing:
+            # the next east step, after a north steps (a = 0 is popped first)
+            # at index i + a, leaving room for the other missing ones
+            for a in range(length - i - missing, -1, -1):
+                stack.append((
+                    prefix + "N" * a + "E", area + a * length - a * (2 * i + a - 1) // 2,
+                    norths + a, marks + (n - 1 - i - a,), h,
+                ))
+            continue
+        if not minus:
+            descents = frozenset(marks)
+            if len(descents) != k:
+                raise AssertionError("descent construction collided")
+            yield prefix, area, norths, descents, "N" * norths
+            continue
+        extra = max(1, h - k + 2)
+        if extra in marks:
+            raise AssertionError("descent construction collided")
+        yield prefix, area, norths, frozenset(marks + (extra,)), "E" * (i - norths - need) + "N" * (norths - 1)
+
+
+def image_stream(n: int, k: int, minus: bool, table: list):
+    """The plus map (minus=False) or the minus map at k on every base word
+    of its domain, in words_T(n, 0)'s order: (base word, area, ht,
+    descents, image word), the kernels' images read by prefix class
+    (image_classes).  Each class's free suffixes come from `table`,
+    suffix_table(n), which the caller shares between the streams of n; a
+    suffix past its last entry is walked as heads first, as family_blocks
+    walks a family.  No path is built."""
+    block = len(table) - 1
+    for prefix, area, ht, descents, head in image_classes(n, k, minus):
+        free = n - 2 - len(prefix)
+        if free <= block:
+            for w, da, dh in table[free]:
+                yield prefix + w, area + da, ht + dh, descents, head + w
+            continue
+        for lead, lead_area, lead_ht in _walk([("", area, ht)], range(free, block, -1)):
+            word, image = prefix + lead, head + lead
+            for w, da, dh in table[block]:
+                yield word + w, lead_area + da, lead_ht + dh, descents, image + w
+
+
 def image_stats(n: int, k: int):
     """stats(base, image) -> (area, ht) of the image word of a base word in
     T(n, k), its head's and its suffix's statistics looked up apart in
@@ -282,7 +375,7 @@ def thresholds(n: int, combo) -> tuple:
     plus_north = max(0, n - k - min_d)
     if min_d == 1:
         return plus_north, (max(0, n - k - combo[1]) if k > 1 else 0), inf
-    if combo[1:] == tuple(range(n - k + 1, n)):
+    if k < 2 or combo[1] == n - k + 1:  # then combo[1:] is n-k+1..n-1
         return plus_north, inf, min_d - 1
     return plus_north, inf, inf
 
@@ -292,10 +385,18 @@ def member_prefix(n: int, combo, v: bool = False) -> tuple:
     by the k-subset `combo` (a sorted tuple, as thresholds takes), in T+ (or
     in V when v is true): the tagged path is a member exactly when its word
     begins with run copies of step.  A run of inf admits no path."""
-    plus_north, v_north, v_east = thresholds(n, combo)
-    if not v:
-        return "N", plus_north
-    return ("N", v_north) if v_north != inf else ("E", v_east)
+    return _prefixes(*thresholds(n, combo))[v]
+
+
+def member_prefixes(n: int, k: int) -> dict:
+    """{descent set: (T+ prefix, V prefix)} over the k-subsets of 1..n-1,
+    member_prefix's two prefixes of each from one thresholds call: the one
+    membership table that both maps' checks at (n, k) read."""
+    return {frozenset(combo): _prefixes(*thresholds(n, combo)) for combo in combinations(range(1, n), k)}
+
+
+def _prefixes(plus_north, v_north, v_east) -> tuple:
+    return ("N", plus_north), (("N", v_north) if v_north != inf else ("E", v_east))
 
 
 PieriSets = namedtuple("PieriSets", "tplus tminus v w")
@@ -370,25 +471,31 @@ def pieri_tallies(n: int, k: int) -> dict:
 
 def perp_via_paths_by_k(n: int) -> list:
     """[perp_via_paths(n, k) for k in 0..n-2]: the adjoint Pieri rule
-    computed path by path.  Each kernel maps each base word once, at every
-    k of its domain; image_stats reads each image, counted by (area - maj',
-    ht) class, and no path is built.  An image outside T(n, k) puts its
-    ValueError at entry k in place of the expansion; the others still hold."""
-    ks = range(0, n - 1)
-    stats = [image_stats(n, k) for k in ks]
-    tallies = [{} for _ in ks]
-    errors = {}
-    for word, _, _ in words_T(n, 0):
-        for kernel in (plus_image, minus_image):
-            for k, descents, image in kernel(n, ks, word):
-                try:
-                    area, ht = stats[k](word, image)
-                except ValueError as exc:
-                    errors.setdefault(k, exc)
-                    continue
-                key = area - sum(descents), ht
-                tallies[k][key] = tallies[k].get(key, 0) + 1
-    return [errors.get(k) or tally_hooks(n, tally, "a Pieri image") for k, tally in zip(ks, tallies)]
+    computed path by path.  Each k reads its plus and its minus image
+    stream, which share one suffix_table(n); image_stats reads each image,
+    counted by (area - maj', ht) class, and no path is built.  An image
+    outside T(n, k) puts its ValueError, the first in the plus stream and
+    then the minus stream, at entry k in place of the expansion; the other
+    k still hold."""
+    table = suffix_table(n)
+    out = []
+    for k in range(0, n - 1):
+        stats = image_stats(n, k)
+        tally = {}
+        last = None  # the words of one prefix class share one descent set
+        try:
+            for minus in (False, True):
+                for word, _, _, descents, image in image_stream(n, k, minus, table):
+                    if descents is not last:
+                        last, maj = descents, sum(descents)
+                    area, ht = stats(word, image)
+                    key = area - maj, ht
+                    tally[key] = tally.get(key, 0) + 1
+        except ValueError as exc:
+            out.append(exc)
+            continue
+        out.append(tally_hooks(n, tally, "a Pieri image"))
+    return out
 
 
 def perp_via_paths(n: int, k: int) -> SchurExpansion:

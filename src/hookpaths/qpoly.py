@@ -121,14 +121,19 @@ class LaurentPoly:
 
     def coefficient_of(self, name: str, power: int) -> "LaurentPoly":
         """The coefficient of name**power, as a polynomial in the other variables."""
+        return self.coefficients_of(name).get(power, ZERO)
+
+    def coefficients_of(self, name: str) -> dict:
+        """{power: coefficient_of(name, power)} over the powers of name that
+        occur, read in one pass over the terms."""
         i = _VAR_INDEX[name]
         out = {}
         for expo, c in self._terms.items():
-            if expo[i] == power:
-                reduced = list(expo)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return LaurentPoly._trusted(out)  # distinct keys stay distinct with one exponent fixed
+            reduced = list(expo)
+            reduced[i] = 0
+            out.setdefault(expo[i], {})[tuple(reduced)] = c
+        # distinct keys stay distinct with one exponent fixed
+        return {power: LaurentPoly._trusted(terms) for power, terms in out.items()}
 
     def equals_shifted(self, other, c: int = 1, eq: int = 0, et: int = 0, ez: int = 0) -> bool:
         """self == c * q^eq t^et z^ez * other, decided term by term without

@@ -21,7 +21,7 @@ from math import comb, inf
 from . import characters, pierimaps
 from .characters import tally_hooks
 from .paths import binom2, family_tally, gf_T, gf_closed, words_T
-from .qpoly import gauss_binomial, q_pochhammer, z as z_var
+from .qpoly import ONE, ZERO, gauss_binomial, q_power, z as z_var
 from .schur import e_perp_by_k, first_row_fingerprint, two_row_part
 from .shapes import make_hook, partitions_of, partition_str
 
@@ -98,15 +98,23 @@ def _timed(suite, params, check, status="fail"):
 # it builds inside the first instance that calls it, a raising build is not
 # cached, so every instance that calls it fails alike, and the size's data is
 # dropped at the next size.  gf's gf_T(m, 0) builder spans sizes, since each
-# n's start-shift reads every smaller m, and is dropped with the suite.
+# n's start-shift reads every smaller m, and so does its product builder,
+# since each n's product extends the last; both are dropped with the suite.
 
 
 def suite_gf(max_n: int):
     base = cache(lambda m: gf_T(m, 0))  # each start-shift reads the smaller sizes' families
+
+    @cache
+    def product(m):
+        """q_pochhammer(z, m - 2), as the last size's product times one more
+        factor (1 + z q^(m-2)); independent of gf_T."""
+        return ONE if m < 3 else product(m - 1) * (ONE + z_var * q_power(m - 2))
+
     for n in range(2, max_n + 1):
         def poch():
             lhs = base(n)
-            rhs = q_pochhammer(z_var, n - 2)
+            rhs = product(n)
             return None if lhs == rhs else f"{lhs} != {rhs}"
 
         yield {"identity": "pochhammer", "n": n}, poch
@@ -123,8 +131,9 @@ def suite_gf(max_n: int):
         yield {"identity": "start-shift", "n": n}, shifted
 
         def slices():
+            by_height = base(n).coefficients_of("z")  # one pass, every height slice
             for j in range(0, n - 1):
-                if not base(n).coefficient_of("z", j).equals_shifted(gauss_binomial(n - 2, j), 1, binom2(j + 1)):
+                if not by_height.get(j, ZERO).equals_shifted(gauss_binomial(n - 2, j), 1, binom2(j + 1)):
                     return f"height slice j={j} mismatch"
             return None
 
@@ -237,53 +246,59 @@ def _signed_tally(tally, *less) -> dict:
 def suite_bijections(max_n: int):
     for n in range(3, max_n + 1):
         stats = cache(lambda k: pierimaps.image_stats(n, k))
+        members = cache(lambda k: pierimaps.member_prefixes(n, k))  # both maps' membership at k
+        table = cache(lambda: pierimaps.suffix_table(n))  # both maps' free suffixes at every k
         slices = cache(lambda: _height_slices(n))
-        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, stats)
-        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, stats)
+        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, stats, members, table)
+        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, stats, members, table)
         yield {"map": "east-start", "n": n}, lambda: _check_phi(n, slices)
         yield {"map": "north-start", "n": n}, lambda: _check_omega(n, slices)
         yield {"map": "descent-path", "n": n}, lambda: _check_beta(n, slices)
         yield {"map": "slice-partition", "n": n}, lambda: _check_slice(slices)
 
 
-def _check_pieri(n, minus, stats):
+def _check_pieri(n, minus, stats, members, table):
     """The plus map (minus=False) or the minus map on every k: the hook law,
     injectivity, and the image being the plus set or the V set -- each image
     in T(n, k), its descent set's member_prefix leading it, and as many
-    images as the set has members.  The kernel maps each base word once, at
-    every k of its domain; each k is then checked in turn, in word order,
-    through stats(k), the suite's builder of image_stats(n, k)."""
+    images as the set has members.  Each k reads the map's image stream in
+    word order, through the suite's builders of image_stats(n, k), of
+    member_prefixes(n, k) and of the suffix table(n) that every stream of n
+    shares."""
     m = int(minus)
-    kernel = pierimaps.minus_image if minus else pierimaps.plus_image
-    ks = range(m, n - 1)
-    domains = {k: [] for k in ks}  # k -> [(base word, area, ht, descents, image word)]
-    for gamma, area, ht in words_T(n, 0):
-        for k, descents, image in kernel(n, ks, gamma):
-            domains[k].append((gamma, area, ht, descents, image))
     target = "V" if minus else "plus"
-    for k, domain in domains.items():
+    unknown = (("N", inf),) * 2  # a descent set that is no k-subset tags no member
+    for k in range(m, n - 1):
         length = n - k - 2
         image_stats = stats(k)
-        prefixes = {
-            frozenset(combo): pierimaps.member_prefix(n, combo, minus)
-            for combo in combinations(range(1, n), k)
-        }
-        images = set()
-        for gamma, area, ht, descents, word in domain:
+        prefixes = members(k)
+        images = {}  # descent set -> its image words
+        count = 0
+        last = None  # the words of one prefix class share one descent set
+        for count, (gamma, area, ht, descents, word) in enumerate(
+            pierimaps.image_stream(n, k, minus, table()), 1
+        ):
+            if descents is not last:
+                last, words = descents, images.setdefault(descents, set())
+                # the hook law: the image's hook (area + ht + 1 - m, 1^(n-2-ht-k+m))
+                # means an image k - m steps higher and maj' - k boxes larger
+                gain = sum(descents) - k
+                step, run = prefixes.get(descents, unknown)[m]
+                lead = step * run if run <= length else None
             try:
                 image_area, image_ht = image_stats(gamma, word)
             except ValueError:  # the image word is off the (n, k) family
                 return f"k={k} image of {gamma} is not in the {target} set"
-            images.add((descents, word))
-            # the hook law: the image's hook is (area + ht + 1 - m, 1^(n-2-ht-k+m))
-            if image_ht != ht + k - m or image_area - sum(descents) + image_ht != area + ht - m:
+            words.add(word)
+            if image_ht - ht != k - m or image_area - area != gain:
                 return f"k={k} hook law fails on {gamma}"
-            step, run = prefixes.get(descents, ("N", inf))
-            if len(word) - len(word.lstrip(step)) < run:
+            if lead is None or not word.startswith(lead):
                 return f"k={k} image of {gamma} is not in the {target} set"
-        if len(images) != len(domain):
+        distinct = sum(map(len, images.values()))
+        if distinct != count:
             return f"k={k} not injective"
-        if len(images) != sum(2 ** (length - run) for _, run in prefixes.values() if run <= length):
+        runs = (both[m][1] for both in prefixes.values())
+        if distinct != sum(2 ** (length - run) for run in runs if run <= length):
             return f"k={k} image is not the {target} set"
     return None
 

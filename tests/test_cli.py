@@ -399,7 +399,10 @@ def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
         assert code == 0 and out
     # the map checks and the perp sum read the same way
     stats = cache(lambda k: pierimaps.image_stats(6, k))
-    assert verify._check_pieri(6, False, stats) is None and verify._check_pieri(6, True, stats) is None
+    members = cache(lambda k: pierimaps.member_prefixes(6, k))
+    table = cache(lambda: pierimaps.suffix_table(6))
+    for minus in (False, True):
+        assert verify._check_pieri(6, minus, stats, members, table) is None
     pierimaps.perp_via_paths(6, 2)
     assert built == []
 

@@ -164,6 +164,48 @@ def test_leading_run_counts_conventions_and_refusal(monkeypatch):
         leading_run_counts(7, 0)
 
 
+def fold_family_tally(families):
+    """family_tally as one fold per family: its class counts, shifted."""
+    tally = Counter()
+    for (m, s), shifts in families.items():
+        paths.add_shifted(tally, family_counts(m, s), shifts)
+    return tally
+
+
+_FAMILIES = st.dictionaries(
+    # sizes below 2, start heights past the staircase, negative shifts
+    st.tuples(st.integers(0, 11), st.integers(0, 12)),
+    st.dictionaries(st.integers(-30, 30), st.integers(1, 5), min_size=1, max_size=4),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FAMILIES)
+def test_family_tally_matches_the_per_family_fold(families):
+    assert paths.family_tally(families) == fold_family_tally(families)
+
+
+def test_family_tally_walks_each_size_apart():
+    # the families of two sizes share heights and gains; a walk that carried
+    # one size's level into the next would count T(6, 0)'s paths again at m = 5
+    for families in (
+        {(6, 0): {0: 1}, (5, 0): {0: 1}},
+        {(5, 1): {-3: 2}, (8, 0): {1: 1}, (8, 3): {0: 1, 7: 2}, (1, 0): {4: 1}, (7, 9): {-2: 1}},
+        {(n, s): {s - n: 1} for n in range(0, 10) for s in range(0, n + 1)},
+    ):
+        assert paths.family_tally(families) == fold_family_tally(families), families
+    assert paths.family_tally({}) == Counter() and paths.family_tally({(1, 0): {0: 3}}) == Counter()
+
+
+def test_family_tally_refuses_as_its_families_do(monkeypatch):
+    with pytest.raises(ValueError, match="start height must be nonnegative"):
+        paths.family_tally({(5, 1): {0: 1}, (5, -1): {0: 1}})
+    monkeypatch.setattr(paths, "PATH_STEP_BOUND", 4)
+    with pytest.raises(ValueError, match=r"the \(n=7, s=0\) family has 2\^5 paths"):
+        paths.family_tally({(7, 1): {0: 1}, (7, 0): {0: 1}})
+
+
 def test_gf_matches_closed_form_up_to_the_path_bound():
     # the level DP and the q-binomial sum, two independent computations, on
     # every family the bound lets through

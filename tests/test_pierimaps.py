@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hookpaths import characters as ch
 from hookpaths import pierimaps as pm
-from hookpaths.paths import LatticePath, enumerate_T, filter_paths
+from hookpaths.paths import WALK_BLOCK_STEPS, LatticePath, enumerate_T, filter_paths, words_T
 from hookpaths.schur import SchurExpansion, e_perp
 from hookpaths.shapes import hook_index, hook_tableau_from_descents
 
@@ -231,7 +231,7 @@ def test_kernels_apply_their_own_domain():
     # each kernel maps a word at exactly the k of ks that map_domain admits,
     # for every sub-range of -1..n
     for n in range(2, 11):
-        for word, _, _ in pm.words_T(n, 0):
+        for word, _, _ in words_T(n, 0):
             for kernel, minus in ((pm.plus_image, False), (pm.minus_image, True)):
                 for start in range(-1, n + 1):
                     for stop in range(start, n + 1):
@@ -286,13 +286,83 @@ def test_map_domain_reads_the_east_count_rules():
         (True, lambda k, word: k >= 1 and word.count("E") >= k - 1 and "N" in word),
     )
     for n in range(2, 11):
-        for word, _, _ in pm.words_T(n, 0):
+        for word, _, _ in words_T(n, 0):
             for minus, rule in rules:
                 for start in range(-1, n):
                     for stop in range(start, n + 1):
                         ks = range(start, stop)
                         domain = pm.map_domain(ks, word, minus)
                         assert list(domain) == [k for k in ks if rule(k, word)], (word, minus, ks)
+
+
+def _kernel_images(n, k, minus):
+    """The per-word kernel's images at k over words_T(n, 0), as the image
+    stream lists them: (base word, area, ht, descents, image word)."""
+    kernel = pm.minus_image if minus else pm.plus_image
+    return [
+        (word, area, ht, descents, image)
+        for word, area, ht in words_T(n, 0)
+        for _, descents, image in kernel(n, range(k, k + 1), word)
+    ]
+
+
+def test_image_stream_matches_the_kernels():
+    # every k of every n up to 11; past the suffix block the stream walks
+    # heads: at n = 13 and 14 every k = 0 image and some of k = 1 and 3
+    cases = [(n, k) for n in range(2, 12) for k in range(0, n - 1)]
+    cases += [(n, k) for n in (13, 14) for k in (0, 1, 3)]
+    assert max(n - 2 for n, _ in cases) > WALK_BLOCK_STEPS + 1
+    for n, k in cases:
+        table = pm.suffix_table(n)
+        for minus in (False, True):
+            assert list(pm.image_stream(n, k, minus, table)) == _kernel_images(n, k, minus), (n, k, minus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=14).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n - 2), st.booleans())
+))
+def test_image_stream_matches_the_kernels_property(case):
+    n, k, minus = case
+    assert list(pm.image_stream(n, k, minus, pm.suffix_table(n))) == _kernel_images(n, k, minus)
+
+
+def test_image_classes_split_the_domain():
+    # each class's words share its prefix, descents and image head, and the
+    # classes are the stream in word order, one class after another
+    for n in range(2, 10):
+        for k in range(0, n - 1):
+            for minus in (False, True):
+                stream = iter(pm.image_stream(n, k, minus, pm.suffix_table(n)))
+                for prefix, area, ht, descents, head in pm.image_classes(n, k, minus):
+                    free = n - 2 - len(prefix)
+                    for _ in range(2 ** free):
+                        word, word_area, word_ht, word_descents, image = next(stream)
+                        suffix = word[len(prefix):]
+                        assert word.startswith(prefix) and image == head + suffix
+                        assert word_descents == descents and word_ht - ht == suffix.count("N")
+                        assert word_area - area == sum(free - j for j, step in enumerate(suffix) if step == "N")
+                assert next(stream, None) is None
+    with pytest.raises(ValueError, match=r"k=4 outside 0\.\.3"):
+        list(pm.image_classes(5, 4, False))
+
+
+def test_suffix_table_lists_every_suffix_block():
+    for n in range(2, 14):
+        table = pm.suffix_table(n)
+        assert len(table) == min(WALK_BLOCK_STEPS, n - 2) + 1
+        for r, entries in enumerate(table):
+            # the r-step suffixes add the gains r down to 1, as T(r + 2, 0) does
+            assert entries == list(words_T(r + 2, 0)), (n, r)
+
+
+def test_member_prefixes_read_member_prefix():
+    for n in range(2, 9):
+        for k in range(0, n - 1):
+            table = pm.member_prefixes(n, k)
+            assert len(table) == math.comb(n - 1, k)
+            for combo in combinations(range(1, n), k):
+                assert table[frozenset(combo)] == (pm.member_prefix(n, combo), pm.member_prefix(n, combo, True))
 
 
 def test_image_stats_reads_split_families():
@@ -316,10 +386,11 @@ def test_image_stats_reads_split_families():
 def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
     # the minus image of EN at k = 1, a step short, is off T(4, 1); k = 0
     # has no minus images and k = 2's are already empty
-    minus = pm.minus_image
-    monkeypatch.setattr(pm, "minus_image", lambda n, ks, word: [
-        (k, descents, image[1:]) for k, descents, image in minus(n, ks, word)
-    ])
+    stream = pm.image_stream
+    monkeypatch.setattr(pm, "image_stream", lambda n, k, minus, table: (
+        (gamma, area, ht, descents, image[1:] if minus else image)
+        for gamma, area, ht, descents, image in stream(n, k, minus, table)
+    ))
     perps = pm.perp_via_paths_by_k(4)
     assert [isinstance(perp, ValueError) for perp in perps] == [False, True, False]
     assert str(perps[1]) == "k=1 image of EN is not in T(4, 1)"

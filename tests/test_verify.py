@@ -10,7 +10,7 @@ from functools import cache
 import pytest
 
 from hookpaths import characters, cli, pierimaps, verify
-from hookpaths.qpoly import q
+from hookpaths.qpoly import q, z
 from hookpaths.schur import SchurExpansion
 from hookpaths.shapes import partitions_of
 
@@ -34,10 +34,15 @@ def _shift_descents(monkeypatch):
     )
 
 
-def _stats(n):
-    """_check_pieri's image_stats(n, k) builder, looked up at each call so a
-    patched kernel is seen."""
-    return lambda k: pierimaps.image_stats(n, k)
+def _builders(n):
+    """_check_pieri's builders for n -- image_stats(n, k), member_prefixes(n,
+    k) and suffix_table(n) -- looked up at each call so a patched kernel is
+    seen."""
+    return (
+        lambda k: pierimaps.image_stats(n, k),
+        lambda k: pierimaps.member_prefixes(n, k),
+        lambda: pierimaps.suffix_table(n),
+    )
 
 
 def _slices(n):
@@ -52,20 +57,36 @@ def _flip_first_step(image):
     return descents, {"E": "N", "N": "E"}[word[0]] + word[1:] if word else word
 
 
-def _each_image(kernel, spoil):
-    """A range kernel that hands (k, *spoil(n, k, (descents, word))) on as
-    its image at each k."""
-    return lambda n, ks, word: [
-        (k, *spoil(n, k, (descents, image))) for k, descents, image in kernel(n, ks, word)
-    ]
+def _each_image(stream, spoil, only=None):
+    """An image stream that hands each entry's (descents, image word) on as
+    spoil(n, k, (descents, word)), for one map (only=False: plus, True:
+    minus) or both (only=None)."""
+    def spoiled(n, k, minus, table):
+        for gamma, area, ht, descents, image in stream(n, k, minus, table):
+            if only is None or only == minus:
+                descents, image = spoil(n, k, (descents, image))
+            yield gamma, area, ht, descents, image
+
+    return spoiled
+
+
+def _each_class(classes, spoil):
+    """An image_classes that hands each class on as spoil(n, k, minus,
+    class), or drops it where spoil gives None."""
+    def spoiled(n, k, minus):
+        for entry in classes(n, k, minus):
+            entry = spoil(n, k, minus, entry)
+            if entry is not None:
+                yield entry
+
+    return spoiled
 
 
 def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
-    for name in ("plus_image", "minus_image"):
-        kernel = getattr(pierimaps, name)
-        monkeypatch.setattr(pierimaps, name, _each_image(kernel, lambda n, k, image: _flip_first_step(image)))
-    assert verify._check_pieri(3, False, _stats(3)) == "k=0 hook law fails on E"
-    assert verify._check_pieri(4, True, _stats(4)) == "k=1 hook law fails on EN"
+    stream = pierimaps.image_stream
+    monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, lambda n, k, image: _flip_first_step(image)))
+    assert verify._check_pieri(3, False, *_builders(3)) == "k=0 hook law fails on E"
+    assert verify._check_pieri(4, True, *_builders(4)) == "k=1 hook law fails on EN"
 
     # one step higher and one box less keeps the arm; only the leg is off
     monkeypatch.undo()
@@ -81,19 +102,19 @@ def test_pieri_check_reports_a_broken_hook_law(monkeypatch):
         return skewed_stats
 
     monkeypatch.setattr(pierimaps, "image_stats", skewed)
-    assert verify._check_pieri(3, False, _stats(3)) == "k=0 hook law fails on E"
+    assert verify._check_pieri(3, False, *_builders(3)) == "k=0 hook law fails on E"
 
 
 def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
     # every descent one lower raises each minus image's hook arm by k; the
     # minus map needs k >= 1, so the k = 0 instances still pass
-    minus = pierimaps.minus_image
+    stream = pierimaps.image_stream
 
     def lowered(n, k, image):
         descents, word = image
         return frozenset(d - 1 for d in descents), word
 
-    monkeypatch.setattr(pierimaps, "minus_image", _each_image(minus, lowered))
+    monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, lowered, only=True))
     assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
     assert [line.split(" -- ")[0] for line in failed] == [
@@ -108,7 +129,7 @@ def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
         descents, word = image
         return descents, word[1:]
 
-    monkeypatch.setattr(pierimaps, "minus_image", _each_image(minus, shortened))
+    monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, shortened, only=True))
     assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
     assert failed == ["[FAIL    ] pieri-paths check=perp n=4 k=1 -- exception: k=1 image of EN is not in T(4, 1)"]
@@ -118,41 +139,77 @@ def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
 # major index, so the hook law holds, but T+ needs the prefix NN there, and
 # {0, 7} is no descent set at all
 def test_pieri_check_reports_an_image_off_the_set(monkeypatch):
-    plus = pierimaps.plus_image
+    stream = pierimaps.image_stream
     for moved_to in ({2, 5}, {0, 7}):
 
         def moved(n, k, image, moved_to=frozenset(moved_to)):
             descents, word = image
             return (moved_to if descents == {3, 4} else descents), word
 
-        monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, moved))
-        assert verify._check_pieri(6, False, _stats(6)) == "k=2 image of NEEE is not in the plus set"
+        monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, moved))
+        assert verify._check_pieri(6, False, *_builders(6)) == "k=2 image of NEEE is not in the plus set"
 
 
 def test_pieri_check_reports_an_image_in_another_family(monkeypatch):
     # N w from height 0 and w from height 1 share area and height, so the
     # hook law and every prefix hold; the image is still not in T(4, 0)
-    plus = pierimaps.plus_image
+    stream = pierimaps.image_stream
 
     def lifted(n, k, image):
         descents, word = image
         return descents, (word[1:] if word.startswith("N") else word)
 
-    monkeypatch.setattr(pierimaps, "plus_image", _each_image(plus, lifted))
-    assert verify._check_pieri(4, False, _stats(4)) == "k=0 image of NE is not in the plus set"
+    monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, lifted))
+    assert verify._check_pieri(4, False, *_builders(4)) == "k=0 image of NE is not in the plus set"
 
 
 def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
     # every image still lies in its set, but one member of the set is
-    # missed: the plus domain loses EE and the minus domain NE at every k
-    domain = pierimaps.map_domain
+    # missed: the plus stream loses EE and the minus stream NE at every k
+    stream = pierimaps.image_stream
     missed = {False: "EE", True: "NE"}
-    monkeypatch.setattr(
-        pierimaps, "map_domain",
-        lambda ks, word, minus=False: range(0) if word == missed[minus] else domain(ks, word, minus),
-    )
-    assert verify._check_pieri(4, False, _stats(4)) == "k=0 image is not the plus set"
-    assert verify._check_pieri(4, True, _stats(4)) == "k=1 image is not the V set"
+
+    def short(n, k, minus, table):
+        return (entry for entry in stream(n, k, minus, table) if entry[0] != missed[minus])
+
+    monkeypatch.setattr(pierimaps, "image_stream", short)
+    assert verify._check_pieri(4, False, *_builders(4)) == "k=0 image is not the plus set"
+    assert verify._check_pieri(4, True, *_builders(4)) == "k=1 image is not the V set"
+
+
+def test_pieri_check_reports_a_spoiled_class(monkeypatch):
+    # faults of one prefix class reach every word of it: at n = 5 the minus
+    # class EN of k = 1 maps ENw to ({2}, Ew), and the plus class NE of
+    # k = 1 maps NEw to ({3}, Nw)
+    classes = pierimaps.image_classes
+
+    def patched(spoil):
+        monkeypatch.setattr(pierimaps, "image_classes", _each_class(classes, spoil))
+
+    def class_of(prefix, minus, change):
+        return lambda n, k, m, entry: change(entry) if (k, m, entry[0]) == (1, minus, prefix) else entry
+
+    # a head one east step short puts the image off T(5, 1)
+    patched(class_of("EN", True, lambda e: (*e[:4], e[4][1:])))
+    assert verify._check_pieri(5, True, *_builders(5)) == "k=1 image of ENE is not in the V set"
+    # a head whose first step is flipped keeps its length but not the hook law
+    patched(class_of("NE", False, lambda e: (*e[:4], "E")))
+    assert verify._check_pieri(5, False, *_builders(5)) == "k=1 hook law fails on NEE"
+    # a descent set one higher breaks the hook law too
+    patched(class_of("NE", False, lambda e: (*e[:3], frozenset({4}), e[4])))
+    assert verify._check_pieri(5, False, *_builders(5)) == "k=1 hook law fails on NEE"
+    # a dropped class leaves the image short of the set
+    patched(class_of("NE", False, lambda e: None))
+    assert verify._check_pieri(5, False, *_builders(5)) == "k=1 image is not the plus set"
+    # so does a stream that drops one suffix block entry of every class
+    monkeypatch.undo()
+    table = pierimaps.suffix_table
+
+    def clipped(n):
+        return [entries[:-1] if r else entries for r, entries in enumerate(table(n))]
+
+    monkeypatch.setattr(pierimaps, "suffix_table", clipped)
+    assert verify._check_pieri(5, False, *_builders(5)) == "k=0 image is not the plus set"
 
 
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
@@ -364,6 +421,21 @@ def test_a_wrong_family_fails_each_start_shift_that_reads_it(monkeypatch):
         ("start-shift", 4, "s=0: enumeration != closed form"),
         ("height-slice", 4, "height slice j=0 mismatch"),
     ] + [("start-shift", n, f"s={n - 4}: start-height shift identity fails") for n in range(5, 8)]
+
+
+def test_a_slice_wrong_in_one_term_fails_at_its_height(monkeypatch):
+    # gf_T(5, 0) with one z^2 term off by one: the one-pass grouping by
+    # z-degree must still hand the height-slice check that term at j = 2
+    family = verify.gf_T
+
+    def spoiled(n, s):
+        gf = family(n, s)
+        return gf + q**3 * z**2 if (n, s) == (5, 0) else gf
+
+    monkeypatch.setattr(verify, "gf_T", spoiled)
+    reports = verify.run_suite("gf", 5)
+    slices = [r.line() for r in reports if r.params["identity"] == "height-slice" and r.status == "fail"]
+    assert slices == ["[FAIL    ] gf identity=height-slice n=5 -- height slice j=2 mismatch"]
 
 
 def test_a_family_wrong_with_its_closed_form_fails_only_its_start_shift(monkeypatch):
