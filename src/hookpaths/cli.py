@@ -54,6 +54,24 @@ def cmd_expand(args) -> int:
     return 0
 
 
+def _hook_labels(n: int):
+    """label(a, ht, context) == partition_str(path_hook(n, a, ht, context)):
+    the text of the hook (a + ht + 1, 1^(n-2-ht)) that a path term labels.
+    Its leg ",1" * (n-2-ht) depends on the height alone, so each height's is
+    written once; an arm of 0 or less, or a height outside 0..n-2, goes
+    through path_hook and its guard."""
+    legs = [",1" * (n - 2 - ht) for ht in range(n - 1)]
+    top = n - 2
+
+    def label(a: int, ht: int, context="") -> str:
+        arm = a + ht + 1
+        if arm > 0 and 0 <= ht <= top:
+            return f"{arm}{legs[ht]}"
+        return partition_str(path_hook(n, a, ht, context))
+
+    return label
+
+
 def cmd_paths(args) -> int:
     n, s = args.n, args.s
     grid = _family_grid(n, s)  # refuses an oversized family before any output
@@ -65,16 +83,16 @@ def cmd_paths(args) -> int:
         block = [("eps", 0, 0)]
     # every row of an (area, ht) class shares its text but the word, so the
     # rows of each head come out as one string
-    hooks = {key: partition_str(path_hook(n, *key)) for key in family_counts(n, s)}
+    classes, label = family_counts(n, s), _hook_labels(n)
     write = sys.stdout.write
     if args.json:
         if not block:
             _emit_json({"n": n, "s": s, "paths": []})
             return 0
         opens = {
-            (area, ht): f'  {{\n   "area": {area},\n   "hook": "{hook}",'
+            (area, ht): f'  {{\n   "area": {area},\n   "hook": "{label(area, ht)}",'
                         f'\n   "ht": {ht},\n   "word": "'
-            for (area, ht), hook in hooks.items()
+            for area, ht in classes
         }
         write(f'{{\n "n": {n},\n "paths": [\n')
         sep = ""
@@ -86,8 +104,8 @@ def cmd_paths(args) -> int:
         write(f'\n ],\n "s": {s}\n}}\n')
         return 0
     tails = {
-        (area, ht): f"  area={area:<3d} ht={ht:<2d} hook={hook}\n"
-        for (area, ht), hook in hooks.items()
+        (area, ht): f"  area={area:<3d} ht={ht:<2d} hook={label(area, ht)}\n"
+        for area, ht in classes
     }
     write(f"# paths for n={n} s={s}: {2 ** length if grid else 0} total\n")
     pad = " " * (max(3, n) - (length or 3))
@@ -150,6 +168,7 @@ def cmd_pieri(args) -> int:
     else:
         rows = _pieri_rows(n, k)
     stats = pierimaps.image_stats(n, k)
+    label = _hook_labels(n)
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -161,8 +180,8 @@ def cmd_pieri(args) -> int:
         images = {}  # side -> (descents, image word, hook)
         for side, (descents, image) in maps.items():
             image_area, image_ht = stats(word, image)
-            hook = path_hook(n, image_area - sum(descents), image_ht, word)
-            images[side] = (sorted(descents), image or "eps", partition_str(hook))
+            hook = label(image_area - sum(descents), image_ht, word)
+            images[side] = (sorted(descents), image or "eps", hook)
         word = word or "eps"
         if args.json:  # json.dumps(indent=1, sort_keys=True) two levels deep
             text = f'  {{\n   "area": {area},\n   "ht": {ht},\n'

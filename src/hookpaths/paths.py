@@ -10,14 +10,16 @@ word), and n < 2 gives the empty family.
 
 Every sum over a whole family reads it by (area, ht) class, which costs
 polynomially in n: gf_T and hat_gf through family_counts, its number of
-paths per class, and family_tally through one walk of the same level step
-(_extend) over all the families of one ambient size; leading_run_counts
-splits those classes by the word's leading north or east run, for the
-Pieri sets.  enumerate_T, and the walk words_T over family_blocks' split
-of the words, visit all 2^(n-s-2) words; they serve the callers that need
-each path, and are the oracles for both.
+paths per class, counted in one packed integer.  family_tally walks all
+the families of one ambient size at once, and leading_run_counts splits a
+family's classes by the word's leading north or east run, for the Pieri
+sets; both start from several classes, so they step a dict of classes
+(_extend), which is also family_counts' oracle.  enumerate_T, and the walk
+words_T over family_blocks' split of the words, visit all 2^(n-s-2) words;
+they serve the callers that need each path, and are the oracles for both.
 """
 
+import sys
 from collections import Counter
 from itertools import product
 
@@ -224,25 +226,55 @@ def words_T(n: int, s: int):
 def family_counts(n: int, s: int) -> dict:
     """(area, ht) -> number of paths in the (n, s) family.
 
-    A walk over the steps, run on counts instead of words: each level maps
-    the (area, ht) classes of the prefixes to their sizes.  At the step of gain
-    g (from L = n-s-2 down to 1) the E children keep their class, so the
-    level is copied, and the N children of a class move to (area + g,
-    ht + 1).  A level holds at most (L+1)(binom(L+1, 2)+1) classes where a
-    walk over words visits 2^L.  The family and its refusal are _family_grid's.
+    The classes are counted in one packed integer: its 64-bit digit j*W + a,
+    with W = binom(L+1, 2) + 1 and L = n-s-2, counts the words with j north
+    steps whose gains add up to a.  The empty prefix is the digit 1, and
+    the step of gain g (from L down to 1) keeps every word (its E child)
+    and adds a copy moved up by one north step and g boxes (its N child):
+    x += x << 64*(W + g).  A class holds fewer than 2^L words, so no digit
+    carries into the next while L <= 63, and longer families are refused.
+    The j north steps gain between 1 + ... + j and L + ... + (L-j+1), and
+    every sum in between occurs, so height s + j reads exactly that band
+    of digits, all nonzero.  The family and its refusal are _family_grid's;
+    _extend, the same walk on a dict of classes, is its test oracle.
     """
     grid = _family_grid(n, s)
     if grid is None:
         return {}
     s, length, area = grid
-    return _extend({(area, s): 1}, range(length, 0, -1))
+    if length > 63:
+        raise ValueError(
+            f"the (n={n}, s={s}) family has {length} steps, past the 63 that "
+            f"family_counts' 64-bit class counts hold"
+        )
+    width = binom2(length + 1) + 1
+    x = 1
+    for gain in range(length, 0, -1):
+        x += x << 64 * (width + gain)
+    # each digit's bytes in the machine's order, which "Q" reads.  A
+    # big-endian machine lists the digits from the top, but swapping a word's
+    # N and E steps maps digit j*W + a to (L-j)*W + (W-1-a): the digit string
+    # is a palindrome, so it reads the same either way
+    digits = memoryview(x.to_bytes(8 * (length + 1) * width, sys.byteorder)).cast("Q")
+    out = {}
+    lo = hi = 0  # the band of gain sums at height ht
+    start = -area  # the class (a, ht) is digit start + a
+    for ht in range(s, s + length + 1):
+        for a in range(area + lo, area + hi + 1):
+            out[a, ht] = digits[start + a]
+        start += width
+        lo += ht - s + 1
+        hi += length + s - ht
+    return out
 
 
 def _extend(level: dict, gains) -> dict:
     """The (area, ht) classes of the words that extend the prefixes counted
     in `level` by one free step per gain: the step of gain g keeps each
     class (its E children) and moves a copy of it to (area + g, ht + 1)
-    (its N children).  A family's last r steps are the gains r down to 1."""
+    (its N children).  A family's last r steps are the gains r down to 1.
+    It is family_counts' step on a dict, for levels that start from several
+    classes or from negative areas, and family_counts' test oracle."""
     for gain in gains:
         nxt = level.copy()
         get = nxt.get
@@ -260,7 +292,7 @@ def leading_run_counts(n: int, s: int) -> dict:
     Every nonempty word of L = n-s-2 steps is N^j E w or E^r N w for one
     run of 1 <= j, r < L, or is N^L or E^L; the empty word has both runs 0.
     Each such start is one class: its forced prefix fixes (area, ht), and
-    family_counts' level step (_extend) runs over the free rest w.  The
+    the class step _extend runs over the free rest w.  The
     family and its refusal are _family_grid's.
     """
     grid = _family_grid(n, s)
@@ -289,7 +321,7 @@ def family_tally(families) -> Counter:
     family's L = m-s-2 steps have the gains L down to 1, the last L steps
     of every longer family of that size.  So the walk starts at the longest
     family's length and adds each family's start class, shifted, when it
-    has that family's L steps left; each step is family_counts' (_extend).
+    has that family's L steps left; each step is the class step _extend.
     The families' refusals are _family_grid's.  This is the one fold
     behind every hook sum over path families.
     """

@@ -87,8 +87,11 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        """Terms as (exponent triple, coefficient) pairs in canonical order."""
-        return sorted(self._terms.items())
+        """Terms as (exponent triple, coefficient) pairs in canonical order.
+        The keys are distinct, so sorting them alone gives the pairs' order;
+        flat int triples sort by the fast tuple compare, pairs do not."""
+        terms = self._terms
+        return [(expo, terms[expo]) for expo in sorted(terms)]
 
     def coeff(self, eq: int = 0, et: int = 0, ez: int = 0) -> int:
         return self._terms.get((eq, et, ez), 0)
@@ -244,11 +247,14 @@ class LaurentPoly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         pieces = []
         append = pieces.append
-        for (eq, et, ez), c in sorted(self._terms.items()):
+        for expo in sorted(terms):  # items()' order
+            eq, et, ez = expo
+            c = terms[expo]
             mono = (
                 ("" if not eq else "*q" if eq == 1 else f"*q^{eq}")
                 + ("" if not et else "*t" if et == 1 else f"*t^{et}")

@@ -49,7 +49,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def partition_str(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam) if lam else "empty"
+    return ",".join(map(str, lam)) if lam else "empty"
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -169,8 +169,8 @@ def test_the_cli_starts_without_the_heavy_stdlib():
         "import sys, hookpaths.cli\n"
         "from hookpaths.fixtures import load_fixture\n"
         "assert len(load_fixture()) == 5\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing')"
-        " if m in sys.modules))\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing',"
+        " 'array', 'struct') if m in sys.modules))\n"
         # the argument parser is built at the first main() call, not at import
         "print(hookpaths.cli._parser)\n"
     )
@@ -320,6 +320,29 @@ def reference_pieri_output(n, k, as_json):
                     f"descents={img['descents']} hook={img['hook']}"
                 )
     return "".join(line + "\n" for line in lines)
+
+
+def test_hook_labels_equal_the_partition_text():
+    # every arm and leg around the guard's edges: arm 0 with leg 0 ("empty"),
+    # arm 0 with a leg, arms below 0, and heights outside 0..n-2
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+
+    for n in range(0, 9):
+        label = cli._hook_labels(n)
+        for ht in range(-2, n + 2):
+            for a in range(-n - 4, 6):
+                arm, leg = a + ht + 1, n - 2 - ht
+                want = outcome(lambda: partition_str(hook_index(arm, leg, "EN")))
+                assert outcome(label, a, ht, "EN") == want, (n, a, ht)
+                assert want == outcome(lambda: partition_str(paths.path_hook(n, a, ht, "EN")))
+        assert outcome(label, -n + 1, n - 2) == "empty"
+        assert outcome(label, -n, n - 2) == ("ValueError", "hook arm -1 out of range for ")
+        if n >= 3:
+            assert outcome(label, -1, 0, "NE") == ("ValueError", "hook arm 0 out of range for NE")
 
 
 def test_pieri_output_matches_reference_rendering(capsys):

@@ -143,6 +143,47 @@ def test_family_counts_conventions_and_refusal(monkeypatch):
     assert sum(family_counts(7, 1).values()) == 16
 
 
+def extend_oracle(n, s):
+    """family_counts(n, s) off the class step _extend, from the start class."""
+    grid = paths._family_grid(n, s)
+    if grid is None:
+        return {}
+    s, length, area = grid
+    return paths._extend({(area, s): 1}, range(length, 0, -1))
+
+
+def test_packed_family_counts_match_the_class_step():
+    for n in range(0, 23):
+        for s in range(0, n + 1):
+            assert family_counts(n, s) == extend_oracle(n, s), (n, s)
+
+
+def test_packed_digits_read_the_same_from_either_end():
+    # digits j*W + a and (L-j)*W + (W-1-a) count the same words with N and E
+    # swapped, so the packed digits need no care for the byte order
+    for length in range(0, 21):
+        top = binom2(length + 1)
+        counts = family_counts(length + 2, 0)
+        assert all(counts[top - a, length - j] == c for (a, j), c in counts.items())
+
+
+def test_packed_family_counts_hold_their_digits_or_refuse(monkeypatch):
+    # the longest family whose classes are sure to fit 64-bit digits (each
+    # holds fewer than 2^L words), and the first past that: refused, never
+    # read off digits that might have carried
+    monkeypatch.setattr(paths, "PATH_STEP_BOUND", 64)
+    counts = family_counts(65, 0)
+    assert counts == extend_oracle(65, 0)
+    assert max(counts.values()) > 2 ** 32  # past what 32-bit digits hold
+    assert sum(counts.values()) == 2 ** 63
+    with pytest.raises(ValueError) as exc:
+        family_counts(66, 0)
+    assert str(exc.value) == (
+        "the (n=66, s=0) family has 64 steps, past the 63 that family_counts' "
+        "64-bit class counts hold"
+    )
+
+
 def test_leading_run_counts_match_the_walk():
     # each start class against the per-word walk, labelled by its words' runs
     for n in range(0, 13):

@@ -247,11 +247,12 @@ def test_text_rendering():
 
 def reference_str(p):
     """LaurentPoly.__str__ as first written: a loop over the variables for
-    every term, and the first term's sign told apart while rendering."""
+    every term, and the first term's sign told apart while rendering, over
+    the (exponent triple, coefficient) pairs sorted as pairs."""
     if not p._terms:
         return "0"
     pieces = []
-    for expo, c in p.items():
+    for expo, c in sorted(p._terms.items()):
         factors = []
         for name, e in zip(("q", "t", "z"), expo):
             if e == 0:
@@ -282,6 +283,14 @@ def test_text_rendering_matches_reference():
             cases.append(LaurentPoly({expos[i]: c, expos[i + 1]: -1, expos[i + 2]: 2}))
     for p in cases:
         assert str(p) == reference_str(p), p._terms
+
+
+@given(st.dictionaries(st.tuples(exponents, exponents, exponents), coeffs, max_size=40).map(LaurentPoly))
+def test_rendering_sorts_the_keys_as_the_pairs_sort(p):
+    # items() and str() sort the exponent triples alone: distinct keys put
+    # the pairs in the same order, negative exponents and coefficients too
+    assert p.items() == sorted(p._terms.items())
+    assert str(p) == reference_str(p)
 
 
 @given(polys)
