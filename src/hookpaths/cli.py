@@ -136,9 +136,8 @@ SIDES = ("plus", "minus")  # the two Pieri maps, in the text listing's order
 def _pieri_rows(n: int, k: int):
     """(word, area, ht, {side: (descents, image word)}) for every base word
     of T(n, 0), in words_T's order: the plus and the minus image stream at
-    k, which share one suffix table, merged into the walk over the words."""
-    table = pierimaps.suffix_table(n)
-    streams = {side: pierimaps.image_stream(n, k, side == "minus", table) for side in SIDES}
+    k merged into the walk over the words."""
+    streams = {side: pierimaps.image_stream(n, k, side == "minus") for side in SIDES}
     upcoming = {side: next(stream, None) for side, stream in streams.items()}
     for word, area, ht in words_T(n, 0):
         images = {}
@@ -165,10 +164,13 @@ def cmd_pieri(args) -> int:
             for _, descents, image in kernel(n, ks, gamma.word)
         }
         rows = [(gamma.word, gamma.area(), gamma.ht(), images)]
+
+        def label(a, ht, context):  # one or two images: no leg for every height
+            return partition_str(path_hook(n, a, ht, context))
     else:
-        rows = _pieri_rows(n, k)
+        _family_grid(n, 0)  # refuses an oversized listing before any stream starts
+        rows, label = _pieri_rows(n, k), _hook_labels(n)
     stats = pierimaps.image_stats(n, k)
-    label = _hook_labels(n)
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"

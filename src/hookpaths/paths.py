@@ -17,10 +17,13 @@ sets; both start from several classes, so they step a dict of classes
 (_extend), which is also family_counts' oracle.  enumerate_T, and the walk
 words_T over family_blocks' split of the words, visit all 2^(n-s-2) words;
 they serve the callers that need each path, and are the oracles for both.
+The split's suffix block, suffix_block, is built once per length and
+shared, with pierimaps' image streams too.
 """
 
 import sys
 from collections import Counter
+from functools import cache
 from itertools import product
 
 from .qpoly import LaurentPoly, ZERO, gauss_binomial
@@ -168,11 +171,21 @@ def enumerate_T(n: int, s: int) -> list[LatticePath]:
     return [trusted(n, s, "".join(w)) for w in product("EN", repeat=length)]
 
 
-# The depth of family_blocks' split: its suffix block lists the last
-# WALK_BLOCK_STEPS steps once per call.  8 measured fastest over `paths` at
+# The depth of family_blocks' split: suffix_block lists the last
+# WALK_BLOCK_STEPS steps once per process.  8 measured fastest over `paths` at
 # n = 10..15 (a longer block costs more to list than its heads save) and
 # within noise of 10 at `paths --n 20`, where 12 raised peak RSS.
 WALK_BLOCK_STEPS = 8
+
+
+@cache
+def suffix_block(r: int) -> tuple:
+    """(word, delta area, delta ht) of every r-step suffix, in lexicographic
+    order (E < N), for r up to WALK_BLOCK_STEPS.  A north step r steps
+    before a word's end adds r boxes whatever precedes it, so one block
+    serves every family and every Pieri image stream: it is built once per
+    r, and shared as a tuple."""
+    return tuple(_walk([("", 0, 0)], range(r, 0, -1)))
 
 
 def family_blocks(n: int, s: int):
@@ -181,21 +194,19 @@ def family_blocks(n: int, s: int):
     A north step at (x, y) adds n-2-y-x boxes, and x + y = s + k at step k
     of L = n-s-2, so its gain L - k + 1 depends only on its position: the
     last b = min(WALK_BLOCK_STEPS, L) steps add the same (delta area,
-    delta ht) whatever prefix they follow.  `block` lists those
-    b-step suffixes once, as (word, delta area, delta ht) in lexicographic
-    order (E < N); `heads` lists each (word, area, ht) of the first L - b
-    steps in the same order, starting from the start row's statistics.  The
+    delta ht) whatever prefix they follow.  `block` is suffix_block(b);
+    `heads` lists each (word, area, ht) of the first L - b steps in
+    lexicographic order, from the start row's statistics.  The
     family is every head followed by every block entry, in enumerate_T's
     order: 2^(L-b) heads and 2^b block entries, not 2^L words.  The family
     and its refusal are _family_grid's; n < 2 gives no heads.
     """
     grid = _family_grid(n, s)
     if grid is None:
-        return [], []
+        return [], ()
     s, length, area = grid
     steps = min(WALK_BLOCK_STEPS, length)
-    heads = _walk([("", area, s)], range(length, steps, -1))
-    return heads, _walk([("", 0, 0)], range(steps, 0, -1))
+    return _walk([("", area, s)], range(length, steps, -1)), suffix_block(steps)
 
 
 def _walk(level: list, gains) -> list:

@@ -11,22 +11,22 @@ complement in 1..n-1 of the set a TaggedPath would carry.
 
 Membership in T+ and V depends only on a path's leading north or east run,
 against three runs that thresholds() reads off the descent set; for T+ and
-V that is one forced prefix of the word, member_prefix (member_prefixes
-holds both for every k-subset at once).  So the sets are
-read at two depths: pieri_tallies counts all five of T+, T-, V, W and
-V & T+ by (area - maj', ht) class, pairing descent classes with the
-leading-run classes of paths.leading_run_counts and building no path;
-build_sets builds every tagged path and is its oracle.
+V that is one forced prefix of the word (member_prefixes holds both for
+every k-subset at once).  So the sets are read at two depths:
+pieri_tallies counts all five of T+, T-, V, W and V & T+ by (area - maj',
+ht) class, pairing descent classes with the leading-run classes of
+paths.leading_run_counts and building no path; build_sets builds every
+tagged path and is its oracle.
 
 The maps are read as image streams, one per (n, k) and map: image_stream
 walks every base word of the map's domain in word order by prefix class
 (image_classes).  A word's plus image at k is fixed by its prefix through
 its k-th east step, and its minus image by its leading east run, its first
 north step and its (k-1)-th east step; each class builds its descent set
-and image head once, and every free suffix comes from suffix_table(n),
-built once per size.  cli's pieri reads one k's streams, perp_via_paths_by_k
-every k's and verify's map checks each k's of one map, with image_stats;
-no path is built.  The word kernels plus_image and minus_image map one
+and image head once, and every free suffix comes from paths.suffix_block,
+built once per process.  cli's pieri reads one k's streams,
+perp_via_paths_by_k every k's and verify's map checks each k's of one map,
+with image_stats; no path is built.  The word kernels plus_image and minus_image map one
 base word at every k of a range that map_domain admits, so a k outside the
 word's domain has no image: they serve a single path, and are the
 stream's oracle.  e_plus_map, e_minus_map, TaggedPath and hook_of are
@@ -45,8 +45,8 @@ from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    WALK_BLOCK_STEPS, LatticePath, _walk, add_shifted, clamp_start, enumerate_T, family_blocks,
-    leading_run_counts, path_hook,
+    WALK_BLOCK_STEPS, LatticePath, add_shifted, clamp_start, enumerate_T, family_blocks,
+    leading_run_counts, path_hook, suffix_block,
 )
 from .schur import SchurExpansion
 from .shapes import check_descents
@@ -217,20 +217,6 @@ def minus_image(n: int, ks: range, word: str) -> list:
     return images
 
 
-def suffix_table(n: int) -> list:
-    """The free suffixes that image_stream appends at size n: entry r lists
-    (word, delta area, delta ht) of every r-step suffix, in lexicographic
-    order (E < N), for r up to b = min(WALK_BLOCK_STEPS, n-2).  As in
-    family_blocks, a north step r steps before a word's end adds r boxes
-    whatever precedes it, in the base word and in its image alike; a suffix
-    longer than b is walked as a head in front of entry b."""
-    table = [[("", 0, 0)]]
-    for r in range(1, min(WALK_BLOCK_STEPS, n - 2) + 1):
-        last = table[-1]
-        table.append([("E" + w, da, dh) for w, da, dh in last] + [("N" + w, da + r, dh + 1) for w, da, dh in last])
-    return table
-
-
 def image_classes(n: int, k: int, minus: bool):
     """The prefix classes of the plus map (minus=False) or the minus map at
     k on T(n, 0), in lexicographic order: (prefix, area, ht, descents,
@@ -282,24 +268,24 @@ def image_classes(n: int, k: int, minus: bool):
         yield prefix, area, norths, frozenset(marks + (extra,)), "E" * (i - norths - need) + "N" * (norths - 1)
 
 
-def image_stream(n: int, k: int, minus: bool, table: list):
+def image_stream(n: int, k: int, minus: bool):
     """The plus map (minus=False) or the minus map at k on every base word
     of its domain, in words_T(n, 0)'s order: (base word, area, ht,
     descents, image word), the kernels' images read by prefix class
-    (image_classes).  Each class's free suffixes come from `table`,
-    suffix_table(n), which the caller shares between the streams of n; a
-    suffix past its last entry is walked as heads first, as family_blocks
-    walks a family.  No path is built."""
-    block = len(table) - 1
+    (image_classes).  A class's free suffixes of r steps add the same
+    statistics to the base word and its image as to the (r + 2, 0)
+    family's words, so they are paths.suffix_block(r), or past its depth
+    family_blocks(r + 2, 0)'s heads and block.  No path is built."""
     for prefix, area, ht, descents, head in image_classes(n, k, minus):
         free = n - 2 - len(prefix)
-        if free <= block:
-            for w, da, dh in table[free]:
+        if free <= WALK_BLOCK_STEPS:
+            for w, da, dh in suffix_block(free):
                 yield prefix + w, area + da, ht + dh, descents, head + w
             continue
-        for lead, lead_area, lead_ht in _walk([("", area, ht)], range(free, block, -1)):
-            word, image = prefix + lead, head + lead
-            for w, da, dh in table[block]:
+        heads, block = family_blocks(free + 2, 0)
+        for lead, lead_area, lead_ht in heads:
+            word, image, lead_area, lead_ht = prefix + lead, head + lead, area + lead_area, ht + lead_ht
+            for w, da, dh in block:
                 yield word + w, lead_area + da, lead_ht + dh, descents, image + w
 
 
@@ -380,23 +366,18 @@ def thresholds(n: int, combo) -> tuple:
     return plus_north, inf, inf
 
 
-def member_prefix(n: int, combo, v: bool = False) -> tuple:
-    """The (step, run) prefix that puts a path of the (n, k) family, tagged
-    by the k-subset `combo` (a sorted tuple, as thresholds takes), in T+ (or
-    in V when v is true): the tagged path is a member exactly when its word
-    begins with run copies of step.  A run of inf admits no path."""
-    return _prefixes(*thresholds(n, combo))[v]
-
-
 def member_prefixes(n: int, k: int) -> dict:
     """{descent set: (T+ prefix, V prefix)} over the k-subsets of 1..n-1,
-    member_prefix's two prefixes of each from one thresholds call: the one
+    from one thresholds call each: the (step, run) prefixes that put a
+    path of the (n, k) family, tagged by the descent set, in T+ and in V.
+    The tagged path is a member exactly when its word begins with run
+    copies of step; a run of inf admits no path.  This is the one
     membership table that both maps' checks at (n, k) read."""
-    return {frozenset(combo): _prefixes(*thresholds(n, combo)) for combo in combinations(range(1, n), k)}
-
-
-def _prefixes(plus_north, v_north, v_east) -> tuple:
-    return ("N", plus_north), (("N", v_north) if v_north != inf else ("E", v_east))
+    out = {}
+    for combo in combinations(range(1, n), k):
+        plus_north, v_north, v_east = thresholds(n, combo)
+        out[frozenset(combo)] = ("N", plus_north), (("N", v_north) if v_north != inf else ("E", v_east))
+    return out
 
 
 PieriSets = namedtuple("PieriSets", "tplus tminus v w")
@@ -404,7 +385,7 @@ PieriSets = namedtuple("PieriSets", "tplus tminus v w")
 
 def build_sets(n: int, k: int) -> PieriSets:
     """The tagged-path sets T+, T-, V, and W = T- \\ V for one (n, k), built
-    path by path: the oracle for pieri_tallies and member_prefix.
+    path by path: the oracle for pieri_tallies and member_prefixes.
 
     T+/T- split each tableau's path family by its leading north run; V
     collects the Pieri images of the minus map; W is the leftover measuring
@@ -472,12 +453,11 @@ def pieri_tallies(n: int, k: int) -> dict:
 def perp_via_paths_by_k(n: int) -> list:
     """[perp_via_paths(n, k) for k in 0..n-2]: the adjoint Pieri rule
     computed path by path.  Each k reads its plus and its minus image
-    stream, which share one suffix_table(n); image_stats reads each image,
-    counted by (area - maj', ht) class, and no path is built.  An image
+    stream; image_stats reads each image, counted by (area - maj', ht)
+    class, and no path is built.  An image
     outside T(n, k) puts its ValueError, the first in the plus stream and
     then the minus stream, at entry k in place of the expansion; the other
     k still hold."""
-    table = suffix_table(n)
     out = []
     for k in range(0, n - 1):
         stats = image_stats(n, k)
@@ -485,7 +465,7 @@ def perp_via_paths_by_k(n: int) -> list:
         last = None  # the words of one prefix class share one descent set
         try:
             for minus in (False, True):
-                for word, _, _, descents, image in image_stream(n, k, minus, table):
+                for word, _, _, descents, image in image_stream(n, k, minus):
                     if descents is not last:
                         last, maj = descents, sum(descents)
                     area, ht = stats(word, image)

@@ -247,24 +247,22 @@ def suite_bijections(max_n: int):
     for n in range(3, max_n + 1):
         stats = cache(lambda k: pierimaps.image_stats(n, k))
         members = cache(lambda k: pierimaps.member_prefixes(n, k))  # both maps' membership at k
-        table = cache(lambda: pierimaps.suffix_table(n))  # both maps' free suffixes at every k
         slices = cache(lambda: _height_slices(n))
-        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, stats, members, table)
-        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, stats, members, table)
+        yield {"map": "plus", "n": n}, lambda: _check_pieri(n, False, stats, members)
+        yield {"map": "minus", "n": n}, lambda: _check_pieri(n, True, stats, members)
         yield {"map": "east-start", "n": n}, lambda: _check_phi(n, slices)
         yield {"map": "north-start", "n": n}, lambda: _check_omega(n, slices)
         yield {"map": "descent-path", "n": n}, lambda: _check_beta(n, slices)
         yield {"map": "slice-partition", "n": n}, lambda: _check_slice(slices)
 
 
-def _check_pieri(n, minus, stats, members, table):
+def _check_pieri(n, minus, stats, members):
     """The plus map (minus=False) or the minus map on every k: the hook law,
     injectivity, and the image being the plus set or the V set -- each image
-    in T(n, k), its descent set's member_prefix leading it, and as many
+    in T(n, k), its descent set's member prefix leading it, and as many
     images as the set has members.  Each k reads the map's image stream in
-    word order, through the suite's builders of image_stats(n, k), of
-    member_prefixes(n, k) and of the suffix table(n) that every stream of n
-    shares."""
+    word order, through the suite's builders of image_stats(n, k) and of
+    member_prefixes(n, k)."""
     m = int(minus)
     target = "V" if minus else "plus"
     unknown = (("N", inf),) * 2  # a descent set that is no k-subset tags no member
@@ -275,9 +273,7 @@ def _check_pieri(n, minus, stats, members, table):
         images = {}  # descent set -> its image words
         count = 0
         last = None  # the words of one prefix class share one descent set
-        for count, (gamma, area, ht, descents, word) in enumerate(
-            pierimaps.image_stream(n, k, minus, table()), 1
-        ):
+        for count, (gamma, area, ht, descents, word) in enumerate(pierimaps.image_stream(n, k, minus), 1):
             if descents is not last:
                 last, words = descents, images.setdefault(descents, set())
                 # the hook law: the image's hook (area + ht + 1 - m, 1^(n-2-ht-k+m))

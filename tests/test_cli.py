@@ -224,6 +224,47 @@ def test_oversized_path_families_are_refused(capsys):
     )
 
 
+class Started(BaseException):
+    """What a spy raises when the work it stands for starts: cli.main turns
+    an Exception, AssertionError included, into exit 2, but not this."""
+
+
+def test_an_oversized_pieri_listing_is_refused_before_any_work(monkeypatch, capsys):
+    # with k near n the minus stream's first stack holds n prefixes, and the
+    # hook labels write n - 1 legs: neither may start before the refusal
+    def spy(name):
+        def started(*args):
+            raise Started(name)
+
+        return started
+
+    stats = pierimaps.image_stats
+    monkeypatch.setattr(pierimaps, "image_classes", spy("image_classes"))
+    monkeypatch.setattr(pierimaps, "image_stats", spy("image_stats"))
+    monkeypatch.setattr(cli, "_hook_labels", spy("_hook_labels"))
+    for argv in ([], ["--json"]):
+        code = cli.main(argv + ["pieri", "--n", "6000", "--k", "5998"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error (pieri): the (n=6000, s=0) family has 2^5998 paths, "
+            "past the enumeration bound of 2^20\n"
+        )
+    # one --path row reads its images' statistics, but labels them without a
+    # leg for every height, which at n = 8000 would hold some 64 MB of text
+    monkeypatch.setattr(pierimaps, "image_stats", stats)
+    word = "E" * 7990 + "N" * 8
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["pieri", "--n", "8000", "--k", "7990", "--path", word])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000, peak
+
+
 def test_paths_refuses_rows_wider_than_the_listing_bound(capsys):
     # a one-word family past n = 22 still pads its row to n columns
     refusal = "is past the listing bound of 22: rows are n wide"
@@ -423,9 +464,8 @@ def test_pieri_reads_its_images_without_building_a_path(monkeypatch, capsys):
     # the map checks and the perp sum read the same way
     stats = cache(lambda k: pierimaps.image_stats(6, k))
     members = cache(lambda k: pierimaps.member_prefixes(6, k))
-    table = cache(lambda: pierimaps.suffix_table(6))
     for minus in (False, True):
-        assert verify._check_pieri(6, minus, stats, members, table) is None
+        assert verify._check_pieri(6, minus, stats, members) is None
     pierimaps.perp_via_paths(6, 2)
     assert built == []
 
@@ -655,7 +695,9 @@ def _argv(draw):
             heights = st.integers(-3, 0) if command == "gf" else st.integers(-3, n) | st.integers(n - 22, n)
         argv += ["--n", number(st.just(n)), "--s", number(heights)]
     elif command == "pieri":
-        argv += ["--n", number(st.just(n)), "--k", number()]
+        # a k a few steps below n leaves the image families small, so only
+        # the listing's own refusal stops an oversized n
+        argv += ["--n", number(st.just(n)), "--k", number(_PARAMETER | st.integers(0, 4).map(lambda j: n - 2 - j))]
         word = st.text("NE", min_size=max(n - 2, 0), max_size=max(n - 2, 0))
         path = draw(st.none() | st.text("NEx", max_size=16) | (st.nothing() if oversized else word))
         argv += [] if path is None else ["--path", path]

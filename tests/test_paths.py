@@ -100,6 +100,25 @@ def test_word_walk_matches_the_oracle(monkeypatch, depth):
             assert list(words_T(n, s)) == oracle, (n, s, depth)
 
 
+def test_suffix_block_is_shared_and_lists_every_suffix():
+    for r in range(paths.WALK_BLOCK_STEPS + 1):
+        block = paths.suffix_block(r)
+        # the r-step suffixes add the gains r down to 1, as T(r + 2, 0) does from area 0
+        assert list(block) == [(p.word, p.area(), p.ht()) for p in enumerate_T(r + 2, 0)], r
+        assert isinstance(block, tuple) and paths.suffix_block(r) is block
+    assert paths.suffix_block.cache_info().currsize <= paths.WALK_BLOCK_STEPS + 1
+    # past the block's depth a walk from a start class is its heads before
+    # the shared block: T(L + 2, 0) shifted by the start's (area, ht)
+    for n, s in ((13, 1), (14, 3), (16, 4)):
+        length, start = n - s - 2, s * (n - 2) - binom2(s)
+        assert length > paths.WALK_BLOCK_STEPS
+        heads, block = paths.family_blocks(n, s)
+        assert block is paths.suffix_block(paths.WALK_BLOCK_STEPS)
+        assert len(heads) == 2 ** (length - paths.WALK_BLOCK_STEPS)
+        oracle = [(p.word, p.area() + start, p.ht() + s) for p in enumerate_T(length + 2, 0)]
+        assert list(words_T(n, s)) == oracle, (n, s)
+
+
 # at n = 18, s = 0 the per-word oracle alone walks 2^16 words, which can
 # outlast hypothesis's default 200 ms deadline
 @settings(deadline=None)

@@ -313,9 +313,8 @@ def test_image_stream_matches_the_kernels():
     cases += [(n, k) for n in (13, 14) for k in (0, 1, 3)]
     assert max(n - 2 for n, _ in cases) > WALK_BLOCK_STEPS + 1
     for n, k in cases:
-        table = pm.suffix_table(n)
         for minus in (False, True):
-            assert list(pm.image_stream(n, k, minus, table)) == _kernel_images(n, k, minus), (n, k, minus)
+            assert list(pm.image_stream(n, k, minus)) == _kernel_images(n, k, minus), (n, k, minus)
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,7 +323,7 @@ def test_image_stream_matches_the_kernels():
 ))
 def test_image_stream_matches_the_kernels_property(case):
     n, k, minus = case
-    assert list(pm.image_stream(n, k, minus, pm.suffix_table(n))) == _kernel_images(n, k, minus)
+    assert list(pm.image_stream(n, k, minus)) == _kernel_images(n, k, minus)
 
 
 def test_image_classes_split_the_domain():
@@ -333,7 +332,7 @@ def test_image_classes_split_the_domain():
     for n in range(2, 10):
         for k in range(0, n - 1):
             for minus in (False, True):
-                stream = iter(pm.image_stream(n, k, minus, pm.suffix_table(n)))
+                stream = iter(pm.image_stream(n, k, minus))
                 for prefix, area, ht, descents, head in pm.image_classes(n, k, minus):
                     free = n - 2 - len(prefix)
                     for _ in range(2 ** free):
@@ -347,22 +346,14 @@ def test_image_classes_split_the_domain():
         list(pm.image_classes(5, 4, False))
 
 
-def test_suffix_table_lists_every_suffix_block():
-    for n in range(2, 14):
-        table = pm.suffix_table(n)
-        assert len(table) == min(WALK_BLOCK_STEPS, n - 2) + 1
-        for r, entries in enumerate(table):
-            # the r-step suffixes add the gains r down to 1, as T(r + 2, 0) does
-            assert entries == list(words_T(r + 2, 0)), (n, r)
-
-
-def test_member_prefixes_read_member_prefix():
+def test_member_prefixes_key_every_k_subset():
+    # what each prefix admits is held against build_sets by
+    # test_tallies_and_built_sets_match_the_oracle
     for n in range(2, 9):
         for k in range(0, n - 1):
             table = pm.member_prefixes(n, k)
             assert len(table) == math.comb(n - 1, k)
-            for combo in combinations(range(1, n), k):
-                assert table[frozenset(combo)] == (pm.member_prefix(n, combo), pm.member_prefix(n, combo, True))
+            assert set(table) == {frozenset(combo) for combo in combinations(range(1, n), k)}
 
 
 def test_image_stats_reads_split_families():
@@ -387,9 +378,9 @@ def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
     # the minus image of EN at k = 1, a step short, is off T(4, 1); k = 0
     # has no minus images and k = 2's are already empty
     stream = pm.image_stream
-    monkeypatch.setattr(pm, "image_stream", lambda n, k, minus, table: (
+    monkeypatch.setattr(pm, "image_stream", lambda n, k, minus: (
         (gamma, area, ht, descents, image[1:] if minus else image)
-        for gamma, area, ht, descents, image in stream(n, k, minus, table)
+        for gamma, area, ht, descents, image in stream(n, k, minus)
     ))
     perps = pm.perp_via_paths_by_k(4)
     assert [isinstance(perp, ValueError) for perp in perps] == [False, True, False]
@@ -453,12 +444,13 @@ def tagged_tally(tagged_paths):
 
 def prefix_members(n, k, v=False):
     """The tagged paths of the (n, k) families whose words begin with their
-    descent sets' member_prefix: T+, or V when v is true."""
+    descent sets' member prefix: T+, or V when v is true."""
     family = enumerate_T(n, k)
+    members = pm.member_prefixes(n, k)
     out = set()
     for combo in combinations(range(1, n), k):
         d = frozenset(combo)
-        step, run = pm.member_prefix(n, combo, v)
+        step, run = members[d][v]
         out.update(pm.TaggedPath(d, path) for path in family if path.leading_run(step) >= run)
     return out
 
@@ -467,7 +459,8 @@ def prefix_size(n, k, v=False):
     """The number of tagged paths the member prefixes admit, 2^(length - run)
     for each descent set whose run fits in the family's length."""
     length = n - k - 2
-    runs = (pm.member_prefix(n, combo, v)[1] for combo in combinations(range(1, n), k))
+    members = pm.member_prefixes(n, k)
+    runs = (members[frozenset(combo)][v][1] for combo in combinations(range(1, n), k))
     return sum(2 ** (length - run) for run in runs if run <= length)
 
 

@@ -35,13 +35,12 @@ def _shift_descents(monkeypatch):
 
 
 def _builders(n):
-    """_check_pieri's builders for n -- image_stats(n, k), member_prefixes(n,
-    k) and suffix_table(n) -- looked up at each call so a patched kernel is
+    """_check_pieri's builders for n -- image_stats(n, k) and
+    member_prefixes(n, k) -- looked up at each call so a patched kernel is
     seen."""
     return (
         lambda k: pierimaps.image_stats(n, k),
         lambda k: pierimaps.member_prefixes(n, k),
-        lambda: pierimaps.suffix_table(n),
     )
 
 
@@ -61,8 +60,8 @@ def _each_image(stream, spoil, only=None):
     """An image stream that hands each entry's (descents, image word) on as
     spoil(n, k, (descents, word)), for one map (only=False: plus, True:
     minus) or both (only=None)."""
-    def spoiled(n, k, minus, table):
-        for gamma, area, ht, descents, image in stream(n, k, minus, table):
+    def spoiled(n, k, minus):
+        for gamma, area, ht, descents, image in stream(n, k, minus):
             if only is None or only == minus:
                 descents, image = spoil(n, k, (descents, image))
             yield gamma, area, ht, descents, image
@@ -169,8 +168,8 @@ def test_pieri_check_reports_a_domain_one_path_short(monkeypatch):
     stream = pierimaps.image_stream
     missed = {False: "EE", True: "NE"}
 
-    def short(n, k, minus, table):
-        return (entry for entry in stream(n, k, minus, table) if entry[0] != missed[minus])
+    def short(n, k, minus):
+        return (entry for entry in stream(n, k, minus) if entry[0] != missed[minus])
 
     monkeypatch.setattr(pierimaps, "image_stream", short)
     assert verify._check_pieri(4, False, *_builders(4)) == "k=0 image is not the plus set"
@@ -201,14 +200,10 @@ def test_pieri_check_reports_a_spoiled_class(monkeypatch):
     # a dropped class leaves the image short of the set
     patched(class_of("NE", False, lambda e: None))
     assert verify._check_pieri(5, False, *_builders(5)) == "k=1 image is not the plus set"
-    # so does a stream that drops one suffix block entry of every class
+    # so does a stream that drops one entry of every shared suffix block
     monkeypatch.undo()
-    table = pierimaps.suffix_table
-
-    def clipped(n):
-        return [entries[:-1] if r else entries for r, entries in enumerate(table(n))]
-
-    monkeypatch.setattr(pierimaps, "suffix_table", clipped)
+    block = pierimaps.suffix_block
+    monkeypatch.setattr(pierimaps, "suffix_block", lambda r: block(r)[:-1] if r else block(r))
     assert verify._check_pieri(5, False, *_builders(5)) == "k=0 image is not the plus set"
 
 
