@@ -134,9 +134,9 @@ SIDES = ("plus", "minus")  # the two Pieri maps, in the text listing's order
 
 
 def _pieri_rows(n: int, k: int):
-    """(word, area, ht, {side: (descents, image word)}) for every base word
-    of T(n, 0), in words_T's order: the plus and the minus image stream at
-    k merged into the walk over the words."""
+    """(word, area, ht, {side: (descents, image word, image area, image
+    ht)}) for every base word of T(n, 0), in words_T's order: the plus and
+    the minus image stream at k merged into the walk over the words."""
     streams = {side: pierimaps.image_stream(n, k, side == "minus") for side in SIDES}
     upcoming = {side: next(stream, None) for side, stream in streams.items()}
     for word, area, ht in words_T(n, 0):
@@ -155,14 +155,13 @@ def cmd_pieri(args) -> int:
     n, k = args.n, args.k
     # refused here: past 0..n-2 the kernels would list every path bare
     pierimaps.check_pieri_k(k, n)
-    if args.path is not None:  # one word: the per-word kernels
+    if args.path is not None:  # one word: the per-word kernels, and each image read as a path
         gamma = LatticePath.parse(n, 0, args.path)
-        ks = range(k, k + 1)
-        images = {
-            side: (descents, image)
-            for side, kernel in zip(SIDES, (pierimaps.plus_image, pierimaps.minus_image))
-            for _, descents, image in kernel(n, ks, gamma.word)
-        }
+        images = {}
+        for side, kernel in zip(SIDES, (pierimaps.plus_image, pierimaps.minus_image)):
+            for _, descents, image in kernel(n, range(k, k + 1), gamma.word):
+                path = LatticePath._trusted(n, k, image)
+                images[side] = descents, image, path.area(), path.ht()
         rows = [(gamma.word, gamma.area(), gamma.ht(), images)]
 
         def label(a, ht, context):  # one or two images: no leg for every height
@@ -170,7 +169,6 @@ def cmd_pieri(args) -> int:
     else:
         _family_grid(n, 0)  # refuses an oversized listing before any stream starts
         rows, label = _pieri_rows(n, k), _hook_labels(n)
-    stats = pierimaps.image_stats(n, k)
     width = max(3, n)
     if args.json:
         lead, sep = f'{{\n "k": {k},\n "n": {n},\n "paths": [\n', ",\n"
@@ -180,8 +178,7 @@ def cmd_pieri(args) -> int:
     # header with the first one: a map that fails on it leaves stdout empty
     for word, area, ht, maps in rows:
         images = {}  # side -> (descents, image word, hook)
-        for side, (descents, image) in maps.items():
-            image_area, image_ht = stats(word, image)
+        for side, (descents, image, image_area, image_ht) in maps.items():
             hook = label(image_area - sum(descents), image_ht, word)
             images[side] = (sorted(descents), image or "eps", hook)
         word = word or "eps"

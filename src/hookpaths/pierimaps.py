@@ -22,15 +22,17 @@ The maps are read as image streams, one per (n, k) and map: image_stream
 walks every base word of the map's domain in word order by prefix class
 (image_classes).  A word's plus image at k is fixed by its prefix through
 its k-th east step, and its minus image by its leading east run, its first
-north step and its (k-1)-th east step; each class builds its descent set
-and image head once, and every free suffix comes from paths.suffix_block,
-built once per process.  cli's pieri reads one k's streams,
-perp_via_paths_by_k every k's and verify's map checks each k's of one map,
-with image_stats; no path is built.  The word kernels plus_image and minus_image map one
-base word at every k of a range that map_domain admits, so a k outside the
-word's domain has no image: they serve a single path, and are the
-stream's oracle.  e_plus_map, e_minus_map, TaggedPath and hook_of are
-their checked public form, which the tests compare against.
+north step and its (k-1)-th east step; each class builds its descent set,
+its image head and the head's (area, ht) once, and every free suffix comes
+from paths.suffix_block, built once per process, adding the same
+statistics to the base word and its image.  cli's pieri reads one k's
+streams, perp_via_paths_by_k every k's and verify's map checks each k's of
+one map, holding its statistics to image_stats; no path is built.  The
+word kernels plus_image and minus_image map one base word at every k of a
+range that map_domain admits, so a k outside the word's domain has no
+image: they serve a single path, and are the stream's oracle.  e_plus_map,
+e_minus_map, TaggedPath and hook_of are their checked public form, which
+the tests compare against.
 
 The three bijections are word kernels as well: north_descents reads one
 descent off each north step of a base word, and descents_word writes the
@@ -45,7 +47,7 @@ from math import inf
 
 from .characters import family_hooks, tally_hooks
 from .paths import (
-    WALK_BLOCK_STEPS, LatticePath, add_shifted, clamp_start, enumerate_T, family_blocks,
+    WALK_BLOCK_STEPS, LatticePath, add_shifted, binom2, clamp_start, enumerate_T, family_blocks,
     leading_run_counts, path_hook, suffix_block,
 )
 from .schur import SchurExpansion
@@ -220,20 +222,26 @@ def minus_image(n: int, ks: range, word: str) -> list:
 def image_classes(n: int, k: int, minus: bool):
     """The prefix classes of the plus map (minus=False) or the minus map at
     k on T(n, 0), in lexicographic order: (prefix, area, ht, descents,
-    head), where every base word prefix + w of size n lies in the map's
-    domain and maps to (descents, head + w), and area and ht are the
-    prefix's own.  A plus prefix ends at the word's k-th east step: its
-    east steps record their descents as in plus_image, and the head is its
-    north steps.  A minus prefix ends where both its first north step and
-    its (k-1)-th east step are read: its leading east run of h puts the
-    descent max(1, h-k+2) beside those of its first k-1 east steps, and the
-    head is what is left of it without the first north step and those k-1
-    east steps.  A word outside the domain has no class."""
+    head, head area, head ht), where every base word prefix + w of size n
+    lies in the map's domain and maps to (descents, head + w), area and ht
+    are the prefix's own, and the head's are head + E^len(w)'s in T(n, k).
+    A plus prefix ends at the word's k-th east step: its east steps record
+    their descents as in plus_image, and the head is its north steps.  A
+    minus prefix ends where both its first north step and its (k-1)-th
+    east step are read: its leading east run of h puts the descent
+    max(1, h-k+2) beside those of its first k-1 east steps, and the head is
+    what is left of it without the first north step and those k-1 east
+    steps, all east if it ends at that north step and all north otherwise.
+    A head N^m lies m steps above the start height k, and its north step at
+    index j adds L - j boxes, L = n-k-2, to the start area k(n-2) -
+    binom(k, 2).  A word outside the domain has no class."""
     check_pieri_k(k, n)
     if minus and not k:
         return
     length = n - 2
     need = k - 1 if minus else k  # the east steps whose descents the image records
+    steps, start = length - k, k * length - binom2(k)  # an image's length L and start area
+    head_stats = [(start + m * (2 * steps - m + 1) // 2, k + m) for m in range(steps + 1)]  # of N^m, by m
     # (prefix, area, norths, marks, h), popped in lexicographic order; a
     # minus prefix opens with E^h N, which sorts before E^(h-1) N
     if minus:
@@ -260,40 +268,44 @@ def image_classes(n: int, k: int, minus: bool):
             descents = frozenset(marks)
             if len(descents) != k:
                 raise AssertionError("descent construction collided")
-            yield prefix, area, norths, descents, "N" * norths
+            yield prefix, area, norths, descents, "N" * norths, *head_stats[norths]
             continue
         extra = max(1, h - k + 2)
         if extra in marks:
             raise AssertionError("descent construction collided")
-        yield prefix, area, norths, frozenset(marks + (extra,)), "E" * (i - norths - need) + "N" * (norths - 1)
+        head = "E" * (i - norths - need) + "N" * (norths - 1)
+        yield prefix, area, norths, frozenset(marks + (extra,)), head, *head_stats[norths - 1]
 
 
 def image_stream(n: int, k: int, minus: bool):
     """The plus map (minus=False) or the minus map at k on every base word
     of its domain, in words_T(n, 0)'s order: (base word, area, ht,
-    descents, image word), the kernels' images read by prefix class
-    (image_classes).  A class's free suffixes of r steps add the same
-    statistics to the base word and its image as to the (r + 2, 0)
-    family's words, so they are paths.suffix_block(r), or past its depth
-    family_blocks(r + 2, 0)'s heads and block.  No path is built."""
-    for prefix, area, ht, descents, head in image_classes(n, k, minus):
+    descents, image word, image area, image ht), the kernels' images read
+    by prefix class (image_classes), the image's statistics those in T(n,
+    k).  A class's free suffixes of r steps add the same statistics to the
+    base word and its image as to the (r + 2, 0) family's words, so they
+    are paths.suffix_block(r), or past its depth family_blocks(r + 2, 0)'s
+    heads and block.  No path is built."""
+    for prefix, area, ht, descents, head, head_area, head_ht in image_classes(n, k, minus):
         free = n - 2 - len(prefix)
         if free <= WALK_BLOCK_STEPS:
             for w, da, dh in suffix_block(free):
-                yield prefix + w, area + da, ht + dh, descents, head + w
+                yield prefix + w, area + da, ht + dh, descents, head + w, head_area + da, head_ht + dh
             continue
         heads, block = family_blocks(free + 2, 0)
         for lead, lead_area, lead_ht in heads:
-            word, image, lead_area, lead_ht = prefix + lead, head + lead, area + lead_area, ht + lead_ht
+            word, word_area, word_ht = prefix + lead, area + lead_area, ht + lead_ht
+            image, image_area, image_ht = head + lead, head_area + lead_area, head_ht + lead_ht
             for w, da, dh in block:
-                yield word + w, lead_area + da, lead_ht + dh, descents, image + w
+                yield word + w, word_area + da, word_ht + dh, descents, image + w, image_area + da, image_ht + dh
 
 
 def image_stats(n: int, k: int):
     """stats(base, image) -> (area, ht) of the image word of a base word in
     T(n, k), its head's and its suffix's statistics looked up apart in
     family_blocks' split of T(n, k), so no table holds all of T(n, k).  An
-    image outside T(n, k) raises ValueError."""
+    image outside T(n, k) raises ValueError.  verify's map checks hold the
+    statistics that image_stream carries to it."""
     heads, block = ({word: (area, ht) for word, area, ht in part} for part in family_blocks(n, k))
     cut = len(next(iter(heads)))
 
@@ -453,39 +465,27 @@ def pieri_tallies(n: int, k: int) -> dict:
 def perp_via_paths_by_k(n: int) -> list:
     """[perp_via_paths(n, k) for k in 0..n-2]: the adjoint Pieri rule
     computed path by path.  Each k reads its plus and its minus image
-    stream; image_stats reads each image, counted by (area - maj', ht)
-    class, and no path is built.  An image
-    outside T(n, k) puts its ValueError, the first in the plus stream and
-    then the minus stream, at entry k in place of the expansion; the other
-    k still hold."""
+    stream and counts each image by (image area - maj', image ht) class,
+    with the statistics the stream carries; no path is built."""
     out = []
     for k in range(0, n - 1):
-        stats = image_stats(n, k)
         tally = {}
         last = None  # the words of one prefix class share one descent set
-        try:
-            for minus in (False, True):
-                for word, _, _, descents, image in image_stream(n, k, minus):
-                    if descents is not last:
-                        last, maj = descents, sum(descents)
-                    area, ht = stats(word, image)
-                    key = area - maj, ht
-                    tally[key] = tally.get(key, 0) + 1
-        except ValueError as exc:
-            out.append(exc)
-            continue
+        for minus in (False, True):
+            for _, _, _, descents, _, area, ht in image_stream(n, k, minus):
+                if descents is not last:
+                    last, maj = descents, sum(descents)
+                key = area - maj, ht
+                tally[key] = tally.get(key, 0) + 1
         out.append(tally_hooks(n, tally, "a Pieri image"))
     return out
 
 
 def perp_via_paths(n: int, k: int) -> SchurExpansion:
     """The adjoint Pieri rule computed path by path at one k: entry k of
-    perp_via_paths_by_k, raising its ValueError for an image off T(n, k)."""
+    perp_via_paths_by_k."""
     check_pieri_k(k, n)
-    perp = perp_via_paths_by_k(n)[k]
-    if isinstance(perp, ValueError):
-        raise perp
-    return perp
+    return perp_via_paths_by_k(n)[k]
 
 
 # -- the difference formula ----------------------------------------------------

@@ -238,7 +238,6 @@ def test_an_oversized_pieri_listing_is_refused_before_any_work(monkeypatch, caps
 
         return started
 
-    stats = pierimaps.image_stats
     monkeypatch.setattr(pierimaps, "image_classes", spy("image_classes"))
     monkeypatch.setattr(pierimaps, "image_stats", spy("image_stats"))
     monkeypatch.setattr(cli, "_hook_labels", spy("_hook_labels"))
@@ -250,9 +249,9 @@ def test_an_oversized_pieri_listing_is_refused_before_any_work(monkeypatch, caps
             "error (pieri): the (n=6000, s=0) family has 2^5998 paths, "
             "past the enumeration bound of 2^20\n"
         )
-    # one --path row reads its images' statistics, but labels them without a
-    # leg for every height, which at n = 8000 would hold some 64 MB of text
-    monkeypatch.setattr(pierimaps, "image_stats", stats)
+    # one --path row reads its images' statistics off the image words, not
+    # off a split of T(n, k), and labels them without a leg for every
+    # height, which at n = 8000 would hold some 64 MB of text
     word = "E" * 7990 + "N" * 8
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
@@ -263,6 +262,26 @@ def test_an_oversized_pieri_listing_is_refused_before_any_work(monkeypatch, caps
             tracemalloc.stop()
     assert code == 0
     assert peak < 4_000_000, peak
+
+
+def test_pieri_path_maps_a_word_whose_image_family_is_past_the_bound(capsys):
+    # the images of (NE)^14 lie in T(30, 2), 2^26 words: one --path row
+    # reads their statistics off the image words, so it splits no family,
+    # and its hooks are those hook_of reads off the image paths
+    word = "NE" * 14
+    family = [paths.LatticePath(30, 0, word)]
+    for as_json in (False, True):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, *(["--json"] if as_json else []), "pieri", "--n", "30", "--k", "2", "--path", word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out == reference_pieri_output(30, 2, as_json, family), as_json
+        assert peak < 1_000_000, peak
+        if not as_json:
+            assert "    plus  -> NNNENENENENENENENENENENENE     descents=[26, 28] hook=225" + ",1" * 12 + "\n" in out
 
 
 def test_paths_refuses_rows_wider_than_the_listing_bound(capsys):
@@ -332,12 +351,13 @@ def test_paths_output_matches_reference_rendering(capsys):
             assert out == reference_paths_output(n, s, as_json), (n, s, as_json)
 
 
-def reference_pieri_output(n, k, as_json):
+def reference_pieri_output(n, k, as_json, family=None):
     """`pieri` as first written: the whole family's entries in one list,
-    printed after every path is mapped."""
+    printed after every path is mapped.  `family` lists the base paths in
+    place of enumerate_T(n, 0), as `--path` lists one."""
     sides = (("plus", False, pierimaps.e_plus_map), ("minus", True, pierimaps.e_minus_map))
     entries = []
-    for gamma in enumerate_T(n, 0):
+    for gamma in enumerate_T(n, 0) if family is None else family:
         entry = {"word": str(gamma), "area": gamma.area(), "ht": gamma.ht()}
         for side, minus, pieri_map in sides:
             if pierimaps.map_domain(range(k, k + 1), gamma.word, minus):

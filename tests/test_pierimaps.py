@@ -297,13 +297,15 @@ def test_map_domain_reads_the_east_count_rules():
 
 def _kernel_images(n, k, minus):
     """The per-word kernel's images at k over words_T(n, 0), as the image
-    stream lists them: (base word, area, ht, descents, image word)."""
+    stream lists them: (base word, area, ht, descents, image word, image
+    area, image ht), the image's statistics read off it as a path of T(n, k)."""
     kernel = pm.minus_image if minus else pm.plus_image
-    return [
-        (word, area, ht, descents, image)
-        for word, area, ht in words_T(n, 0)
-        for _, descents, image in kernel(n, range(k, k + 1), word)
-    ]
+    images = []
+    for word, area, ht in words_T(n, 0):
+        for _, descents, image in kernel(n, range(k, k + 1), word):
+            path = LatticePath(n, k, image)
+            images.append((word, area, ht, descents, image, path.area(), path.ht()))
+    return images
 
 
 def test_image_stream_matches_the_kernels():
@@ -328,19 +330,24 @@ def test_image_stream_matches_the_kernels_property(case):
 
 def test_image_classes_split_the_domain():
     # each class's words share its prefix, descents and image head, and the
-    # classes are the stream in word order, one class after another
+    # classes are the stream in word order, one class after another; a
+    # head's statistics are those of the head followed by east steps only,
+    # and each suffix adds the same to the base word and to its image
     for n in range(2, 10):
         for k in range(0, n - 1):
             for minus in (False, True):
                 stream = iter(pm.image_stream(n, k, minus))
-                for prefix, area, ht, descents, head in pm.image_classes(n, k, minus):
+                for prefix, area, ht, descents, head, head_area, head_ht in pm.image_classes(n, k, minus):
                     free = n - 2 - len(prefix)
+                    bare = LatticePath(n, k, head + "E" * free)
+                    assert (head_area, head_ht) == (bare.area(), bare.ht()), (n, k, minus, prefix)
                     for _ in range(2 ** free):
-                        word, word_area, word_ht, word_descents, image = next(stream)
+                        word, word_area, word_ht, word_descents, image, image_area, image_ht = next(stream)
                         suffix = word[len(prefix):]
                         assert word.startswith(prefix) and image == head + suffix
                         assert word_descents == descents and word_ht - ht == suffix.count("N")
                         assert word_area - area == sum(free - j for j, step in enumerate(suffix) if step == "N")
+                        assert (image_area - head_area, image_ht - head_ht) == (word_area - area, word_ht - ht)
                 assert next(stream, None) is None
     with pytest.raises(ValueError, match=r"k=4 outside 0\.\.3"):
         list(pm.image_classes(5, 4, False))
@@ -372,22 +379,6 @@ def test_image_stats_reads_split_families():
     for spoiled in (image[1:], image[:-1], image + "E"):
         with pytest.raises(ValueError, match=r"k=0 image of NEEENEEEENE is not in T\(13, 0\)"):
             stats[0]("NEEENEEEENE", spoiled)
-
-
-def test_an_image_off_the_family_fails_only_its_k(monkeypatch):
-    # the minus image of EN at k = 1, a step short, is off T(4, 1); k = 0
-    # has no minus images and k = 2's are already empty
-    stream = pm.image_stream
-    monkeypatch.setattr(pm, "image_stream", lambda n, k, minus: (
-        (gamma, area, ht, descents, image[1:] if minus else image)
-        for gamma, area, ht, descents, image in stream(n, k, minus)
-    ))
-    perps = pm.perp_via_paths_by_k(4)
-    assert [isinstance(perp, ValueError) for perp in perps] == [False, True, False]
-    assert str(perps[1]) == "k=1 image of EN is not in T(4, 1)"
-    with pytest.raises(ValueError, match=r"k=1 image of EN is not in T\(4, 1\)"):
-        pm.perp_via_paths(4, 1)
-    assert pm.perp_via_paths(4, 2) == perps[2]
 
 
 def test_map_domain_errors():

@@ -59,19 +59,21 @@ def _flip_first_step(image):
 def _each_image(stream, spoil, only=None):
     """An image stream that hands each entry's (descents, image word) on as
     spoil(n, k, (descents, word)), for one map (only=False: plus, True:
-    minus) or both (only=None)."""
+    minus) or both (only=None); the image's carried statistics pass as
+    they were."""
     def spoiled(n, k, minus):
-        for gamma, area, ht, descents, image in stream(n, k, minus):
+        for gamma, area, ht, descents, image, image_area, image_ht in stream(n, k, minus):
             if only is None or only == minus:
                 descents, image = spoil(n, k, (descents, image))
-            yield gamma, area, ht, descents, image
+            yield gamma, area, ht, descents, image, image_area, image_ht
 
     return spoiled
 
 
 def _each_class(classes, spoil):
-    """An image_classes that hands each class on as spoil(n, k, minus,
-    class), or drops it where spoil gives None."""
+    """An image_classes that hands each class, (prefix, area, ht, descents,
+    head, head area, head ht), on as spoil(n, k, minus, class), or drops it
+    where spoil gives None."""
     def spoiled(n, k, minus):
         for entry in classes(n, k, minus):
             entry = spoil(n, k, minus, entry)
@@ -122,16 +124,6 @@ def test_perp_check_reports_a_broken_minus_map(monkeypatch, capsys):
         "[FAIL    ] pieri-paths check=perp n=4 k=2",
     ]
     assert all(" != " in line for line in failed), failed
-
-    # an image word one step short is off T(n, k): the instance names it
-    def shortened(n, k, image):
-        descents, word = image
-        return descents, word[1:]
-
-    monkeypatch.setattr(pierimaps, "image_stream", _each_image(stream, shortened, only=True))
-    assert cli.main(["verify", "--suite", "pieri-paths", "--max-n", "4"]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL")]
-    assert failed == ["[FAIL    ] pieri-paths check=perp n=4 k=1 -- exception: k=1 image of EN is not in T(4, 1)"]
 
 
 # at n = 6, k = 2 the plus map sends NEEE to ({3, 4}, NE); {2, 5} keeps the
@@ -189,13 +181,13 @@ def test_pieri_check_reports_a_spoiled_class(monkeypatch):
         return lambda n, k, m, entry: change(entry) if (k, m, entry[0]) == (1, minus, prefix) else entry
 
     # a head one east step short puts the image off T(5, 1)
-    patched(class_of("EN", True, lambda e: (*e[:4], e[4][1:])))
+    patched(class_of("EN", True, lambda e: (*e[:4], e[4][1:], *e[5:])))
     assert verify._check_pieri(5, True, *_builders(5)) == "k=1 image of ENE is not in the V set"
     # a head whose first step is flipped keeps its length but not the hook law
-    patched(class_of("NE", False, lambda e: (*e[:4], "E")))
+    patched(class_of("NE", False, lambda e: (*e[:4], "E", *e[5:])))
     assert verify._check_pieri(5, False, *_builders(5)) == "k=1 hook law fails on NEE"
     # a descent set one higher breaks the hook law too
-    patched(class_of("NE", False, lambda e: (*e[:3], frozenset({4}), e[4])))
+    patched(class_of("NE", False, lambda e: (*e[:3], frozenset({4}), *e[4:])))
     assert verify._check_pieri(5, False, *_builders(5)) == "k=1 hook law fails on NEE"
     # a dropped class leaves the image short of the set
     patched(class_of("NE", False, lambda e: None))
@@ -205,6 +197,28 @@ def test_pieri_check_reports_a_spoiled_class(monkeypatch):
     block = pierimaps.suffix_block
     monkeypatch.setattr(pierimaps, "suffix_block", lambda r: block(r)[:-1] if r else block(r))
     assert verify._check_pieri(5, False, *_builders(5)) == "k=0 image is not the plus set"
+
+
+@pytest.mark.parametrize("prefix, minus, witness", [
+    ("NE", False, "[FAIL    ] bijections map=plus n=5 -- k=1 image statistics of NEE are off"),
+    ("EN", True, "[FAIL    ] bijections map=minus n=5 -- k=1 image statistics of ENE are off"),
+])
+def test_a_carried_head_area_one_box_off_fails_its_map_and_perp(monkeypatch, prefix, minus, witness):
+    # the class's image words, descents and members are right, so the map
+    # check sees the fault only against image_stats, and the perp sum at
+    # k = 1 counts each image of the class one box too large
+    classes = pierimaps.image_classes
+
+    def spoil(n, k, m, entry):
+        if (n, k, m, entry[0]) == (5, 1, minus, prefix):
+            return (*entry[:5], entry[5] + 1, entry[6])
+        return entry
+
+    monkeypatch.setattr(pierimaps, "image_classes", _each_class(classes, spoil))
+    assert _failed(verify.run_suite("bijections", 5)) == [witness]
+    failed = _failed(verify.run_suite("pieri-paths", 5))
+    assert [line.split(" -- ")[0] for line in failed] == ["[FAIL    ] pieri-paths check=perp n=5 k=1"]
+    assert " != " in failed[0], failed
 
 
 def test_phi_check_reports_a_broken_round_trip(monkeypatch):
@@ -375,6 +389,7 @@ def test_a_raising_alternant_fails_only_its_n_perp_instances(monkeypatch):
     }),
     ("pieri-paths", {
         (pierimaps, "perp_via_paths_by_k"): {(n,) for n in range(3, 7)},
+        (pierimaps, "image_stats"): set(),  # the perp sums read the streams' statistics
         (characters, "alternant_formula"): {(n, 1) for n in range(3, 7)},
     }),
     ("alternating", {
@@ -389,7 +404,6 @@ def test_a_raising_alternant_fails_only_its_n_perp_instances(monkeypatch):
     }),
 ])
 def test_each_shared_datum_is_built_once_per_size(monkeypatch, suite, kernels):
-    # one suite at a time: perp_via_paths_by_k calls image_stats itself
     calls = Counter()
 
     def counted(name, kernel):
